@@ -612,3 +612,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     emit_report(report, config.emit, config.out)
     return 0 if report["overall_pass"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

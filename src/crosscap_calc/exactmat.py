@@ -19,8 +19,12 @@ the product ``(Y[1,i] Y[1,g]) ... (Y[g-1,i] Y[g-1,g]) Y[i,g]`` (the
 at ``(i, i)`` and ``-2`` down the rest of column ``i``.  ``make_y_gi``
 computes both and refuses to answer if they disagree.
 
-All arithmetic is exact: entries are unbounded Python ints, inverses go
-through ``fractions.Fraction`` and are checked to be integral.
+Words never invert: every slide is an involution (relator family (1),
+checked once per cached slide), so ``eval_word`` reads an exponent of -1
+as +1.  It right-multiplies by a slide by rewriting only the at most two
+columns where the slide differs from I.  All arithmetic is exact on
+Python ints; ``mat_inv`` (Gauss-Jordan over ``Fraction``) is on no
+evaluation path and is kept as the oracle that tests compare against.
 """
 
 from __future__ import annotations
@@ -160,7 +164,7 @@ def det(a: IntMatrix) -> int:
 
 
 def mat_inv(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular matrix via Gauss-Jordan over Fraction."""
+    """Exact inverse of a unimodular matrix via Gauss-Jordan (test oracle)."""
     d = det(a)
     if d not in (1, -1):
         raise NotUnimodularError(f"determinant {d}, inverse not integral")
@@ -199,11 +203,12 @@ def is_level2(a: IntMatrix) -> bool:
 
 
 def _check_group_element(m: IntMatrix, label: str) -> IntMatrix:
-    # constructed generators must be unimodular and level-2
-    if det(m) not in (1, -1):
-        raise ArithmeticError(f"{label} is not unimodular")
+    # constructed generators must be level-2 involutions (so unimodular:
+    # det(m)^2 = det(m * m) = 1)
     if not is_level2(m):
         raise ArithmeticError(f"{label} is not congruent to I mod 2")
+    if m * m != identity(m.n):
+        raise ArithmeticError(f"{label} is not an involution")
     return m
 
 
@@ -270,23 +275,35 @@ def y_matrix(g: GenusLike, i: int, j: int) -> IntMatrix:
 
 
 @functools.cache
-def _y_inverse(g: int, i: int, j: int) -> IntMatrix:
-    return mat_inv(y_matrix(g, i, j))
+def _column_update(g: int, i: int, j: int) -> tuple[tuple[int, tuple], ...]:
+    """``(c, ((r, entry), ...))`` for each column c where the slide differs
+    from I: right-multiplying by it sets column c to sum entry * column r."""
+    cols = enumerate(zip(*y_matrix(g, i, j).rows))
+    return tuple(
+        (c, terms)
+        for c, col in cols
+        if (terms := tuple((r, x) for r, x in enumerate(col) if x)) != ((c, 1),)
+    )
 
 
 def eval_word(g: GenusLike, letters: Iterable[YLetter]) -> IntMatrix:
     """Evaluate a word in the Y generators to a single matrix.
 
-    ``letters`` is a sequence of ``((i, j), exp)`` with exp +1 or -1.
-    The empty word evaluates to the identity.
+    ``letters`` is a sequence of ``((i, j), exp)`` with exp +1 or -1;
+    every slide is its own inverse, so both exponents act alike.  The
+    empty word evaluates to the identity.
     """
     g = genus(g)
-    acc = identity(g - 1)
+    cols = [list(row) for row in identity(g - 1).rows]  # I is symmetric
     for (i, j), exp in letters:
-        if exp == 1:
-            acc = acc * y_matrix(g, i, j)
-        elif exp == -1:
-            acc = acc * _y_inverse(g, i, j)
-        else:
+        if exp not in (1, -1):
             raise ValueError(f"exponent must be +1 or -1, got {exp}")
-    return acc
+        new = []
+        for c, ((k, x), *rest) in _column_update(g, i, j):
+            col = [x * v for v in cols[k]]
+            for k, x in rest:
+                col = [s + x * v for s, v in zip(col, cols[k])]
+            new.append((c, col))
+        for c, col in new:
+            cols[c] = col
+    return IntMatrix(tuple(zip(*cols)))

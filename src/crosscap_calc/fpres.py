@@ -24,8 +24,9 @@ generated by the squares of Dehn twists sits at index 2, whence
 ``phi_image`` sends the symbolic generators that have a homology action
 to their matrices: slides to ``make_y``/``make_y_gi``, a squared twist
 ``t^2[a(i,j)]`` to ``Y[j, i]^-1 Y[i, j]``, a two-sided twist
-``t[b(i,j)]`` to ``Y[i, j]^2``.  Squared twists about the subset curves
-have no closed matrix form here and are rejected.
+``t[b(i,j)]`` to ``Y[i, j]^2``, by expanding them into slide letters for
+``exactmat.eval_word``, the one word evaluator over Z.  Squared twists
+about the subset curves have no closed matrix form here and are rejected.
 """
 
 from __future__ import annotations
@@ -365,14 +366,12 @@ def build_presentation(g: GenusLike, variant: str) -> Presentation:
 
 def eval_symbol_word(g: GenusLike, w: Word) -> IntMatrix:
     """Evaluate a word in slide symbols to a matrix."""
-    letters = []
-    for sym, exp in w:
+    for sym, _exp in w:
         if sym.kind != KIND_YSLIDE:
             raise UnsupportedSymbolError(
                 f"{sym.label()} is not a slide symbol; use phi_word_matrix"
             )
-        letters.append((sym.indices, exp))
-    return exactmat.eval_word(g, letters)
+    return exactmat.eval_word(g, _slide_letters(w))
 
 
 def verify_relators(p: Presentation) -> CheckReport:
@@ -426,10 +425,6 @@ def degenerate_representation_control(g: GenusLike) -> bool:
 
 # ---------------------------------------------------------------------------
 # the GF(2) quotient
-
-
-def _popcount_parity(x: int) -> int:
-    return x.bit_count() & 1
 
 
 def _f2_row_rank(rows: Iterable[int]) -> int:
@@ -607,44 +602,38 @@ def twist_quotient_rank(g: GenusLike) -> int:
 # matrix images of the twist symbols
 
 
+def _slide_letters(w: Word) -> list[exactmat.YLetter]:
+    """Expand a symbol word into slide letters.  ``t^2[a(i,j)]`` is
+    ``Y[j,i]^-1 Y[i,j]`` and ``t[b(i,j)]`` is ``Y[i,j]^2``; each slide is
+    its own inverse, so an inverse letter just reverses its expansion."""
+    letters: list[exactmat.YLetter] = []
+    for sym, exp in w:
+        if sym.kind == KIND_YSLIDE:
+            pairs = (sym.indices,)
+        elif sym.kind == KIND_TWIST_SQ:
+            i, j = sym.indices
+            pairs = ((j, i), (i, j))
+        elif sym.kind == KIND_BETA_TWIST:
+            pairs = (sym.indices, sym.indices)
+        else:
+            raise UnsupportedSymbolError(
+                f"{sym.label()} has no matrix image in this representation"
+            )
+        letters.extend((p, exp) for p in (pairs if exp == 1 else pairs[::-1]))
+    return letters
+
+
 @functools.cache
 def phi_image(g: GenusLike, sym: GenSymbol) -> IntMatrix:
-    """Homology matrix of a symbolic generator.
-
-    Slides map to their defining matrices.  A squared twist about the
-    loop through crosscaps i < j maps to ``Y[j, i]^-1 Y[i, j]``; a twist
-    about the two-sided curve around them maps to ``Y[i, j]^2``.  The
-    subset twists have no closed form here and are rejected.
-    """
-    g = genus(g)
-    if sym.kind == KIND_YSLIDE:
-        i, j = sym.indices
-        if not (1 <= i <= g and 1 <= j <= g):
-            raise IndexRangeError(f"{sym.label()} outside genus {g}")
-        return exactmat.y_matrix(g, i, j)
-    if sym.kind == KIND_TWIST_SQ:
-        i, j = sym.indices
-        return exactmat.mat_inv(exactmat.y_matrix(g, j, i)) * exactmat.y_matrix(g, i, j)
-    if sym.kind == KIND_BETA_TWIST:
-        i, j = sym.indices
-        m = exactmat.y_matrix(g, i, j)
-        return m * m
-    raise UnsupportedSymbolError(
-        f"{sym.label()} has no matrix image in this representation"
-    )
-
-
-@functools.cache
-def _phi_inverse(g: int, sym: GenSymbol) -> IntMatrix:
-    return exactmat.mat_inv(phi_image(g, sym))
+    """Homology matrix of a slide, a squared twist about the loop through
+    crosscaps i < j, or a twist about the two-sided curve around them;
+    subset twists have no closed form here and are rejected."""
+    return exactmat.eval_word(g, _slide_letters(((sym, 1),)))
 
 
 def phi_word_matrix(g: GenusLike, w: Word) -> IntMatrix:
-    g = genus(g)
-    acc = exactmat.identity(g - 1)
-    for sym, exp in w:
-        acc = acc * (phi_image(g, sym) if exp == 1 else _phi_inverse(g, sym))
-    return acc
+    """Evaluate a word in slide and twist symbols to a matrix."""
+    return exactmat.eval_word(g, _slide_letters(w))
 
 
 def symbol_kernel_report(g: GenusLike) -> CheckReport:

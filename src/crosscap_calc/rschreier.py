@@ -32,7 +32,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import exactmat, fpres
 from .exactmat import GenusLike, genus
@@ -97,11 +97,12 @@ class TransversalElement:
         return TransversalElement(self.pairs[:-1])
 
 
-@dataclass(frozen=True)
-class RsGenerator:
+class RsGenerator(NamedTuple):
     f: TransversalElement
     x: GenSymbol
     sign: int
+    #: the transversal element in the coset of f x
+    rep: TransversalElement
     word: Word
 
 
@@ -129,6 +130,7 @@ def uses_subset_twist_generators(g: GenusLike) -> bool:
     return genus(g) >= 4
 
 
+@functools.cache
 def level2_generating_set(g: GenusLike) -> tuple[GenSymbol, ...]:
     """The minimal generating set of the level-2 group for g >= 4:
     slides Y[i, j] for i < j, slides Y[j, i] for i < j <= g - 1, and the
@@ -150,15 +152,17 @@ def level2_generating_set(g: GenusLike) -> tuple[GenSymbol, ...]:
     return tuple(slides + back_slides + subsets)
 
 
+def _pairs_mask(bit: dict[Pair, int], pairs: tuple[Pair, ...]) -> int:
+    mask = 0
+    for p in pairs:
+        mask ^= bit[p]
+    return mask
+
+
 def _basis_masks(g: int) -> tuple[dict[Pair, int], dict[int, TransversalElement]]:
     qmap = build_quotient_map(g)
     bit = {p: 1 << n for n, p in enumerate(qmap.basis)}
-    by_mask: dict[int, TransversalElement] = {}
-    for t in transversal(g):
-        mask = 0
-        for p in t.pairs:
-            mask ^= bit[p]
-        by_mask[mask] = t
+    by_mask = {_pairs_mask(bit, t.pairs): t for t in transversal(g)}
     return bit, by_mask
 
 
@@ -171,26 +175,22 @@ def iter_rs_generators(g: GenusLike) -> Iterator[RsGenerator]:
     g = genus(g)
     qmap = build_quotient_map(g)
     bit, by_mask = _basis_masks(g)
-    basis = set(qmap.basis)
     inv_by_mask = {m: winv(t.word()) for m, t in by_mask.items()}
-    xs = [(x, qmap.image(x)) for x in level2_generating_set(g)]
+    # (symbol, image, its pair when it is a basis slide)
+    xs = [
+        (x, qmap.image(x), x.indices if x.kind == KIND_YSLIDE and x.indices in bit else None)
+        for x in level2_generating_set(g)
+    ]
     for f in transversal(g):
-        fmask = 0
-        for p in f.pairs:
-            fmask ^= bit[p]
+        fmask = _pairs_mask(bit, f.pairs)
         fword = f.word()
-        for x, xmask in xs:
+        for x, xmask, pair in xs:
             rep = by_mask[fmask ^ xmask]
             rep_inv = inv_by_mask[fmask ^ xmask]
-            for sign in (1, -1):
-                if (
-                    sign == 1
-                    and x.kind == KIND_YSLIDE
-                    and x.indices in basis
-                    and rep.pairs == f.pairs + (x.indices,)
-                ):
-                    continue  # f x literally is its own representative
-                yield RsGenerator(f=f, x=x, sign=sign, word=fword + ((x, sign),) + rep_inv)
+            # skipped: f x^+1 when it literally is its own representative
+            if pair is None or rep.pairs != f.pairs + (pair,):
+                yield RsGenerator(f, x, 1, rep, fword + ((x, 1),) + rep_inv)
+            yield RsGenerator(f, x, -1, rep, fword + ((x, -1),) + rep_inv)
 
 
 def rs_generators(g: GenusLike) -> tuple[RsGenerator, ...]:
@@ -254,7 +254,8 @@ def construction_counts(g: GenusLike) -> dict:
     """Sizes of the transversal, the RS generator set, and the families."""
     g = genus(g)
     n_trans = len(transversal(g))
-    n_rs = sum(1 for _ in iter_rs_generators(g))
+    # of the 2 |T| |X| words, one per nonempty t in T is skipped: f x = t
+    n_rs = 2 * n_trans * len(level2_generating_set(g)) - (n_trans - 1)
     n_pairs = len(fpres.pair_set(g))
     n_subsets = len(list(itertools.combinations(range(2, g + 1), 3)))
     return {
@@ -301,45 +302,32 @@ def verify_rs_zero_images(
     """
     g = genus(g)
     qmap = build_quotient_map(g)
-    bit, by_mask = _basis_masks(g)
-    basis = set(qmap.basis)
-    xs = [(x, qmap.image(x)) for x in level2_generating_set(g)]
-    total_bound = len(transversal(g)) * len(xs) * 2
+    bit, _by_mask = _basis_masks(g)
+    xmasks = {x: qmap.image(x) for x in level2_generating_set(g)}
+    total_bound = len(transversal(g)) * len(xmasks) * 2
     fold_all = total_bound <= LETTER_FOLD_LIMIT
     rb = ReportBuilder("rs-zero-image", g=g)
     if not uses_subset_twist_generators(g):
         rb.caveat(CAVEAT_G3_GENERATORS)
     rng = random.Random(seed)
-    emitted = 0
     folded = 0
-    for f in transversal(g):
-        fmask = 0
-        for p in f.pairs:
-            fmask ^= bit[p]
-        for x, xmask in xs:
-            rep = by_mask[fmask ^ xmask]
-            for sign in (1, -1):
-                if (
-                    sign == 1
-                    and x.kind == KIND_YSLIDE
-                    and x.indices in basis
-                    and rep.pairs == f.pairs + (x.indices,)
-                ):
-                    continue
-                emitted += 1
-                repmask = 0
-                for p in rep.pairs:
-                    repmask ^= bit[p]
-                ok = fmask ^ xmask ^ repmask == 0
-                if fold_all or rng.randrange(total_bound) < sample_size:
-                    w = f.word() + ((x, sign),) + winv(rep.word())
-                    ok = ok and qmap.word_image(w) == 0
-                    folded += 1
-                if not ok:
-                    rb.record(False, f"f={f.pairs} x={x.label()} sign={sign}")
-                else:
-                    rb.passed += 1
-    rb.detail(f"emitted {emitted} generators, letter-folded {folded}")
+    f = x = None
+    for gen in iter_rs_generators(g):
+        if gen.f is not f:
+            f = gen.f
+            fmask = _pairs_mask(bit, f.pairs)
+        if gen.x is not x:
+            x = gen.x
+            xmask = xmasks[x]
+        ok = fmask ^ xmask ^ _pairs_mask(bit, gen.rep.pairs) == 0
+        if fold_all or rng.randrange(total_bound) < sample_size:
+            ok = ok and qmap.word_image(gen.word) == 0
+            folded += 1
+        if not ok:
+            rb.record(False, f"f={f.pairs} x={x.label()} sign={gen.sign}")
+        else:
+            rb.passed += 1
+    rb.detail(f"emitted {rb.passed + rb.failed} generators, letter-folded {folded}")
     if not fold_all:
         rb.detail(
             f"letter-level refolds sampled with seed {seed}; part-level"

@@ -109,8 +109,9 @@ def test_criterion_03_quotient_rank_formula(capsys):
 
 
 def test_criterion_04_twist_subspace_rank(capsys):
-    with criterion(capsys, 4, "twist-image subspace rank matches the closed"
-                   " form for genus 3..12"):
+    with criterion(capsys, 4, "twist quotient rank (quotient rank - 1, the"
+                   " twist subgroup having index 2) matches the closed form"
+                   " for genus 3..12"):
         for g in range(3, 13):
             expected = math.comb(g - 1, 2) - (1 if g % 2 == 1 else 0)
             assert twist_quotient_rank(g) == expected, g
@@ -184,8 +185,9 @@ def test_criterion_08_chain_square_decomposition(capsys):
 
 
 def test_criterion_09_commutator_squares_lemma(capsys):
-    with criterion(capsys, 9, "(xy)^2 (y^-1 x y)^-2 reduces to a commutator"
-                   " pattern for word length 1..8"):
+    with criterion(capsys, 9, "[a, b1...bn] equals the product over m of"
+                   " (b1...b(m-1)) [a, bm] (b1...b(m-1))^-1 in the free"
+                   " group for n = 1..8"):
         for n in range(1, 9):
             assert verify_commutator_lemma(n), n
 

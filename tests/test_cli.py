@@ -1,9 +1,14 @@
 """Command line driver: runners, caps, report schema, golden comparison."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crosscap_calc
 from crosscap_calc import SCHEMA_VERSION, __version__, cli
 from crosscap_calc.cli import (
     CHECK_NAMES,
@@ -162,6 +167,32 @@ class TestMainVerify:
         code, report = run_json(capsys, "verify", "stabilizer", "--g", "5", "--seed", "3")
         assert code == 0
         assert report["config"]["seed"] == 3
+
+
+class TestModuleEntryPoint:
+    """``python -m crosscap_calc.cli`` runs the command, not nothing."""
+
+    @staticmethod
+    def run_module(*argv):
+        env = dict(os.environ)
+        src = str(Path(crosscap_calc.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        return subprocess.run(
+            [sys.executable, "-m", "crosscap_calc.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_verify_emits_a_report_and_exits_zero(self):
+        proc = self.run_module("verify", "quotient-rank", "--g", "3")
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["overall_pass"] is True
+        assert [e["g"] for e in report["checks"]] == [3]
+
+    def test_bad_genus_exits_two(self):
+        proc = self.run_module("verify", "quotient-rank", "--g", "2")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
 
 
 class TestGolden:

@@ -185,6 +185,38 @@ class TestSlideMatrices:
             y_matrix(3, 3, 3)
 
 
+def slide_pairs(g):
+    """Every slide index pair at genus g, Y[g, i] and Y[i, g] included."""
+    return [
+        (i, j)
+        for i in range(1, g + 1)
+        for j in range(1, g + 1)
+        if i != j and (i < g or j < g)
+    ]
+
+
+def oracle_fold(g, letters):
+    """Reference evaluation: one mat_mul per letter, mat_inv for -1."""
+    acc = identity(g - 1)
+    for (i, j), exp in letters:
+        m = y_matrix(g, i, j)
+        acc = mat_mul(acc, m if exp == 1 else mat_inv(m))
+    return acc
+
+
+def covering_words(g, rng, extra=20):
+    """Seeded words in which every slide occurs with both exponents,
+    followed by ``extra`` uniformly random words."""
+    letters = [(p, e) for p in slide_pairs(g) for e in (1, -1)]
+    rng.shuffle(letters)
+    words = [letters[k : k + 9] for k in range(0, len(letters), 9)]
+    for _ in range(extra):
+        words.append(
+            [(rng.choice(slide_pairs(g)), rng.choice((1, -1))) for _ in range(rng.randrange(1, 16))]
+        )
+    return words
+
+
 class TestEvalWord:
     def test_empty_word_is_identity(self):
         assert eval_word(3, []) == identity(2)
@@ -212,3 +244,54 @@ class TestEvalWord:
             m = eval_word(g, w)
             assert det(m) in (1, -1)
             assert is_level2(m)
+
+    def test_matches_mat_mul_mat_inv_fold(self):
+        rng = random.Random(2012)
+        for g in range(3, 9):
+            for w in covering_words(g, rng):
+                assert eval_word(g, w) == oracle_fold(g, w), (g, w)
+
+    def test_inverse_letter_evaluates_as_the_slide(self):
+        for g in (3, 5, 8):
+            for p in slide_pairs(g):
+                assert eval_word(g, [(p, -1)]) == y_matrix(g, *p)
+
+    def test_no_inverse_or_product_on_the_path(self, monkeypatch):
+        g = 6
+        w = [(p, e) for p in slide_pairs(g) for e in (1, -1)]
+        expected = oracle_fold(g, w)  # also warms the slide caches
+
+        def forbidden(*_args):
+            raise AssertionError("eval_word must not multiply or invert matrices")
+
+        monkeypatch.setattr(exactmat, "mat_inv", forbidden)
+        monkeypatch.setattr(exactmat, "mat_mul", forbidden)
+        assert eval_word(g, w) == expected
+
+    def test_rejects_other_exponents(self):
+        with pytest.raises(ValueError):
+            eval_word(3, [((1, 2), 2)])
+
+    def test_out_of_range_letter_rejected(self):
+        with pytest.raises(IndexRangeError):
+            eval_word(3, [((1, 4), 1)])
+
+
+class TestGroupElementCheck:
+    def test_accepts_a_slide(self):
+        m = make_y(4, 1, 2)
+        assert exactmat._check_group_element(m, "Y[1,2]") is m
+
+    def test_rejects_a_non_involution(self):
+        # unimodular and level-2, but squares to [[1, 4], [0, 1]]
+        m = IntMatrix(((1, 2), (0, 1)))
+        assert det(m) == 1 and is_level2(m)
+        with pytest.raises(ArithmeticError, match="involution"):
+            exactmat._check_group_element(m, "shear")
+
+    def test_rejects_non_unimodular_and_non_level2(self):
+        # level-2 but det 3: an involution has det +-1, so this one fails
+        with pytest.raises(ArithmeticError, match="involution"):
+            exactmat._check_group_element(IntMatrix(((3, 0), (0, 1))), "scale")
+        with pytest.raises(ArithmeticError, match="mod 2"):
+            exactmat._check_group_element(IntMatrix(((0, 1), (1, 0))), "swap")

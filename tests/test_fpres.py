@@ -233,3 +233,66 @@ class TestPhiImages:
             assert rep.ok
             # two symbol kinds per pair, two records each
             assert rep.passed == 4 * len(pair_set(g))
+
+
+def oracle_phi(g, sym):
+    """Symbol images by their defining formulas, through mat_mul/mat_inv."""
+    i, j = sym.indices
+    if sym.kind == "yslide":
+        return exactmat.y_matrix(g, i, j)
+    if sym.kind == "twist_sq":
+        return exactmat.mat_mul(
+            exactmat.mat_inv(exactmat.y_matrix(g, j, i)), exactmat.y_matrix(g, i, j)
+        )
+    m = exactmat.y_matrix(g, i, j)
+    return exactmat.mat_mul(m, m)
+
+
+def oracle_word(g, w):
+    acc = exactmat.identity(g - 1)
+    for sym, exp in w:
+        m = oracle_phi(g, sym)
+        acc = exactmat.mat_mul(acc, m if exp == 1 else exactmat.mat_inv(m))
+    return acc
+
+
+class TestPhiOracle:
+    @staticmethod
+    def alphabet(g):
+        slides = [
+            yslide(i, j)
+            for i in range(1, g + 1)
+            for j in range(1, g + 1)
+            if i != j and (i < g or j < g)
+        ]
+        twists = [kind(i, j) for i, j in pair_set(g) for kind in (twist_sq, beta_twist)]
+        return slides + twists
+
+    def test_phi_image_matches_defining_formulas(self):
+        for g in range(3, 9):
+            for sym in self.alphabet(g):
+                assert phi_image(g, sym) == oracle_phi(g, sym), (g, sym)
+
+    def test_phi_word_matrix_matches_mat_mul_mat_inv_fold(self):
+        rng = random.Random(160)
+        for g in range(3, 9):
+            letters = [(sym, e) for sym in self.alphabet(g) for e in (1, -1)]
+            rng.shuffle(letters)
+            words = [tuple(letters[k : k + 7]) for k in range(0, len(letters), 7)]
+            for _ in range(20):
+                words.append(tuple(
+                    (rng.choice(self.alphabet(g)), rng.choice((1, -1)))
+                    for _ in range(rng.randrange(1, 12))
+                ))
+            for w in words:
+                assert phi_word_matrix(g, w) == oracle_word(g, w), (g, word_label(w))
+
+    def test_inverse_twist_letter_reverses_its_expansion(self):
+        # T2(1,2)^-1 is Y[1,2] Y[2,1], not the forward word Y[2,1] Y[1,2]
+        w = ((twist_sq(1, 2), -1),)
+        assert phi_word_matrix(4, w) == exactmat.make_y(4, 1, 2) * exactmat.make_y(4, 2, 1)
+        assert phi_word_matrix(4, w) != phi_image(4, twist_sq(1, 2))
+
+    def test_subset_twist_word_rejected(self):
+        with pytest.raises(UnsupportedSymbolError):
+            phi_word_matrix(5, ((yslide(1, 2), 1), (subset_sq(1, 2, 3, 4), -1)))

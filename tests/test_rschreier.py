@@ -28,6 +28,7 @@ from crosscap_calc.rschreier import (
     construction_counts,
     family_generators,
     iter_family_words,
+    iter_rs_generators,
     level2_generating_set,
     rs_generators,
     transversal,
@@ -124,6 +125,12 @@ class TestRsGenerators:
             qmap = build_quotient_map(g)
             for r in rs_generators(g):
                 assert qmap.word_image(r.word) == 0
+                assert r.word == r.f.word() + ((r.x, r.sign),) + winv(r.rep.word())
+
+    def test_closed_form_count_matches_enumeration(self):
+        for g in range(3, 7):
+            enumerated = sum(1 for _ in iter_rs_generators(g))
+            assert construction_counts(g)["rs_generator_count"] == enumerated, g
 
     def test_verify_rs_zero_images(self):
         for g in (3, 4, 5):
