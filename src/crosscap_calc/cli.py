@@ -508,6 +508,18 @@ def _diff(a, b, path: str, out: list[str]) -> None:
         out.append(f"{path}: {a!r} != golden {b!r}")
 
 
+def _load_report(path: str) -> dict:
+    """Read a JSON report; ValueError if the file is not a JSON object."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            doc = json.load(handle)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not a JSON report: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a JSON report: top level is not an object")
+    return doc
+
+
 def golden_compare(report: dict, golden: dict) -> list[str]:
     """Differences between a report and a frozen golden, ignoring timings.
 
@@ -579,13 +591,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "golden":
-        with open(args.report, encoding="utf-8") as handle:
-            report = json.load(handle)
-        with open(args.golden, encoding="utf-8") as handle:
-            golden = json.load(handle)
         try:
+            report = _load_report(args.report)
+            golden = _load_report(args.golden)
             diffs = golden_compare(report, golden)
-        except SchemaMismatchError as exc:
+        except (OSError, ValueError) as exc:
+            # unreadable or malformed input, or a schema mismatch: exit 1
+            # is reserved for two readable reports that differ
             print(f"error: {exc}", file=sys.stderr)
             return 2
         for line in diffs:
@@ -610,7 +622,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    emit_report(report, config.emit, config.out)
+    try:
+        emit_report(report, config.emit, config.out)
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
     return 0 if report["overall_pass"] else 1
 
 

@@ -17,7 +17,10 @@ Three presentation variants are built here, all on the slide symbols
 
 Families bar-(1) and bar-(2) make the quotient an elementary abelian
 2-group, so its relators abelianize to GF(2) rows and the quotient rank
-is a bit-matrix rank computation (``quotient_rank``).  The subgroup
+is a bit-matrix rank computation (``quotient_rank``).  A word's image
+in the quotient is the XOR of its letters' bitmasks
+(``QuotientMap.word_image``); the masks of the slide letters are a table
+filled when the map is built.  The subgroup
 generated by the squares of Dehn twists sits at index 2, whence
 ``twist_quotient_rank`` is one less.
 
@@ -33,8 +36,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, NamedTuple
 
 from . import exactmat
 from .exactmat import GenusLike, IntMatrix, IndexRangeError, genus
@@ -78,26 +81,34 @@ class InconsistentQuotientError(ArithmeticError):
     """
 
 
-@dataclass(frozen=True, order=True)
-class GenSymbol:
-    """One symbolic generator: a slide, a squared twist about the loop
-    through crosscaps i and j, a twist about the two-sided curve around
-    crosscaps i and j, or a squared twist about the curve around an
-    even index subset."""
-
+class _SymbolFields(NamedTuple):
     kind: str
     indices: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KIND_LABEL:
-            raise ValueError(f"unknown symbol kind {self.kind!r}")
-        idx = self.indices
+
+class GenSymbol(_SymbolFields):
+    """One symbolic generator: a slide, a squared twist about the loop
+    through crosscaps i and j, a twist about the two-sided curve around
+    crosscaps i and j, or a squared twist about the curve around an
+    even index subset.
+
+    A tuple ``(kind, indices)`` underneath, validated on construction:
+    hashing, equality and ordering are the tuple's own, and the hash is
+    the one a frozen dataclass of the same fields has.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, indices: tuple[int, ...]) -> "GenSymbol":
+        if kind not in _KIND_LABEL:
+            raise ValueError(f"unknown symbol kind {kind!r}")
+        idx = indices
         if any(not isinstance(x, int) or x < 1 for x in idx):
             raise ValueError(f"indices must be positive ints, got {idx}")
-        if self.kind == KIND_YSLIDE:
+        if kind == KIND_YSLIDE:
             if len(idx) != 2 or idx[0] == idx[1]:
                 raise ValueError(f"slide needs two distinct indices, got {idx}")
-        elif self.kind in (KIND_TWIST_SQ, KIND_BETA_TWIST):
+        elif kind in (KIND_TWIST_SQ, KIND_BETA_TWIST):
             if len(idx) != 2 or not idx[0] < idx[1]:
                 raise ValueError(f"twist indices must satisfy i < j, got {idx}")
         else:
@@ -105,6 +116,7 @@ class GenSymbol:
                 raise ValueError(f"subset must have even size >= 2, got {idx}")
             if any(a >= b for a, b in zip(idx, idx[1:])):
                 raise ValueError(f"subset must be strictly increasing, got {idx}")
+        return super().__new__(cls, kind, indices)
 
     def label(self) -> str:
         return f"{_KIND_LABEL[self.kind]}({','.join(map(str, self.indices))})"
@@ -451,6 +463,18 @@ class QuotientMap:
     g: int
     basis: tuple[Pair, ...]
     first_row: tuple[tuple[int, int], ...]  # (j, mask) for the (1, j) classes
+    #: every slide symbol Y[i, j] of genus g -> its mask, filled on construction
+    _slide_masks: dict[GenSymbol, int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        g = self.g
+        masks = {
+            yslide(i, j): self.pair_image(i, j)
+            for i in range(1, g + 1)
+            for j in range(1, g + 1)
+            if i != j
+        }
+        object.__setattr__(self, "_slide_masks", masks)
 
     @functools.cached_property
     def _bit(self) -> dict[Pair, int]:
@@ -478,9 +502,13 @@ class QuotientMap:
         raise UnsupportedSymbolError(sym.label())
 
     def word_image(self, w: Word) -> int:
+        """XOR of the letters' images: slides read from the table built
+        with the map, every other letter through ``image``."""
+        slide_mask = self._slide_masks.get
         acc = 0
         for sym, _exp in w:  # in a 2-group the exponent sign is irrelevant
-            acc ^= self.image(sym)
+            mask = slide_mask(sym)
+            acc ^= self.image(sym) if mask is None else mask
         return acc
 
     @property

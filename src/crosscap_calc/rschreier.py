@@ -204,6 +204,28 @@ FAMILY_NAMES = ("1", "2", "3", "4")
 FamilyWord = tuple[TransversalElement, tuple[int, ...], Word]
 
 
+def _family_cores(g: int, family: str) -> list[tuple[tuple[int, ...], Word]]:
+    """(index tuple, unconjugated core word) for every word of a family,
+    in emission order; a family word is f core f^-1."""
+    if family not in FAMILY_NAMES:
+        raise ValueError(f"unknown family {family!r}, expected one of {FAMILY_NAMES}")
+    pairs = fpres.pair_set(g)
+    if family == "1":
+        return [((i, j), word(twist_sq(i, j))) for i, j in pairs]
+    if family == "2":
+        return [((i, j), word(beta_twist(i, j))) for i, j in pairs]
+    if family == "3":
+        return [
+            ((1, *sub), word(subset_sq(1, *sub)))
+            for sub in itertools.combinations(range(2, g + 1), 3)
+        ]
+    slides = {p: word(yslide(*p)) for p in pairs}
+    return [
+        ((*p, *q), fpres.commutator_word(slides[p], slides[q]))
+        for p, q in itertools.product(pairs, repeat=2)
+    ]
+
+
 def iter_family_words(
     g: GenusLike, family: str, reduced4: bool = False
 ) -> Iterator[FamilyWord]:
@@ -216,28 +238,18 @@ def iter_family_words(
     last(f) < (i, j) < (k, l) when ``reduced4`` is set.
     """
     g = genus(g)
-    if family not in FAMILY_NAMES:
-        raise ValueError(f"unknown family {family!r}, expected one of {FAMILY_NAMES}")
-    pairs = fpres.pair_set(g)
+    cores = _family_cores(g, family)
+    reduced = reduced4 and family == "4"
     for f in transversal(g):
         fword = f.word()
         finv = winv(fword)
         last = f.pairs[-1] if f.pairs else None
-        if family == "1":
-            for i, j in pairs:
-                yield f, (i, j), fword + word(twist_sq(i, j)) + finv
-        elif family == "2":
-            for i, j in pairs:
-                yield f, (i, j), fword + word(beta_twist(i, j)) + finv
-        elif family == "3":
-            for sub in itertools.combinations(range(2, g + 1), 3):
-                yield f, (1, *sub), fword + word(subset_sq(1, *sub)) + finv
-        else:
-            for p, q in itertools.product(pairs, repeat=2):
-                if reduced4 and not ((last is None or last < p) and p < q):
+        for indices, core in cores:
+            if reduced:
+                p, q = indices[:2], indices[2:]
+                if not ((last is None or last < p) and p < q):
                     continue
-                core = fpres.commutator_word(word(yslide(*p)), word(yslide(*q)))
-                yield f, (*p, *q), fword + core + finv
+            yield f, indices, fword + core + finv
 
 
 def family_generators(
@@ -361,25 +373,27 @@ def verify_family_zero_images(
     rng = random.Random(seed)
     folded = 0
     for family in families:
+        cores = [
+            (indices, core, qmap.word_image(core) == 0)
+            for indices, core in _family_cores(g, family)
+        ]
         count = 0
-        cores_ok: dict[tuple[int, ...], bool] = {}
-        for f, indices, w in iter_family_words(g, family):
-            count += 1
-            core_ok = cores_ok.get(indices)
-            if core_ok is None:
-                # strip the conjugator: f.word() + core + inverse
-                n = len(f.word())
-                core = w[n : len(w) - n] if n else w
-                core_ok = qmap.word_image(core) == 0
-                cores_ok[indices] = core_ok
-            ok = core_ok
-            if fold_all or rng.randrange(total_bound) < sample_size:
-                folded += 1
-                ok = ok and qmap.word_image(w) == 0
-            if not ok:
-                rb.record(False, f"family {family} f={f.pairs} indices {indices}")
-            else:
-                rb.passed += 1
+        for f in transversal(g):
+            # f's word and its inverse, built on the first refold only
+            fword = finv = None
+            for indices, core, core_ok in cores:
+                count += 1
+                ok = core_ok
+                if fold_all or rng.randrange(total_bound) < sample_size:
+                    folded += 1
+                    if fword is None:
+                        fword = f.word()
+                        finv = winv(fword)
+                    ok = ok and qmap.word_image(fword + core + finv) == 0
+                if not ok:
+                    rb.record(False, f"family {family} f={f.pairs} indices {indices}")
+                else:
+                    rb.passed += 1
         rb.detail(f"family {family}: {count} words")
     rb.detail(f"letter-folded {folded} assembled words")
     if not fold_all:

@@ -133,6 +133,14 @@ class TestMainVerify:
         assert report["config"]["check"] == "o2"
         assert capsys.readouterr().out == ""  # --out writes the file, nothing else
 
+    def test_out_into_missing_directory_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "no-such-dir" / "report.json"
+        assert main(["verify", "chain", "--k", "1", "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert not path.parent.exists()
+
     def test_cap_violation_exit_code(self, capsys):
         code, report = run_json(capsys, "verify", "chain", "--k", "7")
         assert code == 1
@@ -170,15 +178,16 @@ class TestMainVerify:
 
 
 class TestModuleEntryPoint:
-    """``python -m crosscap_calc.cli`` runs the command, not nothing."""
+    """``python -m crosscap_calc.cli`` and ``python -m crosscap_calc`` run
+    the command, not nothing."""
 
     @staticmethod
-    def run_module(*argv):
+    def run_module(*argv, module="crosscap_calc.cli"):
         env = dict(os.environ)
         src = str(Path(crosscap_calc.__file__).resolve().parent.parent)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         return subprocess.run(
-            [sys.executable, "-m", "crosscap_calc.cli", *argv],
+            [sys.executable, "-m", module, *argv],
             capture_output=True, text=True, env=env, timeout=120,
         )
 
@@ -191,6 +200,14 @@ class TestModuleEntryPoint:
 
     def test_bad_genus_exits_two(self):
         proc = self.run_module("verify", "quotient-rank", "--g", "2")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+
+    def test_package_runs_as_a_module(self):
+        proc = self.run_module("verify", "quotient-rank", "--g", "3", module="crosscap_calc")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["overall_pass"] is True
+        proc = self.run_module("verify", "quotient-rank", "--g", "2", module="crosscap_calc")
         assert proc.returncode == 2
         assert proc.stdout == ""
 
@@ -225,6 +242,23 @@ class TestGolden:
         golden = tmp_path / "golden.json"
         golden.write_text(json.dumps(doc))
         assert main(["golden", str(report_path), str(golden)]) == 2
+
+    def test_missing_file_exits_two(self, report_path, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main(["golden", missing, str(report_path)]) == 2
+        assert main(["golden", str(report_path), missing]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 2 and "missing.json" in err
+
+    def test_malformed_file_exits_two(self, report_path, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        for text in ("{not json", "[1, 2]"):
+            bad.write_text(text)
+            assert main(["golden", str(bad), str(report_path)]) == 2
+            assert main(["golden", str(report_path), str(bad)]) == 2
+        bad.write_bytes(b"\xff\xfe")
+        assert main(["golden", str(bad), str(report_path)]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_golden_compare_units(self):
         a = {"schema_version": SCHEMA_VERSION, "x": 1, "checks": [{"duration_ms": 5}]}

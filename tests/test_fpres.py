@@ -66,6 +66,51 @@ class TestGenSymbol:
         assert yslide(1, 2) == yslide(1, 2)
         assert len({yslide(1, 2), yslide(2, 1), twist_sq(1, 2)}) == 3
 
+    def test_validation_messages(self):
+        cases = [
+            (("bogus", (1, 2)), "unknown symbol kind 'bogus'"),
+            (("yslide", (0, 2)), r"indices must be positive ints, got \(0, 2\)"),
+            (("yslide", (1, 2.0)), "indices must be positive ints"),
+            (("yslide", (1, 2, 3)), "slide needs two distinct indices"),
+            (("twist_sq", (2, 1)), r"twist indices must satisfy i < j, got \(2, 1\)"),
+            (("beta_twist", (1,)), "twist indices must satisfy i < j"),
+            (("subset_sq", (1, 2, 3)), "subset must have even size >= 2"),
+            (("subset_sq", (1, 3, 2, 4)), "subset must be strictly increasing"),
+        ]
+        for (kind, indices), message in cases:
+            with pytest.raises(ValueError, match=message):
+                fpres.GenSymbol(kind, indices)
+
+    def test_hash_is_that_of_the_field_tuple(self):
+        for sym in (yslide(3, 1), twist_sq(1, 2), beta_twist(2, 5), subset_sq(1, 2, 3, 4)):
+            assert hash(sym) == hash((sym.kind, sym.indices))
+            assert sym == fpres.GenSymbol(sym.kind, sym.indices)
+            assert repr(sym) == f"GenSymbol(kind={sym.kind!r}, indices={sym.indices!r})"
+
+    def test_word_tells_a_symbol_from_a_letter(self):
+        # a symbol is itself a pair (kind, indices); word() must still read
+        # it as one letter with exponent +1, and (symbol, exp) as a letter
+        sym = yslide(1, 2)
+        assert word(sym) == ((sym, 1),)
+        assert word((sym, -1), sym) == ((sym, -1), (sym, 1))
+        with pytest.raises(ValueError):
+            word((sym, 2))
+
+    def test_sorted_generating_set_order(self):
+        from crosscap_calc.rschreier import level2_generating_set
+
+        got = [s.label() for s in sorted(level2_generating_set(6))]
+        subsets = [
+            f"T2S(1,{j},{k},{l})"
+            for j in range(2, 7) for k in range(j + 1, 7) for l in range(k + 1, 7)
+        ]
+        slides = [
+            f"Y({i},{j})"
+            for i in range(1, 7) for j in range(1, 7)
+            if i < j or j < i < 6
+        ]
+        assert got == subsets + slides
+
 
 class TestWordAlgebra:
     def test_word_accepts_bare_symbols_and_powers(self):
@@ -195,6 +240,43 @@ class TestQuotientMap:
             u = tuple((yslide(*rng.choice(pairs)), rng.choice((1, -1))) for _ in range(5))
             v = tuple((yslide(*rng.choice(pairs)), rng.choice((1, -1))) for _ in range(4))
             assert qm.word_image(u + v) == qm.word_image(u) ^ qm.word_image(v)
+
+    def test_slide_table_is_complete(self):
+        for g in (3, 4, 7):
+            qm = build_quotient_map(g)
+            slides = [yslide(i, j) for i in range(1, g + 1) for j in range(1, g + 1) if i != j]
+            assert len(qm._slide_masks) == g * (g - 1)
+            assert all(qm._slide_masks[s] == qm.image(s) for s in slides)
+
+    def test_word_image_matches_a_per_letter_fold(self):
+        rng = random.Random(2024)
+        for g in range(3, 9):
+            qm = build_quotient_map(g)
+            pairs = pair_set(g)
+            symbols = [yslide(i, j) for i, j in pairs] + [yslide(j, i) for i, j in pairs]
+            symbols += [twist_sq(*p) for p in pairs] + [beta_twist(*p) for p in pairs]
+            symbols += [
+                subset_sq(*sorted(rng.sample(range(1, g + 1), 2 * rng.randint(1, g // 2))))
+                for _ in range(5)
+            ]
+            for _ in range(20):
+                # every symbol at least once, then random extras, in random order
+                w = [(s, rng.choice((1, -1))) for s in symbols]
+                w += [(rng.choice(symbols), rng.choice((1, -1))) for _ in range(rng.randrange(40))]
+                rng.shuffle(w)
+                w = tuple(w)
+                expected = 0
+                for n, (sym, _exp) in enumerate(w):
+                    assert qm.word_image(w[:n]) == expected
+                    expected ^= qm.image(sym)
+                assert qm.word_image(w) == expected
+                assert {exp for _s, exp in w} == {1, -1}
+
+    def test_word_image_of_twists_and_out_of_range_slides(self):
+        qm = build_quotient_map(4)
+        assert qm.word_image(word(twist_sq(1, 2), beta_twist(3, 4), subset_sq(1, 2, 3, 4))) == 0
+        with pytest.raises(exactmat.IndexRangeError):
+            qm.word_image(word(yslide(1, 2), yslide(1, 5)))
 
     def test_rank_values(self):
         for g, r in RANKS.items():

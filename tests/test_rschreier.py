@@ -171,6 +171,44 @@ class TestFamilyWords:
             rep = verify_family_zero_images(g, ("1", "2", "3", "4"))
             assert rep.ok, rep.failures[:3]
 
+    @pytest.mark.parametrize("g", [4, 6])  # fold-all path, then sampled path
+    def test_a_nonzero_twist_image_fails_every_conjugate(self, g, monkeypatch):
+        image = fpres.QuotientMap.image
+        bad = twist_sq(2, 3)
+        monkeypatch.setattr(
+            fpres.QuotientMap, "image",
+            lambda self, sym: 1 if sym == bad else image(self, sym),
+        )
+        families = ("1", "2", "3", "4")
+        rep = verify_family_zero_images(g, families)
+        n_trans = len(transversal(g))
+        total = sum(construction_counts(g)["families"].values())
+        assert (total <= rschreier.LETTER_FOLD_LIMIT) == (g == 4)
+        assert rep.failed == n_trans
+        assert rep.passed == total - n_trans
+        assert all(label.startswith("family 1 ") for label in rep.failures)
+        assert all(label.endswith("indices (2, 3)") for label in rep.failures)
+
+    def test_sampled_sweep_pinned_genus6(self, monkeypatch):
+        qmap = build_quotient_map(6)  # built outside the count
+        calls = letters = 0
+        word_image = fpres.QuotientMap.word_image
+
+        def counting(self, w):
+            nonlocal calls, letters
+            calls += 1
+            letters += len(w)
+            return word_image(self, w)
+
+        monkeypatch.setattr(fpres.QuotientMap, "word_image", counting)
+        rep = verify_family_zero_images(6, ("1", "2", "3", "4"), seed=0)
+        assert (rep.passed, rep.failed) == (542_720, 0)
+        assert "letter-folded 49960 assembled words" in rep.details
+        # one fold per index tuple (15 + 15 + 10 + 225) plus the refolds
+        assert calls == 265 + 49_960
+        assert letters == 727_167
+        assert qmap is build_quotient_map(6)
+
     def test_reduced4_constraint(self):
         for g in (3, 4, 5):
             rep = verify_reduced4_constraint(g)
