@@ -5,15 +5,15 @@ standard dot product as intersection form, with the crosscap classes as
 an orthonormal basis.  A Dehn twist about a curve with class ``v`` acts
 by the transvection ``x -> x + (x . v) v``, which is orthogonal exactly
 when ``v`` has even weight.  This module enumerates the full orthogonal
-group by extending orthonormal frames column by column, generates it by
-breadth-first closure over chosen transvections, and can express any
+group by extending orthonormal frames row by row, generates it from
+chosen transvections by Dimino's coset closure, and can express any
 element as a canonical shortest word in a labelled generating set.
 
 Vectors are ints with bit ``i - 1`` holding coordinate ``i``; matrices
 are tuples of row bitmasks.  Everything is immutable and deterministic:
-BFS visits parents in discovery order and generators in sorted label
-order, so the word assigned to each element is the lexicographically
-least among the shortest ones.
+the word table's BFS visits parents in discovery order and generators in
+sorted label order, so the word assigned to each element is the
+lexicographically least among the shortest ones.
 """
 
 from __future__ import annotations
@@ -186,26 +186,33 @@ def twist_transvection(g: int, subset: Iterable[int]) -> F2Matrix:
 
 @functools.cache
 def enumerate_o2(g: int) -> frozenset[F2Matrix]:
-    """All of O_2(g) by depth-first extension of orthonormal frames."""
+    """All of O_2(g) by depth-first extension of orthonormal row frames.
+
+    Over a field a one-sided inverse of a square matrix is two-sided, so
+    M^T M = I holds exactly when M M^T = I: a matrix is orthogonal iff
+    its rows are orthonormal.  Each row has odd weight and is orthogonal
+    to every row above it, so a depth keeps only the candidates that are
+    orthogonal to the row just chosen and hands them down.
+    """
     if g > ENUMERATION_CAP:
         raise CapExceededError(
             f"frame enumeration capped at g <= {ENUMERATION_CAP}, got {g}"
         )
     odd = [v for v in range(1, 1 << g) if v.bit_count() % 2 == 1]
     found: list[F2Matrix] = []
-    cols: list[int] = []
+    rows: list[int] = []
 
-    def extend() -> None:
-        if len(cols) == g:
-            found.append(F2Matrix.from_columns(g, cols))
+    def extend(candidates: list[int]) -> None:
+        if len(rows) == g:
+            found.append(F2Matrix(g, tuple(rows)))
             return
-        for v in odd:
-            if all((v & c).bit_count() % 2 == 0 for c in cols):
-                cols.append(v)
-                extend()
-                cols.pop()
+        for v in candidates:
+            rows.append(v)
+            # v has odd weight, so v itself drops out of its own filter
+            extend([w for w in candidates if (w & v).bit_count() % 2 == 0])
+            rows.pop()
 
-    extend()
+    extend(odd)
     return frozenset(found)
 
 
@@ -227,19 +234,39 @@ def standard_twist_generators(
 
 
 def generate_group(g: int, gens: Iterable[F2Matrix]) -> frozenset[F2Matrix]:
-    """Breadth-first closure of the generators; empty input gives {I}."""
+    """The subgroup of O_2(g) the generators generate; empty input gives {I}.
+
+    Dimino's coset closure (Butler, Fundamental Algorithms for
+    Permutation Groups, 1991): the sorted distinct generators are added
+    one at a time, skipping any the group H built so far contains.  A new
+    generator s appends the coset H s; then every coset representative r
+    times every generator t used so far either lies in a coset already
+    listed or opens the new coset H (r t).  That costs about one product
+    per element instead of one per element and generator.  It relies on
+    H being a group, whose right cosets are disjoint, so every generator
+    must be invertible: each is checked to be orthogonal (one product
+    apiece) and one that is not raises ``ValueError``.
+    """
     gens = sorted(set(gens))
-    seen = {F2Matrix.identity(g)}
-    frontier = sorted(seen)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in gens:
-                c = a * b
+    for s in gens:
+        if not is_orthogonal(s):
+            raise ValueError(f"generator rows={s.rows} is not orthogonal")
+    identity = F2Matrix.identity(g)
+    seen = {identity}
+    used: list[F2Matrix] = []
+    for s in gens:
+        if s in seen:
+            continue
+        used.append(s)
+        subgroup = list(seen)
+        # H itself is the first coset: its representative I times s opens H s
+        reps = [identity]
+        for r in reps:  # grows while it is walked
+            for t in used:
+                c = r * t
                 if c not in seen:
-                    seen.add(c)
-                    new.append(c)
-        frontier = sorted(new)
+                    reps.append(c)
+                    seen.update([h * c for h in subgroup])
     return frozenset(seen)
 
 

@@ -332,8 +332,10 @@ def verify_rs_zero_images(
             x = gen.x
             xmask = xmasks[x]
         ok = fmask ^ xmask ^ _pairs_mask(bit, gen.rep.pairs) == 0
-        if fold_all or rng.randrange(total_bound) < sample_size:
-            ok = ok and qmap.word_image(gen.word) == 0
+        # one draw per word, failed or not, so the sample is seed-fixed;
+        # only a word still passing is refolded and counted
+        if (fold_all or rng.randrange(total_bound) < sample_size) and ok:
+            ok = qmap.word_image(gen.word) == 0
             folded += 1
         if not ok:
             rb.record(False, f"f={f.pairs} x={x.label()} sign={gen.sign}")
@@ -384,12 +386,13 @@ def verify_family_zero_images(
             for indices, core, core_ok in cores:
                 count += 1
                 ok = core_ok
-                if fold_all or rng.randrange(total_bound) < sample_size:
+                # one draw per word, as in verify_rs_zero_images
+                if (fold_all or rng.randrange(total_bound) < sample_size) and ok:
                     folded += 1
                     if fword is None:
                         fword = f.word()
                         finv = winv(fword)
-                    ok = ok and qmap.word_image(fword + core + finv) == 0
+                    ok = qmap.word_image(fword + core + finv) == 0
                 if not ok:
                     rb.record(False, f"family {family} f={f.pairs} indices {indices}")
                 else:

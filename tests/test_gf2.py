@@ -1,6 +1,7 @@
 """Bit-packed GF(2) linear algebra, orthogonal group, stabilizer cases."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -36,6 +37,49 @@ def permutation_matrices(g):
         F2Matrix.from_columns(g, [1 << p[i] for i in range(g)])
         for p in itertools.permutations(range(g))
     )
+
+
+def reference_closure(g, gens):
+    """Breadth-first closure: every element times every generator."""
+    gens = sorted(set(gens))
+    seen = {F2Matrix.identity(g)}
+    frontier = sorted(seen)
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in gens:
+                c = a * b
+                if c not in seen:
+                    seen.add(c)
+                    new.append(c)
+        frontier = sorted(new)
+    return frozenset(seen)
+
+
+def columns_orthonormal(g, rows):
+    """M^T M = I on row bitmasks: row j of M^T M is the XOR of the rows
+    of M whose bit j is set."""
+    for j in range(g):
+        acc = 0
+        for r in rows:
+            if r >> j & 1:
+                acc ^= r
+        if acc != 1 << j:
+            return False
+    return True
+
+
+def count_products(monkeypatch):
+    """Patch F2Matrix.__mul__ to count calls; returns the live counter."""
+    calls = [0]
+    mul = F2Matrix.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(F2Matrix, "__mul__", counting)
+    return calls
 
 
 class TestF2Vector:
@@ -144,6 +188,79 @@ class TestOrthogonalGroup:
 
     def test_empty_generators_give_trivial_group(self):
         assert generate_group(4, []) == frozenset({F2Matrix.identity(4)})
+
+    @pytest.mark.parametrize("g", [3, 4])
+    def test_enumeration_matches_brute_force(self, g):
+        # every g x g matrix over F2, kept when its columns are orthonormal
+        brute = frozenset(
+            F2Matrix(g, rows)
+            for rows in itertools.product(range(1 << g), repeat=g)
+            if columns_orthonormal(g, rows)
+        )
+        assert len(brute) == O2_ORDERS[g]
+        assert brute == enumerate_o2(g)
+
+
+class TestClosure:
+    @pytest.mark.parametrize("g", [3, 4, 5])
+    def test_matches_reference_closure_on_seeded_subsets(self, g):
+        rng = random.Random(g)
+        pool = list(standard_twist_generators(g).values())
+        identity = F2Matrix.identity(g)
+        for _ in range(25):
+            gens = rng.sample(pool, rng.randrange(len(pool) + 1))
+            # duplicates and the identity must change nothing
+            gens += rng.sample(gens, min(2, len(gens)))
+            if rng.randrange(2):
+                gens.append(identity)
+            rng.shuffle(gens)
+            assert generate_group(g, gens) == reference_closure(g, gens), gens
+
+    @pytest.mark.parametrize("g", [3, 4, 5])
+    def test_edge_generating_sets(self, g):
+        identity = F2Matrix.identity(g)
+        t = twist_transvection(g, (1, 2))
+        assert generate_group(g, [identity, identity]) == frozenset({identity})
+        assert generate_group(g, [t]) == frozenset({identity, t})
+        assert generate_group(g, [t, t, identity]) == frozenset({identity, t})
+
+    @pytest.mark.parametrize("g", [3, 4, 5, 6])
+    def test_transpositions_give_permutation_matrices(self, g):
+        gens = standard_twist_generators(g, sizes=(2,))
+        group = generate_group(g, gens.values())
+        assert len(group) == math.factorial(g)
+        assert group == permutation_matrices(g)
+
+    def test_non_orthogonal_generator_rejected(self):
+        shear = F2Matrix(3, (0b011, 0b010, 0b100))  # invertible, not orthogonal
+        assert not is_orthogonal(shear)
+        with pytest.raises(ValueError, match="not orthogonal"):
+            generate_group(3, [twist_transvection(3, (1, 2)), shear])
+
+    def test_products_close_to_group_order(self, monkeypatch):
+        # breadth-first closure takes |O(6)| * 30 = 691,200 products here
+        gens = standard_twist_generators(6).values()
+        calls = count_products(monkeypatch)
+        group = generate_group(6, gens)
+        assert len(group) == O2_ORDERS[6]
+        assert calls[0] <= 25_000
+
+    def test_contained_generators_cost_only_their_check(self, monkeypatch):
+        g = 5
+        gens = sorted(set(standard_twist_generators(g).values()))
+        full = next(
+            k for k in range(1, len(gens) + 1)
+            if len(generate_group(g, gens[:k])) == O2_ORDERS[g]
+        )
+        assert full < len(gens)
+        calls = count_products(monkeypatch)
+        generate_group(g, gens[:full])
+        base = calls[0]
+        calls[0] = 0
+        # the identity and every generator past `full` are already in the
+        # group when reached: one orthogonality product each, nothing more
+        generate_group(g, gens + [F2Matrix.identity(g)])
+        assert calls[0] == base + len(gens) - full + 1
 
 
 class TestWordTable:

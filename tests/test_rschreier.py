@@ -46,6 +46,19 @@ GENERATING_SET_SIZES = {3: 4, 4: 10, 5: 20, 6: 35}
 RS_COUNTS = {3: 15, 4: 305, 5: 2497}
 
 
+def count_word_images(monkeypatch):
+    """Patch QuotientMap.word_image to count calls; returns the live counter."""
+    calls = [0]
+    word_image = fpres.QuotientMap.word_image
+
+    def counting(self, w):
+        calls[0] += 1
+        return word_image(self, w)
+
+    monkeypatch.setattr(fpres.QuotientMap, "word_image", counting)
+    return calls
+
+
 class TestTransversal:
     def test_genus3_frozen(self):
         assert [t.pairs for t in transversal(3)] == [(), ((2, 3),)]
@@ -138,6 +151,14 @@ class TestRsGenerators:
             assert rep.ok, rep.failures[:3]
             assert rep.passed == RS_COUNTS[g]
 
+    @pytest.mark.parametrize("g", [4, 6])  # fold-all path, then sampled path
+    def test_rs_letter_folded_equals_refolds(self, g, monkeypatch):
+        build_quotient_map(g)  # built outside the count
+        calls = count_word_images(monkeypatch)
+        rep = verify_rs_zero_images(g)
+        assert rep.ok
+        assert rep.details[0].endswith(f", letter-folded {calls[0]}")
+
     def test_genus3_report_flags_substitute_generators(self):
         assert verify_rs_zero_images(3).caveats
         assert not verify_rs_zero_images(4).caveats
@@ -180,6 +201,8 @@ class TestFamilyWords:
             lambda self, sym: 1 if sym == bad else image(self, sym),
         )
         families = ("1", "2", "3", "4")
+        build_quotient_map(g)  # built outside the count
+        calls = count_word_images(monkeypatch)
         rep = verify_family_zero_images(g, families)
         n_trans = len(transversal(g))
         total = sum(construction_counts(g)["families"].values())
@@ -188,6 +211,11 @@ class TestFamilyWords:
         assert rep.passed == total - n_trans
         assert all(label.startswith("family 1 ") for label in rep.failures)
         assert all(label.endswith("indices (2, 3)") for label in rep.failures)
+        # one fold per index tuple, then one per refold; a word whose core
+        # failed is drawn for the sample but not refolded or counted
+        n_cores, folded = {4: (49, 768), 6: (265, 49_757)}[g]
+        assert calls[0] == n_cores + folded
+        assert f"letter-folded {folded} assembled words" in rep.details
 
     def test_sampled_sweep_pinned_genus6(self, monkeypatch):
         qmap = build_quotient_map(6)  # built outside the count
