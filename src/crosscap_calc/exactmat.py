@@ -17,7 +17,8 @@ m-th basis class.  ``Y[g, i]`` is not an independent generator: it is
 the product ``(Y[1,i] Y[1,g]) ... (Y[g-1,i] Y[g-1,g]) Y[i,g]`` (the
 ``k = i`` factor omitted), which collapses to a closed form with ``-1``
 at ``(i, i)`` and ``-2`` down the rest of column ``i``.  ``make_y_gi``
-computes both and refuses to answer if they disagree.
+computes both, the product through ``eval_word`` like any other word,
+and refuses to answer if they disagree.
 
 Words never invert: every slide is an involution (relator family (1),
 checked once per cached slide), so ``eval_word`` reads an exponent of -1
@@ -241,20 +242,17 @@ def make_y_gi(g: GenusLike, i: int) -> IntMatrix:
     """Matrix of Y[g, i]: closed form, cross-checked against the product.
 
     Product: (Y[1,i] Y[1,g]) ... (Y[g-1,i] Y[g-1,g]) Y[i,g] with the
-    k = i factor omitted.  Closed form: -1 at (i, i), -2 at (m, i) for
-    every other row m, identity elsewhere.  Disagreement would mean the
-    matrix convention is inconsistent, so it raises instead of guessing.
+    k = i factor omitted, evaluated by ``eval_word`` over the ``make_y``
+    column updates.  Closed form: -1 at (i, i), -2 at (m, i) for every
+    other row m, identity elsewhere.  Disagreement would mean the matrix
+    convention is inconsistent, so it raises instead of guessing.
     """
     g = genus(g)
     if not 1 <= i <= g - 1:
         raise IndexRangeError(f"index {i} outside 1..{g - 1}")
     n = g - 1
-    product = identity(n)
-    for k in range(1, g):
-        if k == i:
-            continue
-        product = product * make_y(g, k, i) * make_y(g, k, g)
-    product = product * make_y(g, i, g)
+    letters = [((k, j), 1) for k in range(1, g) if k != i for j in (i, g)]
+    product = eval_word(g, letters + [((i, g), 1)])
     rows = [[int(r == c) for c in range(n)] for r in range(n)]
     for m in range(1, g):
         rows[m - 1][i - 1] = -1 if m == i else -2

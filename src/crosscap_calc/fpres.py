@@ -2,7 +2,9 @@
 mod-2 quotient by the slide-swap elements.
 
 Three presentation variants are built here, all on the slide symbols
-``Y[i, j]``:
+``Y[i, j]``.  The symbol constructors (``yslide`` and the twist
+constructors) return interned ``GenSymbol``s, validated once per
+distinct argument tuple, so words share their symbols.
 
 * ``PROP_1_TO_4``: relator families (1)-(4) on the generators with
   first index at most g - 1.  Every relator is a matrix identity and
@@ -94,7 +96,10 @@ class GenSymbol(_SymbolFields):
 
     A tuple ``(kind, indices)`` underneath, validated on construction:
     hashing, equality and ordering are the tuple's own, and the hash is
-    the one a frozen dataclass of the same fields has.
+    the one a frozen dataclass of the same fields has.  The constructors
+    ``yslide``, ``twist_sq``, ``beta_twist`` and ``subset_sq`` return
+    interned symbols, validated once per distinct argument tuple; calling
+    ``GenSymbol`` directly validates every time.
     """
 
     __slots__ = ()
@@ -122,18 +127,28 @@ class GenSymbol(_SymbolFields):
         return f"{_KIND_LABEL[self.kind]}({','.join(map(str, self.indices))})"
 
 
+# ``typed=True`` keeps ``yslide(1.0, 2)`` from hitting the cached
+# ``yslide(1, 2)`` and skipping the int check; a call that raises is not
+# cached.
+_interned = functools.lru_cache(maxsize=None, typed=True)
+
+
+@_interned
 def yslide(i: int, j: int) -> GenSymbol:
     return GenSymbol(KIND_YSLIDE, (i, j))
 
 
+@_interned
 def twist_sq(i: int, j: int) -> GenSymbol:
     return GenSymbol(KIND_TWIST_SQ, (i, j))
 
 
+@_interned
 def beta_twist(i: int, j: int) -> GenSymbol:
     return GenSymbol(KIND_BETA_TWIST, (i, j))
 
 
+@_interned
 def subset_sq(*indices: int) -> GenSymbol:
     return GenSymbol(KIND_SUBSET_SQ, tuple(indices))
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from . import exactmat, fpres
@@ -77,19 +76,29 @@ CAVEAT_G3_GENERATORS = (
 )
 
 
-@dataclass(frozen=True, order=True)
-class TransversalElement:
-    """One coset representative: a strictly increasing tuple of basis pairs."""
-
+class _TransversalFields(NamedTuple):
     pairs: tuple[Pair, ...]
 
-    def __post_init__(self) -> None:
-        for a, b in zip(self.pairs, self.pairs[1:]):
+
+class TransversalElement(_TransversalFields):
+    """One coset representative: a strictly increasing tuple of basis pairs.
+
+    A tuple ``(pairs,)`` underneath, validated on construction: hashing,
+    equality and ordering are the tuple's own, and the hash is the one a
+    frozen dataclass of the same field has.  Like ``GenSymbol``, it
+    compares equal to a plain tuple of the same value.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, pairs: tuple[Pair, ...]) -> "TransversalElement":
+        for a, b in zip(pairs, pairs[1:]):
             if not a < b:
-                raise ValueError(f"pairs must strictly increase, got {self.pairs}")
+                raise ValueError(f"pairs must strictly increase, got {pairs}")
+        return super().__new__(cls, pairs)
 
     def word(self) -> Word:
-        return word(*(yslide(i, j) for i, j in self.pairs))
+        return tuple((yslide(i, j), 1) for i, j in self.pairs)
 
     def prefix(self) -> "TransversalElement":
         if not self.pairs:

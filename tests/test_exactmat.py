@@ -174,6 +174,47 @@ class TestSlideMatrices:
                         assert m.entry(r, i) == -2
                 assert is_level2(m)
 
+    def test_back_slide_cross_check_can_fail(self, monkeypatch):
+        # one factor of the defining product of Y[4, 1] replaced by another
+        # level-2 involution: the product, now run by eval_word, must
+        # disagree with the closed form
+        caches = (make_y, make_y_gi, exactmat._column_update)
+        real = make_y
+
+        def wrong_factor(g, i, j):
+            return real(g, 2, 3) if (g, i, j) == (4, 2, 1) else real(g, i, j)
+
+        for c in caches:
+            c.cache_clear()
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(exactmat, "make_y", wrong_factor)
+                with pytest.raises(ArithmeticError, match="closed form disagrees"):
+                    make_y_gi(4, 1)
+        finally:
+            for c in caches:
+                c.cache_clear()
+        assert make_y_gi(4, 1).entry(2, 1) == -2
+
+    def test_back_slide_costs_one_matrix_product(self, monkeypatch):
+        # the defining product runs on eval_word; the only mat_mul left is
+        # the involution check of _check_group_element
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return mat_mul(a, b)
+
+        for g in (3, 5, 8):
+            for i in range(1, g):
+                make_y_gi(g, i)  # warms the make_y factors
+                make_y_gi.cache_clear()
+                calls.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(exactmat, "mat_mul", counting)
+                    make_y_gi(g, i)
+                assert len(calls) == 1, (g, i)
+
     def test_back_slide_frozen_genus3(self):
         assert make_y_gi(3, 1).rows == Y31
         assert make_y_gi(3, 2).rows == Y32

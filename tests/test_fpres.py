@@ -87,6 +87,43 @@ class TestGenSymbol:
             assert sym == fpres.GenSymbol(sym.kind, sym.indices)
             assert repr(sym) == f"GenSymbol(kind={sym.kind!r}, indices={sym.indices!r})"
 
+    def test_interned_constructors_still_validate(self):
+        yslide(1, 2)  # cached first: a bad call equal to it must not hit it
+        bad = [
+            (yslide, "yslide", (1.0, 2)),
+            (yslide, "yslide", (2, 2)),
+            (yslide, "yslide", (0, 1)),
+            (twist_sq, "twist_sq", (3, 2)),
+            (beta_twist, "beta_twist", (2, 2)),
+            (subset_sq, "subset_sq", (1, 2, 3)),
+        ]
+        for make, kind, args in bad:
+            with pytest.raises(ValueError) as expected:
+                fpres.GenSymbol(kind, args)
+            for _ in range(2):  # a failed call is not cached either
+                with pytest.raises(ValueError) as got:
+                    make(*args)
+                assert str(got.value) == str(expected.value), (make, args)
+
+    def test_constructors_return_interned_symbols(self):
+        assert yslide(1, 2) is yslide(1, 2)
+        assert subset_sq(1, 2, 3, 4) is subset_sq(1, 2, 3, 4)
+        for make, kind, args in (
+            (yslide, "yslide", (1, 2)),
+            (twist_sq, "twist_sq", (1, 3)),
+            (beta_twist, "beta_twist", (2, 4)),
+            (subset_sq, "subset_sq", (1, 2, 3, 4)),
+        ):
+            direct = fpres.GenSymbol(kind, args)
+            assert make(*args) == direct
+            assert hash(make(*args)) == hash(direct)
+            assert repr(make(*args)) == repr(direct)
+
+    def test_relator_check_validates_each_symbol_once(self, symbol_constructions):
+        rep = verify_relators(build_presentation(7, VARIANT_COR))
+        assert rep.ok
+        symbol_constructions.assert_each_once(7)
+
     def test_word_tells_a_symbol_from_a_letter(self):
         # a symbol is itself a pair (kind, indices); word() must still read
         # it as one letter with exponent +1, and (symbol, exp) as a letter

@@ -74,10 +74,40 @@ class TestTransversal:
 
     def test_element_validation(self):
         TransversalElement(((2, 3), (2, 4)))  # strictly increasing: fine
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError, match=r"pairs must strictly increase, got \(\(2, 4\), \(2, 3\)\)"
+        ):
             TransversalElement(((2, 4), (2, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pairs must strictly increase"):
             TransversalElement(((2, 3), (2, 3)))
+
+    def test_element_is_its_field_tuple(self):
+        # hash of the frozen dataclass it replaced: hash((pairs,))
+        for t in transversal(4):
+            assert hash(t) == hash((t.pairs,))
+            assert t == (t.pairs,)
+        t = TransversalElement(((2, 3),))
+        assert repr(t) == "TransversalElement(pairs=((2, 3),))"
+        assert TransversalElement(()) < t
+
+    def test_genus5_lex_order_pinned(self):
+        # each code lists an element's pairs as positions in the basis;
+        # "-" is the empty element
+        basis = ((2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5))
+        order = (
+            "- 0 01 012 0123 01234 012345 01235 0124 01245 0125 013 0134 01345"
+            " 0135 014 0145 015 02 023 0234 02345 0235 024 0245 025 03 034 0345"
+            " 035 04 045 05 1 12 123 1234 12345 1235 124 1245 125 13 134 1345 135"
+            " 14 145 15 2 23 234 2345 235 24 245 25 3 34 345 35 4 45 5"
+        )
+        expected = [
+            tuple(basis[int(d)] for d in code.strip("-")) for code in order.split()
+        ]
+        assert [t.pairs for t in transversal(5)] == expected
+
+    def test_transversal_check_validates_each_symbol_once(self, symbol_constructions):
+        assert verify_transversal(6).ok
+        symbol_constructions.assert_each_once(6)
 
     def test_prefix_drops_last_pair(self):
         t = TransversalElement(((2, 3), (2, 4)))
