@@ -183,15 +183,6 @@ def _run_o2(g: int, seed: int) -> Iterator[CheckReport]:
         f"generated {len(generated)} elements != enumerated {len(enumerated)}",
     )
     rb.detail(f"group order {len(enumerated)}")
-    if g == 3:
-        perms = frozenset(
-            gf2.F2Matrix.from_columns(3, [1 << p[i] for i in range(3)])
-            for p in itertools.permutations(range(3))
-        )
-        rb.record(
-            enumerated == perms,
-            "group on 3 classes is not the 6 permutation matrices",
-        )
     yield rb.build()
 
 

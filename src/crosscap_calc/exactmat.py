@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 Pair = tuple[int, int]
 #: one letter of a word in the Y generators: ((i, j), exponent), exponent +-1
@@ -52,35 +52,13 @@ class IndexRangeError(ValueError):
     """A generator index lies outside the range valid for the genus."""
 
 
-@dataclass(frozen=True)
-class GenusConfig:
-    """Genus of the non-orientable surface under consideration.
-
-    The homology matrices have size g - 1.  Genus 3 is the smallest
-    case where the slide generators, the quotient construction, and the
-    rank formulas are all meaningful, so smaller values are rejected
-    outright.
-    """
-
-    g: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.g, int) or self.g < 3:
-            raise ValueError(f"genus must be an integer >= 3, got {self.g!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.g - 1
-
-
-GenusLike = Union[int, GenusConfig]
-
-
-def genus(g: GenusLike) -> int:
-    """Coerce an int or GenusConfig to a validated genus value."""
-    if isinstance(g, GenusConfig):
-        return g.g
-    return GenusConfig(g).g
+def genus(g: int) -> int:
+    """Validate a genus: the homology matrices have size g - 1, and genus 3
+    is the smallest case where the slide generators, the quotient
+    construction and the rank formulas are all meaningful."""
+    if not isinstance(g, int) or g < 3:
+        raise ValueError(f"genus must be an integer >= 3, got {g!r}")
+    return g
 
 
 @dataclass(frozen=True)
@@ -104,23 +82,8 @@ class IntMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> int:
-        """Entry in row i, column j, 1-based."""
-        return self.rows[i - 1][j - 1]
-
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         return mat_mul(self, other)
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "rows": [list(row) for row in self.rows]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "IntMatrix":
-        rows = tuple(tuple(int(x) for x in row) for row in data["rows"])
-        m = cls(rows)
-        if m.n != data["n"]:
-            raise ValueError("declared size does not match row data")
-        return m
 
 
 @functools.cache
@@ -214,7 +177,7 @@ def _check_group_element(m: IntMatrix, label: str) -> IntMatrix:
 
 
 @functools.cache
-def make_y(g: GenusLike, i: int, j: int) -> IntMatrix:
+def make_y(g: int, i: int, j: int) -> IntMatrix:
     """Matrix of the slide generator Y[i, j], for 1 <= i <= g-1, 1 <= j <= g.
 
     ``(i, i)`` entry -1; ``(i, j)`` entry 2 when j <= g-1; identity
@@ -238,7 +201,7 @@ def make_y(g: GenusLike, i: int, j: int) -> IntMatrix:
 
 
 @functools.cache
-def make_y_gi(g: GenusLike, i: int) -> IntMatrix:
+def make_y_gi(g: int, i: int) -> IntMatrix:
     """Matrix of Y[g, i]: closed form, cross-checked against the product.
 
     Product: (Y[1,i] Y[1,g]) ... (Y[g-1,i] Y[g-1,g]) Y[i,g] with the
@@ -264,7 +227,7 @@ def make_y_gi(g: GenusLike, i: int) -> IntMatrix:
     return _check_group_element(closed, f"Y[{g},{i}] at g={g}")
 
 
-def y_matrix(g: GenusLike, i: int, j: int) -> IntMatrix:
+def y_matrix(g: int, i: int, j: int) -> IntMatrix:
     """Matrix for a slide symbol with either index order, including i = g."""
     g = genus(g)
     if i == g:
@@ -284,7 +247,7 @@ def _column_update(g: int, i: int, j: int) -> tuple[tuple[int, tuple], ...]:
     )
 
 
-def eval_word(g: GenusLike, letters: Iterable[YLetter]) -> IntMatrix:
+def eval_word(g: int, letters: Iterable[YLetter]) -> IntMatrix:
     """Evaluate a word in the Y generators to a single matrix.
 
     ``letters`` is a sequence of ``((i, j), exp)`` with exp +1 or -1;

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 from . import exactmat
-from .exactmat import GenusLike, IntMatrix, IndexRangeError, genus
+from .exactmat import IntMatrix, IndexRangeError, genus
 from .reports import CheckReport, ReportBuilder
 
 KIND_YSLIDE = "yslide"
@@ -174,27 +174,8 @@ def winv(w: Word) -> Word:
     return tuple((sym, -exp) for sym, exp in reversed(w))
 
 
-def wpow(w: Word, k: int) -> Word:
-    if k < 0:
-        return wpow(winv(w), -k)
-    return w * k
-
-
-def conjugate(f: Word, w: Word) -> Word:
-    """f w f^-1."""
-    return f + w + winv(f)
-
-
 def commutator_word(a: Word, b: Word) -> Word:
     return a + b + winv(a) + winv(b)
-
-
-def word_label(w: Word) -> str:
-    if not w:
-        return "1"
-    return ".".join(
-        s.label() if e == 1 else s.label() + "^-1" for s, e in w
-    )
 
 
 @dataclass(frozen=True)
@@ -203,13 +184,6 @@ class Relator:
     indices: tuple[int, ...]
     word: Word
 
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "indices": list(self.indices),
-            "word": [[sym.label(), exp] for sym, exp in self.word],
-        }
-
 
 @dataclass(frozen=True)
 class Presentation:
@@ -217,20 +191,6 @@ class Presentation:
     variant: str
     generators: tuple[GenSymbol, ...]
     relators: tuple[Relator, ...]
-
-    def families(self) -> dict[str, list[Relator]]:
-        out: dict[str, list[Relator]] = {}
-        for rel in self.relators:
-            out.setdefault(rel.family, []).append(rel)
-        return out
-
-    def to_json(self) -> dict:
-        return {
-            "g": self.g,
-            "variant": self.variant,
-            "generators": [s.label() for s in self.generators],
-            "relators": [r.to_json() for r in self.relators],
-        }
 
 
 def _sq(*pairs: Pair) -> Word:
@@ -368,7 +328,7 @@ def _quotient_relators(g: int) -> Iterator[Relator]:
         yield Relator("bar5odd", (), bar5_odd_word(g))
 
 
-def build_presentation(g: GenusLike, variant: str) -> Presentation:
+def build_presentation(g: int, variant: str) -> Presentation:
     g = genus(g)
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
@@ -391,7 +351,7 @@ def build_presentation(g: GenusLike, variant: str) -> Presentation:
     return Presentation(g=g, variant=variant, generators=gens, relators=rels)
 
 
-def eval_symbol_word(g: GenusLike, w: Word) -> IntMatrix:
+def eval_symbol_word(g: int, w: Word) -> IntMatrix:
     """Evaluate a word in slide symbols to a matrix."""
     for sym, _exp in w:
         if sym.kind != KIND_YSLIDE:
@@ -421,7 +381,7 @@ def verify_relators(p: Presentation) -> CheckReport:
     return rb.build()
 
 
-def verify_commutation_lemma(g: GenusLike) -> CheckReport:
+def verify_commutation_lemma(g: int) -> CheckReport:
     """Y[i, j] commutes with Y[g, j] for every valid i, j pair.
 
     Needed so that the family (5) products are well defined regardless
@@ -439,14 +399,14 @@ def verify_commutation_lemma(g: GenusLike) -> CheckReport:
     return rb.build()
 
 
-def degenerate_representation_control(g: GenusLike) -> bool:
+def degenerate_representation_control(g: int) -> bool:
     """True iff some non-relator word evaluates to a non-identity matrix.
 
     Guards against a degenerate representation that would make every
     relator check pass vacuously.
     """
     g = genus(g)
-    m = eval_symbol_word(g, wpow(word(yslide(1, 2), yslide(1, 3)), 3))
+    m = eval_symbol_word(g, word(yslide(1, 2), yslide(1, 3)) * 3)
     return m != exactmat.identity(g - 1)
 
 
@@ -526,12 +486,8 @@ class QuotientMap:
             acc ^= self.image(sym) if mask is None else mask
         return acc
 
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
 
-
-def quotient_basis(g: GenusLike) -> tuple[Pair, ...]:
+def quotient_basis(g: int) -> tuple[Pair, ...]:
     """The pair classes forming a basis of the quotient: all (i, j) with
     2 <= i < j <= g, plus (1, g) when g is even."""
     g = genus(g)
@@ -542,7 +498,7 @@ def quotient_basis(g: GenusLike) -> tuple[Pair, ...]:
 
 
 @functools.cache
-def build_quotient_map(g: GenusLike) -> QuotientMap:
+def build_quotient_map(g: int) -> QuotientMap:
     """Solve the bar-(5) relations for the classes of the (1, j) slides.
 
     Every pair class with both indices >= 2 (plus (1, g) for even g) is
@@ -619,7 +575,7 @@ def build_quotient_map(g: GenusLike) -> QuotientMap:
 
 
 @functools.cache
-def quotient_rank(g: GenusLike) -> int:
+def quotient_rank(g: int) -> int:
     """GF(2) dimension of the quotient, by row reduction of the full
     abelianized relator matrix over all pair generators."""
     g = genus(g)
@@ -635,7 +591,7 @@ def quotient_rank(g: GenusLike) -> int:
     return len(pairs) - _f2_row_rank(rows)
 
 
-def twist_quotient_rank(g: GenusLike) -> int:
+def twist_quotient_rank(g: int) -> int:
     """Rank of the twist-subgroup quotient: one less, because the twist
     subgroup has index 2 and the quotient is elementary abelian."""
     return quotient_rank(g) - 1
@@ -667,19 +623,19 @@ def _slide_letters(w: Word) -> list[exactmat.YLetter]:
 
 
 @functools.cache
-def phi_image(g: GenusLike, sym: GenSymbol) -> IntMatrix:
+def phi_image(g: int, sym: GenSymbol) -> IntMatrix:
     """Homology matrix of a slide, a squared twist about the loop through
     crosscaps i < j, or a twist about the two-sided curve around them;
     subset twists have no closed form here and are rejected."""
     return exactmat.eval_word(g, _slide_letters(((sym, 1),)))
 
 
-def phi_word_matrix(g: GenusLike, w: Word) -> IntMatrix:
+def phi_word_matrix(g: int, w: Word) -> IntMatrix:
     """Evaluate a word in slide and twist symbols to a matrix."""
     return exactmat.eval_word(g, _slide_letters(w))
 
 
-def symbol_kernel_report(g: GenusLike) -> CheckReport:
+def symbol_kernel_report(g: int) -> CheckReport:
     """Every squared twist and two-sided twist image is level-2 and dies
     in the quotient: the symbolic kernel elements really live in the
     subgroup being quotiented away."""

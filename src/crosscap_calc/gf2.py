@@ -19,9 +19,10 @@ lexicographically least among the shortest ones.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .reports import CheckReport, ReportBuilder
 
@@ -36,55 +37,6 @@ Subset = tuple[int, ...]
 
 class CapExceededError(ValueError):
     """The requested size is past the configured desk-scale cap."""
-
-
-class NotInGroupError(ValueError):
-    """BFS exhausted the generated subgroup without reaching the target."""
-
-
-@dataclass(frozen=True, order=True)
-class F2Vector:
-    g: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.g < 1:
-            raise ValueError("need g >= 1")
-        if not 0 <= self.bits < 1 << self.g:
-            raise ValueError(f"bits {self.bits:#x} out of range for g={self.g}")
-
-    @classmethod
-    def unit(cls, g: int, i: int) -> "F2Vector":
-        if not 1 <= i <= g:
-            raise ValueError(f"unit index {i} outside 1..{g}")
-        return cls(g, 1 << (i - 1))
-
-    @classmethod
-    def from_indices(cls, g: int, indices: Iterable[int]) -> "F2Vector":
-        bits = 0
-        for i in indices:
-            bits |= 1 << (i - 1)
-        return cls(g, bits)
-
-    def __xor__(self, other: "F2Vector") -> "F2Vector":
-        if self.g != other.g:
-            raise ValueError("length mismatch")
-        return F2Vector(self.g, self.bits ^ other.bits)
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.g) if self.bits >> i & 1)
-
-    def to_string(self) -> str:
-        return "".join("1" if self.bits >> i & 1 else "0" for i in range(self.g))
-
-
-def dot(u: F2Vector, v: F2Vector) -> int:
-    if u.g != v.g:
-        raise ValueError("length mismatch")
-    return (u.bits & v.bits).bit_count() & 1
 
 
 @dataclass(frozen=True, order=True)
@@ -111,10 +63,6 @@ class F2Matrix:
         )
         return cls(g, rows)
 
-    def column(self, j: int) -> int:
-        """Column j as a bitmask, 1-based."""
-        return sum((self.rows[i] >> (j - 1) & 1) << i for i in range(self.g))
-
     def transpose(self) -> "F2Matrix":
         return F2Matrix.from_columns(self.g, self.rows)
 
@@ -132,35 +80,15 @@ class F2Matrix:
             rows.append(acc)
         return F2Matrix(self.g, tuple(rows))
 
-    def apply(self, v: F2Vector) -> F2Vector:
-        if self.g != v.g:
-            raise ValueError("size mismatch")
+    def apply(self, v: int) -> int:
+        """The image M v of a vector bitmask."""
         bits = 0
         for i, row in enumerate(self.rows):
-            bits |= ((row & v.bits).bit_count() & 1) << i
-        return F2Vector(self.g, bits)
+            bits |= ((row & v).bit_count() & 1) << i
+        return bits
 
     def is_identity(self) -> bool:
         return self == F2Matrix.identity(self.g)
-
-    def to_json(self) -> dict:
-        return {
-            "g": self.g,
-            "rows": [
-                "".join("1" if r >> j & 1 else "0" for j in range(self.g))
-                for r in self.rows
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "F2Matrix":
-        g = int(data["g"])
-        rows = []
-        for s in data["rows"]:
-            if len(s) != g or set(s) - {"0", "1"}:
-                raise ValueError(f"bad row string {s!r}")
-            rows.append(sum(1 << j for j, c in enumerate(s) if c == "1"))
-        return cls(g, tuple(rows))
 
 
 def is_orthogonal(m: F2Matrix) -> bool:
@@ -179,7 +107,7 @@ def twist_transvection(g: int, subset: Iterable[int]) -> F2Matrix:
         raise ValueError(f"twist subset must be nonempty of even size, got {s}")
     if not all(1 <= i <= g for i in s):
         raise ValueError(f"subset {s} outside 1..{g}")
-    v = F2Vector.from_indices(g, s).bits
+    v = sum(1 << (i - 1) for i in s)
     rows = tuple((1 << i) ^ (v if v >> i & 1 else 0) for i in range(g))
     return F2Matrix(g, rows)
 
@@ -220,8 +148,6 @@ def standard_twist_generators(
     g: int, sizes: Iterable[int] = GENERATOR_SIZES
 ) -> dict[Subset, F2Matrix]:
     """Transvections of all index subsets of the given even sizes."""
-    import itertools
-
     gens: dict[Subset, F2Matrix] = {}
     for size in sizes:
         if size % 2 != 0:
@@ -271,9 +197,7 @@ def generate_group(g: int, gens: Iterable[F2Matrix]) -> frozenset[F2Matrix]:
 
 
 def word_table(
-    g: int,
-    gens: Mapping[Subset, F2Matrix],
-    gen_filter: Callable[[Subset, F2Matrix], bool] | None = None,
+    g: int, gens: Mapping[Subset, F2Matrix]
 ) -> dict[F2Matrix, tuple[Subset, ...]]:
     """Canonical shortest word for every element the generators reach.
 
@@ -282,11 +206,7 @@ def word_table(
     least among the shortest.  Involutive generators mean no inverse
     letters are ever needed.
     """
-    items = sorted(
-        (label, m)
-        for label, m in gens.items()
-        if gen_filter is None or gen_filter(label, m)
-    )
+    items = sorted(gens.items())
     table: dict[F2Matrix, tuple[Subset, ...]] = {F2Matrix.identity(g): ()}
     frontier = [F2Matrix.identity(g)]
     while frontier:
@@ -299,24 +219,6 @@ def word_table(
                     new.append(c)
         frontier = new
     return table
-
-
-def express_as_word(
-    target: F2Matrix,
-    gens: Mapping[Subset, F2Matrix],
-    gen_filter: Callable[[Subset, F2Matrix], bool] | None = None,
-) -> tuple[Subset, ...]:
-    """Canonical shortest word for the target, re-multiplied before return."""
-    table = word_table(target.g, gens, gen_filter)
-    if target not in table:
-        raise NotInGroupError("target is outside the generated subgroup")
-    w = table[target]
-    check = F2Matrix.identity(target.g)
-    for label in w:
-        check = check * gens[label]
-    if check != target:
-        raise ArithmeticError("word table returned a word that does not multiply back")
-    return w
 
 
 def evaluate_word(g: int, gens: Mapping[Subset, F2Matrix], w: Iterable[Subset]) -> F2Matrix:
@@ -341,13 +243,13 @@ CAVEAT_O2_SCALE = (
 )
 
 
-def _case_vector(g: int, case: str) -> F2Vector:
+def _case_vector(g: int, case: str) -> int:
     if case == CASE_ALPHA1:
-        return F2Vector.unit(g, 1)
+        return 0b1
     if case == CASE_ALPHA12:
-        return F2Vector.from_indices(g, (1, 2))
+        return 0b11
     if case == CASE_ALPHA_ALL:
-        return F2Vector(g, (1 << g) - 1)
+        return (1 << g) - 1
     raise ValueError(f"unknown stabilizer case {case!r}, expected {STABILIZER_CASES}")
 
 
@@ -377,8 +279,8 @@ def _alpha12_correction(g: int, a: F2Matrix) -> tuple[F2Matrix, list[str]]:
     shape matches the construction).
     """
     problems: list[str] = []
-    c1 = a.apply(F2Vector.unit(g, 1))
-    idx = c1.indices()
+    c1 = a.apply(0b1)
+    idx = tuple(i + 1 for i in range(g) if c1 >> i & 1)
     low = [i for i in idx if i <= 2]
     high = [i for i in idx if i >= 3]
     if len(low) != 1:
@@ -445,7 +347,7 @@ def stabilizer_case_check(
                 rb.record(False, f"{label}: {problems[0]}")
                 continue
             b = t0 * a
-            e1, e2 = F2Vector.unit(g, 1), F2Vector.unit(g, 2)
+            e1, e2 = 0b1, 0b10
             c1, c2 = b.apply(e1), b.apply(e2)
             if {c1, c2} != {e1, e2}:
                 rb.record(False, f"{label}: corrected matrix does not fix {{e1,e2}}")

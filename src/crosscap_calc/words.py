@@ -58,9 +58,6 @@ class FreeWord:
     def inv(self) -> "FreeWord":
         return FreeWord(tuple((n, -e) for n, e in reversed(self.letters)))
 
-    def is_identity(self) -> bool:
-        return not free_reduce(self).letters
-
 
 def free_reduce(w: FreeWord) -> FreeWord:
     """Cancel adjacent mutually inverse letters until none remain."""
@@ -126,13 +123,6 @@ class BraidWord:
 
     def inv(self) -> "BraidWord":
         return BraidWord(self.strands, tuple(-x for x in reversed(self.letters)))
-
-    def to_json(self) -> dict:
-        return {"strands": self.strands, "letters": list(self.letters)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BraidWord":
-        return cls(int(data["strands"]), tuple(int(x) for x in data["letters"]))
 
 
 def _cancel(letters: Sequence[int]) -> list[int]:
@@ -214,17 +204,16 @@ def braid_equal(u: BraidWord, v: BraidWord) -> bool:
 # the chain relation
 
 
-def chain_word(k: int, strands: int | None = None) -> BraidWord:
-    """s1 s2 ... sk on k + 1 strands (or more when requested)."""
+def chain_word(k: int) -> BraidWord:
+    """s1 s2 ... sk on k + 1 strands."""
     if k < 1:
         raise ValueError("need k >= 1")
-    strands = k + 1 if strands is None else strands
-    return BraidWord(strands, tuple(range(1, k + 1)))
+    return BraidWord(k + 1, tuple(range(1, k + 1)))
 
 
-def chain_power(k: int, strands: int | None = None) -> BraidWord:
+def chain_power(k: int) -> BraidWord:
     """(s1 ... sk)^(k+1), the boundary twist side of the chain relation."""
-    c = chain_word(k, strands)
+    c = chain_word(k)
     return BraidWord(c.strands, c.letters * (k + 1))
 
 

@@ -7,7 +7,6 @@ import pytest
 from crosscap_calc import exactmat
 from crosscap_calc.exactmat import (
     DimensionMismatchError,
-    GenusConfig,
     IndexRangeError,
     IntMatrix,
     NotUnimodularError,
@@ -33,18 +32,20 @@ Y32 = ((1, -2), (0, -1))  # product (Y11 ... ) analogue for i=2
 
 
 class TestGenusConfig:
+    """A genus is a plain int, checked once by ``genus()``."""
+
     def test_accepts_three_and_up(self):
-        assert GenusConfig(3).g == 3
-        assert GenusConfig(11).dim == 10
+        assert genus(3) == 3
+        assert genus(11) == 11
 
     @pytest.mark.parametrize("bad", [2, 1, 0, -4, 3.0, "3"])
     def test_rejects_small_or_non_integer(self, bad):
-        with pytest.raises(ValueError):
-            GenusConfig(bad)
+        with pytest.raises(ValueError, match=r"genus must be an integer >= 3, got "):
+            genus(bad)
 
     def test_genus_coercion(self):
+        # an int passes through unchanged; there is no wrapper to unwrap
         assert genus(5) == 5
-        assert genus(GenusConfig(5)) == 5
         with pytest.raises(ValueError):
             genus(2)
 
@@ -57,11 +58,6 @@ class TestIntMatrix:
         with pytest.raises(ValueError):
             IntMatrix(((1, 2, 3), (4, 5, 6)))
 
-    def test_entry_is_one_based(self):
-        m = IntMatrix(((1, 2), (3, 4)))
-        assert m.entry(1, 2) == 2
-        assert m.entry(2, 1) == 3
-
     def test_mat_mul_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             mat_mul(identity(2), identity(3))
@@ -69,11 +65,6 @@ class TestIntMatrix:
     def test_mul_frozen_product(self):
         got = IntMatrix(Y12) * IntMatrix(Y21)
         assert got.rows == ((3, -2), (2, -1))
-
-    def test_json_round_trip(self):
-        m = IntMatrix(Y12)
-        assert IntMatrix.from_json(m.to_json()) == m
-        assert m.to_json() == {"n": 2, "rows": [[-1, 2], [0, 1]]}
 
 
 class TestDeterminantAndInverse:
@@ -147,12 +138,12 @@ class TestSlideMatrices:
 
     def test_entry_rules_generic(self):
         m = make_y(6, 2, 4)
-        assert m.entry(2, 2) == -1
-        assert m.entry(2, 4) == 2
+        assert m.rows[1][1] == -1
+        assert m.rows[1][3] == 2
         for i in range(1, 6):
             for j in range(1, 6):
                 if (i, j) not in ((2, 2), (2, 4)):
-                    assert m.entry(i, j) == (1 if i == j else 0)
+                    assert m.rows[i - 1][j - 1] == (1 if i == j else 0)
 
     def test_index_validation(self):
         with pytest.raises(IndexRangeError):
@@ -168,10 +159,10 @@ class TestSlideMatrices:
         for g in range(3, 9):
             for i in range(1, g):
                 m = make_y_gi(g, i)
-                assert m.entry(i, i) == -1
+                assert m.rows[i - 1][i - 1] == -1
                 for r in range(1, g):
                     if r != i:
-                        assert m.entry(r, i) == -2
+                        assert m.rows[r - 1][i - 1] == -2
                 assert is_level2(m)
 
     def test_back_slide_cross_check_can_fail(self, monkeypatch):
@@ -194,7 +185,7 @@ class TestSlideMatrices:
         finally:
             for c in caches:
                 c.cache_clear()
-        assert make_y_gi(4, 1).entry(2, 1) == -2
+        assert make_y_gi(4, 1).rows[1][0] == -2
 
     def test_back_slide_costs_one_matrix_product(self, monkeypatch):
         # the defining product runs on eval_word; the only mat_mul left is

@@ -16,7 +16,6 @@ from crosscap_calc.fpres import (
     build_presentation,
     build_quotient_map,
     commutator_word,
-    conjugate,
     degenerate_representation_control,
     eval_symbol_word,
     pair_set,
@@ -32,9 +31,7 @@ from crosscap_calc.fpres import (
     verify_commutation_lemma,
     verify_relators,
     word,
-    word_label,
     winv,
-    wpow,
     yslide,
 )
 
@@ -158,18 +155,9 @@ class TestWordAlgebra:
         w = word(yslide(1, 2), yslide(1, 3))
         assert winv(w) == ((yslide(1, 3), -1), (yslide(1, 2), -1))
 
-    def test_wpow_and_conjugate_shapes(self):
-        w = word(yslide(1, 2))
-        assert wpow(w, 3) == w * 3
-        c = conjugate(word(yslide(1, 3)), w)
-        assert c == word(yslide(1, 3)) + w + winv(word(yslide(1, 3)))
-
     def test_commutator_word(self):
         a, b = word(yslide(1, 2)), word(yslide(1, 3))
         assert commutator_word(a, b) == a + b + winv(a) + winv(b)
-
-    def test_word_label_readable(self):
-        assert "Y(1,2)" in word_label(word(yslide(1, 2)))
 
 
 class TestPresentations:
@@ -181,9 +169,8 @@ class TestPresentations:
 
     def test_families_partition_relators(self):
         p = build_presentation(5, VARIANT_PROP)
-        fams = p.families()
-        assert sum(len(v) for v in fams.values()) == len(p.relators)
-        assert set(fams) == {"1", "2a", "2b", "3a", "3b", "4"}
+        fams = {rel.family for rel in p.relators}
+        assert fams == {"1", "2a", "2b", "3a", "3b", "4"}
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
@@ -204,12 +191,6 @@ class TestPresentations:
         w = relator5_word(3, 1)
         assert w[-1] == (yslide(3, 1), -1)
         assert eval_symbol_word(3, w) == exactmat.identity(2)
-
-    def test_json_round_trippable_shape(self):
-        doc = build_presentation(3, VARIANT_COR).to_json()
-        assert doc["variant"] == VARIANT_COR
-        assert doc["g"] == 3
-        assert len(doc["relators"]) == 10
 
 
 class TestCommutationAndControls:
@@ -321,7 +302,7 @@ class TestQuotientMap:
             assert twist_quotient_rank(g) == r - 1
             parity = 1 if g % 2 == 0 else 0
             assert r == math.comb(g - 1, 2) + parity
-        assert build_quotient_map(6).rank == RANKS[6]
+        assert len(build_quotient_map(6).basis) == RANKS[6]
 
 
 class TestPhiImages:
@@ -404,7 +385,7 @@ class TestPhiOracle:
                     for _ in range(rng.randrange(1, 12))
                 ))
             for w in words:
-                assert phi_word_matrix(g, w) == oracle_word(g, w), (g, word_label(w))
+                assert phi_word_matrix(g, w) == oracle_word(g, w), (g, w)
 
     def test_inverse_twist_letter_reverses_its_expansion(self):
         # T2(1,2)^-1 is Y[1,2] Y[2,1], not the forward word Y[2,1] Y[1,2]

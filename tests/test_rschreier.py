@@ -26,11 +26,9 @@ from crosscap_calc.rschreier import (
     case_identity_words,
     classify_pair_case,
     construction_counts,
-    family_generators,
     iter_family_words,
     iter_rs_generators,
     level2_generating_set,
-    rs_generators,
     transversal,
     uses_subset_twist_generators,
     verify_case_identities,
@@ -72,6 +70,29 @@ class TestTransversal:
             rep = verify_transversal(g)
             assert rep.ok, rep.failures[:3]
 
+    def test_check_fails_when_an_element_is_missing(self, monkeypatch):
+        # without ((2, 3),) the transversal is one short, and the two
+        # elements extending it lose their prefix
+        full = transversal(4)
+        monkeypatch.setattr(
+            rschreier,
+            "transversal",
+            lambda g: tuple(t for t in full if t.pairs != ((2, 3),)),
+        )
+        assert verify_transversal(4).failures == (
+            "size 15 != 2^4",
+            "prefix of ((2, 3), (2, 4)) missing",
+            "prefix of ((2, 3), (3, 4)) missing",
+        )
+
+    def test_check_fails_when_images_collide(self, monkeypatch):
+        # clearing the first basis bit merges the cosets it separates
+        word_image = fpres.QuotientMap.word_image
+        monkeypatch.setattr(
+            fpres.QuotientMap, "word_image", lambda self, w: word_image(self, w) & ~1
+        )
+        assert verify_transversal(4).failures == ("quotient images are not distinct",)
+
     def test_element_validation(self):
         TransversalElement(((2, 3), (2, 4)))  # strictly increasing: fine
         with pytest.raises(
@@ -109,9 +130,8 @@ class TestTransversal:
         assert verify_transversal(6).ok
         symbol_constructions.assert_each_once(6)
 
-    def test_prefix_drops_last_pair(self):
+    def test_word_is_the_slides_of_its_pairs(self):
         t = TransversalElement(((2, 3), (2, 4)))
-        assert t.prefix().pairs == ((2, 3),)
         assert t.word() == word(yslide(2, 3), yslide(2, 4))
 
     def test_dimension_cap(self):
@@ -137,7 +157,7 @@ class TestGeneratingSet:
 class TestRsGenerators:
     def test_counts_frozen(self):
         for g, n in RS_COUNTS.items():
-            assert len(rs_generators(g)) == n
+            assert len(tuple(iter_rs_generators(g))) == n
             assert construction_counts(g)["rs_generator_count"] == n
 
     def test_skip_rule_matches_independent_enumeration(self):
@@ -160,13 +180,13 @@ class TestRsGenerators:
                     )
                     if not skip:
                         expected.add((f.pairs, x, sign))
-        got = {(r.f.pairs, r.x, r.sign) for r in rs_generators(g)}
+        got = {(r.f.pairs, r.x, r.sign) for r in iter_rs_generators(g)}
         assert got == expected
 
     def test_words_have_zero_image_by_direct_fold(self):
         for g in (3, 4):
             qmap = build_quotient_map(g)
-            for r in rs_generators(g):
+            for r in iter_rs_generators(g):
                 assert qmap.word_image(r.word) == 0
                 assert r.word == r.f.word() + ((r.x, r.sign),) + winv(r.rep.word())
 
@@ -208,8 +228,8 @@ class TestFamilyWords:
             assert w[n][0] == twist_sq(*indices)
 
     def test_family_generators_cover_all_families(self):
-        fams = family_generators(3)
-        assert set(fams) == {"1", "2", "3", "4"}
+        assert rschreier.FAMILY_NAMES == ("1", "2", "3", "4")
+        fams = {f: list(iter_family_words(3, f)) for f in rschreier.FAMILY_NAMES}
         assert len(fams["1"]) == 6
         assert len(fams["3"]) == 0  # no subset twists exist at genus 3
 

@@ -67,7 +67,7 @@ class TestFreeWords:
         assert free_reduce(w) == a
 
     def test_reduce_of_empty(self):
-        assert free_reduce(FreeWord.empty()).is_identity()
+        assert free_reduce(FreeWord.empty()) == FreeWord.empty()
 
     def test_inv_reverses(self):
         a, b = FreeWord.gen("a"), FreeWord.gen("b")
@@ -75,7 +75,7 @@ class TestFreeWords:
 
     def test_commutator_of_commuting_is_trivial(self):
         a = FreeWord.gen("a")
-        assert free_reduce(commutator(a, a)).is_identity()
+        assert free_reduce(commutator(a, a)) == FreeWord.empty()
 
     def test_commutator_lemma_range(self):
         for n in range(1, 9):
@@ -97,10 +97,6 @@ class TestBraidWordBasics:
     def test_inv(self):
         w = BraidWord(4, (1, -2, 3))
         assert w.inv().letters == (-3, 2, -1)
-
-    def test_json_round_trip(self):
-        w = BraidWord(4, (1, -2, 3))
-        assert BraidWord.from_json(w.to_json()) == w
 
 
 class TestBraidIdentity:
