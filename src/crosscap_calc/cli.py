@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Sequence
 
 from . import SCHEMA_VERSION, __version__, exactmat, fpres, gf2, rschreier, words
@@ -114,8 +114,16 @@ def _fold(rb: ReportBuilder, rep: CheckReport) -> None:
 
 def _run_presentation(g: int, seed: int) -> Iterator[CheckReport]:
     del seed
-    yield fpres.verify_relators(fpres.build_presentation(g, fpres.VARIANT_PROP))
-    yield fpres.verify_relators(fpres.build_presentation(g, fpres.VARIANT_COR))
+    prop = fpres.build_presentation(g, fpres.VARIANT_PROP)
+    prop_report = fpres.verify_relators(prop)
+    yield prop_report
+    # COR_WITH_5 is PROP then family (5): fold PROP's report with the tail's
+    cor = fpres.build_presentation(g, fpres.VARIANT_COR)
+    family5 = replace(cor, relators=cor.relators[len(prop.relators):])
+    rb = ReportBuilder(f"relators:{cor.variant}", g=g)
+    _fold(rb, prop_report)
+    _fold(rb, fpres.verify_relators(family5))
+    yield rb.build()
     rb = ReportBuilder("representation-control", g=g)
     rb.record(
         fpres.degenerate_representation_control(g),

@@ -86,6 +86,13 @@ class IntMatrix:
         return mat_mul(self, other)
 
 
+def _trusted_matrix(rows: tuple[tuple[int, ...], ...]) -> IntMatrix:
+    """An unvalidated ``IntMatrix``, for products of validated ones."""
+    m = object.__new__(IntMatrix)
+    object.__setattr__(m, "rows", rows)
+    return m
+
+
 @functools.cache
 def identity(n: int) -> IntMatrix:
     return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
@@ -95,7 +102,7 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.n != b.n:
         raise DimensionMismatchError(f"cannot multiply {a.n}x{a.n} by {b.n}x{b.n}")
     bt = tuple(zip(*b.rows))
-    return IntMatrix(
+    return _trusted_matrix(
         tuple(
             tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
             for row in a.rows
@@ -267,4 +274,4 @@ def eval_word(g: int, letters: Iterable[YLetter]) -> IntMatrix:
             new.append((c, col))
         for c, col in new:
             cols[c] = col
-    return IntMatrix(tuple(zip(*cols)))
+    return _trusted_matrix(tuple(zip(*cols)))

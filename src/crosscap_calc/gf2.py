@@ -21,8 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .reports import CheckReport, ReportBuilder
 
@@ -39,17 +38,24 @@ class CapExceededError(ValueError):
     """The requested size is past the configured desk-scale cap."""
 
 
-@dataclass(frozen=True, order=True)
-class F2Matrix:
+class _F2MatrixFields(NamedTuple):
     g: int
     rows: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != self.g:
+
+class F2Matrix(_F2MatrixFields):
+    """A g x g matrix over GF(2) as row bitmasks: a tuple ``(g, rows)``,
+    validated on construction, with the tuple's hashing and ordering."""
+
+    __slots__ = ()
+
+    def __new__(cls, g: int, rows: tuple[int, ...]) -> "F2Matrix":
+        if len(rows) != g:
             raise ValueError("row count must equal g")
-        for r in self.rows:
-            if not 0 <= r < 1 << self.g:
+        for r in rows:
+            if not 0 <= r < 1 << g:
                 raise ValueError("row out of range")
+        return super().__new__(cls, g, rows)
 
     @classmethod
     def identity(cls, g: int) -> "F2Matrix":
@@ -78,7 +84,7 @@ class F2Matrix:
                 acc ^= other.rows[low.bit_length() - 1]
                 bits ^= low
             rows.append(acc)
-        return F2Matrix(self.g, tuple(rows))
+        return _trusted_f2((self.g, tuple(rows)))
 
     def apply(self, v: int) -> int:
         """The image M v of a vector bitmask."""
@@ -89,6 +95,10 @@ class F2Matrix:
 
     def is_identity(self) -> bool:
         return self == F2Matrix.identity(self.g)
+
+
+#: ``(g, rows) -> F2Matrix`` unvalidated, for products and enumerated frames
+_trusted_f2 = functools.partial(tuple.__new__, F2Matrix)
 
 
 def is_orthogonal(m: F2Matrix) -> bool:
@@ -132,7 +142,7 @@ def enumerate_o2(g: int) -> frozenset[F2Matrix]:
 
     def extend(candidates: list[int]) -> None:
         if len(rows) == g:
-            found.append(F2Matrix(g, tuple(rows)))
+            found.append(_trusted_f2((g, tuple(rows))))
             return
         for v in candidates:
             rows.append(v)

@@ -7,7 +7,7 @@ caveat strings that qualify what a pass actually certifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

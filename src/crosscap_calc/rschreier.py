@@ -59,6 +59,9 @@ TRANSVERSAL_DIM_CAP = 16
 #: above this many words, zero-image checks fold letters only on a sample
 LETTER_FOLD_LIMIT = 300_000
 
+#: expected number of words refolded letter by letter past the limit
+LETTER_FOLD_SAMPLE = 50_000
+
 CAVEAT_TORELLI = (
     "matrix equality is computed in the homology representation, whose"
     " kernel is the Torelli group: a pass verifies each identity modulo"
@@ -112,7 +115,7 @@ class RsGenerator(NamedTuple):
 
 @functools.cache
 def transversal(g: int) -> tuple[TransversalElement, ...]:
-    """All subsets of the basis pair set as sorted tuples, in lex order."""
+    """Every subset of the basis pairs in lex order, built depth-first."""
     g = genus(g)
     basis = quotient_basis(g)
     if len(basis) > TRANSVERSAL_DIM_CAP:
@@ -120,12 +123,16 @@ def transversal(g: int) -> tuple[TransversalElement, ...]:
             f"transversal has 2^{len(basis)} elements, past the"
             f" dimension cap {TRANSVERSAL_DIM_CAP}"
         )
-    subsets = [
-        TransversalElement(tuple(c))
-        for m in range(len(basis) + 1)
-        for c in itertools.combinations(basis, m)
-    ]
-    return tuple(sorted(subsets, key=lambda t: t.pairs))
+    out: list[TransversalElement] = []
+
+    def extend(pairs: tuple[Pair, ...], start: int) -> None:
+        # pairs increase by construction: skip TransversalElement.__new__
+        out.append(tuple.__new__(TransversalElement, (pairs,)))
+        for n in range(start, len(basis)):
+            extend(pairs + (basis[n],), n + 1)
+
+    extend((), 0)
+    return tuple(out)
 
 
 def uses_subset_twist_generators(g: int) -> bool:
@@ -273,6 +280,22 @@ def construction_counts(g: int) -> dict:
     }
 
 
+def _prefix_images(qmap: fpres.QuotientMap, elems: tuple[TransversalElement, ...]):
+    """Yield (pairs, quotient image, whether the prefix came earlier) per
+    element.  Images are XOR-linear: an element's is its prefix's plus its
+    last slide's, one letter folded (the prefix's word, if it is missing)."""
+    images: dict[tuple[Pair, ...], int] = {}
+    for t in elems:
+        pairs = t.pairs
+        head = images.get(pairs[:-1]) if pairs else 0
+        listed = head is not None
+        if not listed:
+            head = qmap.word_image(t.word()[:-1])
+        last = ((yslide(*pairs[-1]), 1),) if pairs else ()
+        images[pairs] = image = head ^ qmap.word_image(last)
+        yield pairs, image, listed
+
+
 def verify_transversal(g: int) -> CheckReport:
     """Size 2^rank, prefix closure, and bijection onto the quotient."""
     g = genus(g)
@@ -280,21 +303,18 @@ def verify_transversal(g: int) -> CheckReport:
     elems = transversal(g)
     rank = fpres.quotient_rank(g)
     rb.record(len(elems) == 1 << rank, f"size {len(elems)} != 2^{rank}")
-    qmap = build_quotient_map(g)
     images = set()
-    elem_set = set(elems)
-    for t in elems:
-        images.add(qmap.word_image(t.word()))
-        if t.pairs:
-            # an element hashes and compares as the tuple (pairs,)
-            rb.record((t.pairs[:-1],) in elem_set, f"prefix of {t.pairs} missing")
+    for pairs, image, listed in _prefix_images(build_quotient_map(g), elems):
+        images.add(image)
+        if pairs and listed:
+            rb.passed += 1
+        elif pairs:
+            rb.record(False, f"prefix of {pairs} missing")
     rb.record(len(images) == len(elems), "quotient images are not distinct")
     return rb.build()
 
 
-def verify_rs_zero_images(
-    g: int, seed: int = 0, sample_size: int = 50_000
-) -> CheckReport:
+def verify_rs_zero_images(g: int, seed: int = 0) -> CheckReport:
     """Every RS generator word has quotient image zero.
 
     Images are linear over letters, so each word's image is the exact
@@ -325,7 +345,7 @@ def verify_rs_zero_images(
         ok = fmask ^ xmask ^ _pairs_mask(bit, gen.rep.pairs) == 0
         # one draw per word, failed or not, so the sample is seed-fixed;
         # only a word still passing is refolded and counted
-        if (fold_all or rng.randrange(total_bound) < sample_size) and ok:
+        if (fold_all or rng.randrange(total_bound) < LETTER_FOLD_SAMPLE) and ok:
             ok = qmap.word_image(gen.word) == 0
             folded += 1
         if not ok:
@@ -342,10 +362,7 @@ def verify_rs_zero_images(
 
 
 def verify_family_zero_images(
-    g: int,
-    families: tuple[str, ...] = ("1", "2", "3"),
-    seed: int = 0,
-    sample_size: int = 50_000,
+    g: int, families: tuple[str, ...] = ("1", "2", "3"), seed: int = 0
 ) -> CheckReport:
     """Every family word has quotient image zero.
 
@@ -378,7 +395,7 @@ def verify_family_zero_images(
                 count += 1
                 ok = core_ok
                 # one draw per word, as in verify_rs_zero_images
-                if (fold_all or rng.randrange(total_bound) < sample_size) and ok:
+                if (fold_all or rng.randrange(total_bound) < LETTER_FOLD_SAMPLE) and ok:
                     folded += 1
                     if fword is None:
                         fword = f.word()

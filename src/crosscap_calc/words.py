@@ -20,8 +20,6 @@ or normal-form approximation involved.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 

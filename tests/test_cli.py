@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import crosscap_calc
-from crosscap_calc import SCHEMA_VERSION, __version__, cli
+from crosscap_calc import SCHEMA_VERSION, __version__, cli, fpres
 from crosscap_calc.cli import (
     CHECK_NAMES,
     DEFAULT_CAPS,
@@ -22,6 +22,7 @@ from crosscap_calc.cli import (
     parse_range,
     run,
 )
+from crosscap_calc.reports import CheckReport
 
 
 def run_json(capsys, *argv):
@@ -110,6 +111,52 @@ class TestRun:
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError):
             run(RunConfig(check="nonsense"))
+
+
+def _patch_prop_relators(monkeypatch, broken):
+    """Give each PROP relator that ``broken`` selects an extra slide letter
+    (a relator r = 1 becomes r Y[1,2], which is Y[1,2] != 1)."""
+    prop_relators = fpres._prop_relators
+    extra = ((fpres.yslide(1, 2), 1),)
+
+    def patched(g):
+        for rel in prop_relators(g):
+            if broken(rel):
+                rel = fpres.Relator(rel.family, rel.indices, rel.word + extra)
+            yield rel
+
+    monkeypatch.setattr(fpres, "_prop_relators", patched)
+
+
+def _relator_entries(g):
+    report = run(RunConfig(check="presentation", value_range=(g, g)))
+    entries = {e["check"]: e for e in report["checks"]}
+    return entries["relators:PROP_1_TO_4"], entries["relators:COR_WITH_5"]
+
+
+class TestPresentationRunner:
+    def test_a_broken_relator_fails_both_entries_alike(self, monkeypatch):
+        _patch_prop_relators(monkeypatch, lambda rel: rel.indices == (1, 2, 3, 4))
+        prop, cor = _relator_entries(5)
+        n_prop = len(fpres.build_presentation(5, fpres.VARIANT_PROP).relators)
+        assert prop["failures"] == cor["failures"] == ["2b(1, 2, 3, 4)", "3b(1, 2, 3, 4)"]
+        assert (prop["passed"], prop["failed"]) == (n_prop - 2, 2)
+        # COR_WITH_5 adds the g - 1 = 4 family (5) relators, which pass
+        assert (cor["passed"], cor["failed"]) == (n_prop - 2 + 4, 2)
+
+    def test_folded_entry_equals_one_pass_over_cor(self, monkeypatch):
+        # every third PROP relator and every family (5) relator fail: more
+        # than 50 failures, so the truncated list is compared as well
+        _patch_prop_relators(monkeypatch, lambda rel: sum(rel.indices) % 3 == 0)
+        relator5_word = fpres.relator5_word
+        monkeypatch.setattr(
+            fpres, "relator5_word", lambda g, i: relator5_word(g, i) + relator5_word(g, i)[:1]
+        )
+        one_pass = fpres.verify_relators(fpres.build_presentation(5, fpres.VARIANT_COR))
+        _prop, cor = _relator_entries(5)
+        del cor["duration_ms"]
+        assert one_pass.failed > CheckReport.MAX_FAILURES
+        assert cor == one_pass.to_json()
 
 
 class TestMainVerify:
@@ -269,3 +316,14 @@ class TestGolden:
         b["schema_version"] = 0
         with pytest.raises(SchemaMismatchError):
             golden_compare(a, b)
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def test_verify_all_matches_the_checked_in_golden():
+    """``verify all --seed 0`` at default scopes equals the frozen report
+    in ``tests/golden``, timings ignored: a speedup must not move a count,
+    a failure label, a detail or a verdict."""
+    golden = json.loads((GOLDEN_DIR / "verify_all_seed0.json").read_text())
+    assert golden_compare(run(RunConfig(check="all", seed=0)), golden) == []

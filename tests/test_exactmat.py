@@ -66,6 +66,33 @@ class TestIntMatrix:
         got = IntMatrix(Y12) * IntMatrix(Y21)
         assert got.rows == ((3, -2), (2, -1))
 
+    def test_public_construction_validates(self):
+        with pytest.raises(ValueError, match="empty matrix"):
+            IntMatrix(())
+        with pytest.raises(ValueError, match="matrix must be square"):
+            IntMatrix(((1, 0), (0,)))
+        with pytest.raises(TypeError, match=r"non-integer entry 1\.0"):
+            IntMatrix(((1.0, 0), (0, 1)))
+
+    def test_products_and_words_skip_validation(self, monkeypatch):
+        # results built from validated matrices are square and integral by
+        # construction: neither path may run the validating constructor
+        g = 5
+        w = [(p, 1) for p in slide_pairs(g)] * 2
+        expected = oracle_fold(g, w)  # also warms the slide caches
+        a, b = make_y(g, 1, 2), make_y_gi(g, 3)
+        runs = []
+        monkeypatch.setattr(IntMatrix, "__post_init__", lambda self: runs.append(self))
+        got = eval_word(g, w)
+        product = mat_mul(a, b)
+        assert runs == []
+        IntMatrix(((1,),))  # the patch is live
+        assert len(runs) == 1
+        monkeypatch.undo()
+        assert got == expected and hash(got) == hash(IntMatrix(expected.rows))
+        assert product == IntMatrix(product.rows)
+        assert type(got) is IntMatrix and type(product) is IntMatrix
+
 
 class TestDeterminantAndInverse:
     def test_det_small_frozen(self):

@@ -187,6 +187,16 @@ class TestPresentations:
         with pytest.raises(ValueError):
             verify_relators(build_presentation(4, VARIANT_QUOTIENT))
 
+    @pytest.mark.parametrize("g", [3, 4, 5, 6, 7, 8])
+    def test_cor_is_prop_followed_by_family5(self, g):
+        # the presentation runner evaluates PROP once and only this tail again
+        prop = build_presentation(g, VARIANT_PROP).relators
+        cor = build_presentation(g, VARIANT_COR).relators
+        assert cor[: len(prop)] == prop
+        assert [(r.family, r.indices, r.word) for r in cor[len(prop):]] == [
+            ("5", (i,), relator5_word(g, i)) for i in range(1, g)
+        ]
+
     def test_relator5_word_shape(self):
         w = relator5_word(3, 1)
         assert w[-1] == (yslide(3, 1), -1)

@@ -101,6 +101,51 @@ class TestF2Matrix:
             assert (a * b).apply(v) == a.apply(b.apply(v))
 
 
+class TestF2MatrixTuple:
+    def test_hash_equality_and_repr(self):
+        # hash of the frozen dataclass it replaced: hash((g, rows))
+        m = twist_transvection(4, (1, 2))
+        assert m == F2Matrix(4, m.rows) == (4, m.rows)
+        assert hash(m) == hash((4, m.rows))
+        assert repr(F2Matrix.identity(3)) == "F2Matrix(g=3, rows=(1, 2, 4))"
+
+    def test_order_is_by_genus_then_rows(self):
+        a = F2Matrix(3, (1, 2, 4))
+        b = F2Matrix(3, (2, 1, 4))
+        c = F2Matrix(4, (1, 2, 4, 8))
+        assert sorted([c, b, a]) == [a, b, c]
+        assert sorted(enumerate_o2(3))[0].rows == (1, 2, 4)
+
+    def test_constructor_error_texts(self):
+        with pytest.raises(ValueError, match="^row count must equal g$"):
+            F2Matrix(3, (1, 2))
+        with pytest.raises(ValueError, match="^row out of range$"):
+            F2Matrix(3, (1, 2, 8))
+        with pytest.raises(ValueError, match="^row out of range$"):
+            F2Matrix(3, (1, -1, 4))
+        with pytest.raises(ValueError, match="^size mismatch$"):
+            F2Matrix.identity(3) * F2Matrix.identity(4)
+
+    def test_products_and_frames_skip_validation(self, monkeypatch):
+        a, b = twist_transvection(5, (1, 2)), twist_transvection(5, (2, 3, 4, 5))
+        built = []
+        new = F2Matrix.__new__
+
+        def counting(cls, g, rows):
+            built.append(rows)
+            return new(cls, g, rows)
+
+        monkeypatch.setattr(F2Matrix, "__new__", staticmethod(counting))
+        product = a * b
+        frames = enumerate_o2.__wrapped__(4)
+        assert built == []
+        assert F2Matrix(5, product.rows) == product  # the patch is live
+        assert built == [product.rows]
+        monkeypatch.undo()
+        assert frames == enumerate_o2(4)
+        assert all(type(m) is F2Matrix for m in frames) and type(product) is F2Matrix
+
+
 class TestTransvections:
     def test_rejects_odd_subsets(self):
         with pytest.raises(ValueError):

@@ -138,6 +138,44 @@ class TestTransversal:
         with pytest.raises(rschreier.CapExceededError):
             transversal(12)
 
+    @pytest.mark.parametrize("g", [3, 4, 5, 6, 7])
+    def test_depth_first_order_is_sorted_combinations(self, g):
+        # the construction the depth-first one replaced
+        basis = fpres.quotient_basis(g)
+        subsets = [
+            TransversalElement(c)
+            for m in range(len(basis) + 1)
+            for c in itertools.combinations(basis, m)
+        ]
+        expected = sorted(subsets, key=lambda t: t.pairs)
+        got = transversal(g)
+        assert list(got) == expected
+        assert all(type(t) is TransversalElement for t in got)
+
+    @pytest.mark.parametrize("g", [3, 4, 5, 6])
+    def test_prefix_images_equal_a_per_element_fold(self, g):
+        qmap = build_quotient_map(g)
+        elems = transversal(g)
+        rows = list(rschreier._prefix_images(qmap, elems))
+        assert [pairs for pairs, _image, _listed in rows] == [t.pairs for t in elems]
+        assert all(listed for _pairs, _image, listed in rows)
+        assert [image for _pairs, image, _listed in rows] == [
+            qmap.word_image(t.word()) for t in elems
+        ]
+
+    def test_prefix_images_fold_one_letter_each(self, monkeypatch):
+        calls = count_word_images(monkeypatch)
+        assert verify_transversal(6).ok
+        assert calls[0] == len(transversal(6))
+
+    def test_an_element_before_its_prefix_counts_as_missing(self, monkeypatch):
+        # same elements, ((2, 3), (2, 4)) moved ahead of ((2, 3),)
+        full = list(transversal(4))
+        moved = full.pop(full.index(TransversalElement(((2, 3), (2, 4)))))
+        full.insert(1, moved)
+        monkeypatch.setattr(rschreier, "transversal", lambda g: tuple(full))
+        assert verify_transversal(4).failures == ("prefix of ((2, 3), (2, 4)) missing",)
+
 
 class TestGeneratingSet:
     def test_sizes_frozen(self):
