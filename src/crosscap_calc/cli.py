@@ -5,11 +5,15 @@ parameter range, emits a machine-readable report, and exits nonzero when
 anything fails.  ``crosscap-calc golden REPORT GOLDEN`` compares a report
 against a frozen one, ignoring timings.
 
-Each check has a hard cap on its scope parameter so a mistyped range
-cannot start a week-long enumeration; a value past the cap becomes a
-failing report entry rather than an exception, so batch runs continue.
-Caps can be raised or lowered via the ``CROSSCAP_CAP_OVERRIDE``
-environment variable, e.g. ``CROSSCAP_CAP_OVERRIDE=chain=8,o2=6``.
+``CHECKS`` is the one table of what each check is: runner, scope flag,
+default range and a hard cap, so a mistyped range cannot start a
+week-long enumeration.  Cost rises with the scope, so the first value
+past a cap ends the range as one failing ``<check>:cap`` entry rather
+than an exception, and batch runs continue.  Caps can be raised or
+lowered via the ``CROSSCAP_CAP_OVERRIDE`` environment variable, e.g.
+``CROSSCAP_CAP_OVERRIDE=chain=8,o2=6``; the ``transversal``, ``rs`` and
+``stabilizer`` caps are the library's own limits, so raising those still
+ends in a ``:cap`` entry.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
 from . import SCHEMA_VERSION, __version__, exactmat, fpres, gf2, rschreier, words
@@ -41,58 +45,12 @@ STABILIZER_EXHAUSTIVE_LIMIT = 4
 
 STABILIZER_SAMPLE = 100
 
-# Upper bounds on the scope parameter each check accepts.  For
-# ``transversal`` and ``rs`` the bound applies to the quotient dimension
-# (the transversal has 2^dim elements); everywhere else it applies to
-# the scope value itself: genus for the surface checks, chain length for
-# ``chain``, factor count for ``commutator-lemma``.
-DEFAULT_CAPS: dict[str, int] = {
-    "presentation": 8,
-    "commutation": 16,
-    "quotient-rank": 64,
-    "main-theorem": 64,
-    "o2": 5,
-    "stabilizer": 5,
-    "chain": 6,
-    "commutator-lemma": 16,
-    "transversal": 16,
-    "rs": 16,
-    "case-identities": 8,
-}
-
-#: scope ranges used when no explicit range is given
-DEFAULT_RANGES: dict[str, tuple[int, int]] = {
-    "presentation": (3, 8),
-    "commutation": (3, 8),
-    "quotient-rank": (3, 12),
-    "main-theorem": (3, 12),
-    "o2": (3, 5),
-    "stabilizer": (3, 5),
-    "chain": (1, 6),
-    "commutator-lemma": (1, 8),
-    "transversal": (3, 7),
-    "rs": (3, 5),
-    "case-identities": (5, 6),
-}
-
-#: checks whose scope parameter is not the genus
-PARAM_NAME: dict[str, str] = {"chain": "k", "commutator-lemma": "n"}
-
-#: checks where the cap bounds the quotient dimension, not the genus
-DIMENSION_CAPPED = frozenset({"transversal", "rs"})
-
-
-def scope_param(check: str) -> str:
-    return PARAM_NAME.get(check, "g")
-
-
-def min_scope(check: str) -> int:
-    return 1 if check in PARAM_NAME else 3
-
 
 def quotient_dim_bound(g: int) -> int:
-    """Closed form for the quotient rank; used only to gate caps so the
-    gate never runs the computation it protects."""
+    """Closed form for the quotient rank: the expected value in
+    ``quotient-rank`` and ``main-theorem``, and the dimension that the
+    ``transversal`` and ``rs`` caps gate, so the gate never runs the
+    computation it protects."""
     return math.comb(g - 1, 2) + (1 if g % 2 == 0 else 0)
 
 
@@ -136,9 +94,11 @@ def _run_commutation(g: int, seed: int) -> Iterator[CheckReport]:
     del seed
     yield fpres.verify_commutation_lemma(g)
     rb = ReportBuilder("commutation-control", g=g)
-    a = exactmat.make_y(g, 1, 2)
-    b = exactmat.make_y(g, 2, 1)
-    rb.record(a * b != b * a, "Y[1,2] and Y[2,1] unexpectedly commute")
+    a, b = ((1, 2), 1), ((2, 1), 1)
+    rb.record(
+        exactmat.eval_word(g, (a, b)) != exactmat.eval_word(g, (b, a)),
+        "Y[1,2] and Y[2,1] unexpectedly commute",
+    )
     yield rb.build()
 
 
@@ -261,21 +221,44 @@ def _run_case_identities(g: int, seed: int) -> Iterator[CheckReport]:
 
 Runner = Callable[[int, int], Iterator[CheckReport]]
 
-CHECK_RUNNERS: dict[str, Runner] = {
-    "presentation": _run_presentation,
-    "commutation": _run_commutation,
-    "quotient-rank": _run_quotient_rank,
-    "main-theorem": _run_main_theorem,
-    "o2": _run_o2,
-    "stabilizer": _run_stabilizer,
-    "chain": _run_chain,
-    "commutator-lemma": _run_commutator_lemma,
-    "transversal": _run_transversal,
-    "rs": _run_rs,
-    "case-identities": _run_case_identities,
+
+@dataclass(frozen=True)
+class Check:
+    """One ``verify`` selector."""
+
+    run: Runner
+    default_range: tuple[int, int]
+    #: upper bound on the scope value, or on the quotient dimension at g
+    #: when ``caps_dimension`` (the transversal has 2^dim elements)
+    cap: int
+    #: the flag that scopes the check: genus ``g``, chain length ``k`` or
+    #: factor count ``n``
+    scope: str = "g"
+    caps_dimension: bool = False
+
+    @property
+    def floor(self) -> int:
+        return 3 if self.scope == "g" else 1
+
+
+CHECKS: dict[str, Check] = {
+    "presentation": Check(_run_presentation, (3, 8), 8),
+    "commutation": Check(_run_commutation, (3, 8), 16),
+    "quotient-rank": Check(_run_quotient_rank, (3, 12), 64),
+    "main-theorem": Check(_run_main_theorem, (3, 12), 64),
+    # its own cap: gf2.enumerate_o2 goes one genus further
+    "o2": Check(_run_o2, (3, 5), 5),
+    "stabilizer": Check(_run_stabilizer, (3, 5), gf2.ENUMERATION_CAP - 1),
+    "chain": Check(_run_chain, (1, 6), 6, scope="k"),
+    "commutator-lemma": Check(_run_commutator_lemma, (1, 8), 16, scope="n"),
+    "transversal": Check(
+        _run_transversal, (3, 7), rschreier.TRANSVERSAL_DIM_CAP, caps_dimension=True
+    ),
+    "rs": Check(_run_rs, (3, 5), rschreier.TRANSVERSAL_DIM_CAP, caps_dimension=True),
+    "case-identities": Check(_run_case_identities, (5, 6), 8),
 }
 
-CHECK_NAMES = tuple(CHECK_RUNNERS)
+CHECK_NAMES = tuple(CHECKS)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +275,6 @@ class RunConfig:
     # the range only restricts checks scoped by this parameter
     range_param: str | None = None
     seed: int = 0
-    emit: str = "json"
-    out: str | None = None
-    cap_overrides: dict[str, int] = field(default_factory=dict)
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -311,7 +291,7 @@ def parse_range(text: str) -> tuple[int, int]:
 
 
 def parse_cap_overrides(raw: str) -> dict[str, int]:
-    """``"chain=8,o2=6"`` from the environment or tests."""
+    """``"chain=8,o2=6"``, as ``CROSSCAP_CAP_OVERRIDE`` holds it."""
     out: dict[str, int] = {}
     for part in raw.split(","):
         part = part.strip()
@@ -319,10 +299,10 @@ def parse_cap_overrides(raw: str) -> dict[str, int]:
             continue
         name, sep, num = part.partition("=")
         name = name.strip()
-        if not sep or name not in DEFAULT_CAPS:
+        if not sep or name not in CHECKS:
             raise ValueError(
                 f"bad cap override {part!r}: expected NAME=INT with NAME one of"
-                f" {', '.join(DEFAULT_CAPS)}"
+                f" {', '.join(CHECKS)}"
             )
         try:
             out[name] = int(num)
@@ -331,35 +311,34 @@ def parse_cap_overrides(raw: str) -> dict[str, int]:
     return out
 
 
-def effective_caps(cap_overrides: dict[str, int]) -> dict[str, int]:
-    caps = dict(DEFAULT_CAPS)
+def effective_caps() -> dict[str, int]:
+    caps = {name: check.cap for name, check in CHECKS.items()}
     caps.update(parse_cap_overrides(os.environ.get(CAP_ENV_VAR, "")))
-    caps.update(cap_overrides)
     return caps
 
 
-def _cap_violation(check: str, value: int, cap: int) -> str | None:
-    if check in DIMENSION_CAPPED:
-        dim = quotient_dim_bound(value)
-        if dim > cap:
-            return (
-                f"quotient dimension {dim} at g={value} exceeds cap {cap}"
-                f" (the transversal would have 2^{dim} elements);"
-                f" raise it via {CAP_ENV_VAR}={check}=N"
-            )
+def _cap_violation(name: str, value: int, cap: int) -> str | None:
+    check = CHECKS[name]
+    raise_it = f"raise it via {CAP_ENV_VAR}={name}=N"
+    if not check.caps_dimension:
+        return f"{check.scope}={value} exceeds cap {cap}; {raise_it}" if value > cap else None
+    dim = quotient_dim_bound(value)
+    if dim <= cap:
         return None
-    if value > cap:
-        return (
-            f"{scope_param(check)}={value} exceeds cap {cap};"
-            f" raise it via {CAP_ENV_VAR}={check}=N"
-        )
-    return None
+    return (
+        f"quotient dimension {dim} at g={value} exceeds cap {cap}"
+        f" (the transversal would have 2^{dim} elements); {raise_it}"
+    )
 
 
-def _cap_report(check: str, value: int, message: str) -> CheckReport:
+def _cap_report(name: str, value: int, hi: int, message: str) -> CheckReport:
+    """The one entry for a range that stops at its first capped value."""
+    scope = CHECKS[name].scope
+    if hi > value:
+        message += f"; the range to {scope}={hi} stops here"
     return CheckReport(
-        check=f"{check}:cap",
-        scope=((scope_param(check), value),),
+        check=f"{name}:cap",
+        scope=((scope, value),),
         passed=0,
         failed=1,
         failures=(message,),
@@ -370,44 +349,43 @@ def run(config: RunConfig) -> dict:
     """Execute the configured checks and assemble the report document."""
     if config.check == "all":
         selected = CHECK_NAMES
-    elif config.check in CHECK_RUNNERS:
+    elif config.check in CHECKS:
         selected = (config.check,)
     else:
         raise ValueError(
             f"unknown check {config.check!r}; expected one of: all,"
             f" {', '.join(CHECK_NAMES)}"
         )
-    caps = effective_caps(config.cap_overrides)
+    caps = effective_caps()
     entries: list[dict] = []
     all_ok = True
     for name in selected:
+        check = CHECKS[name]
         range_applies = config.value_range is not None and (
-            config.range_param is None or config.range_param == scope_param(name)
+            config.range_param is None or config.range_param == check.scope
         )
-        lo, hi = config.value_range if range_applies else DEFAULT_RANGES[name]
-        lo = max(lo, min_scope(name))
-        for value in range(lo, hi + 1):
+        lo, hi = config.value_range if range_applies else check.default_range
+        for value in range(max(lo, check.floor), hi + 1):
             message = _cap_violation(name, value, caps[name])
-            if message is not None:
-                entry = _cap_report(name, value, message).to_json()
-                entry["duration_ms"] = 0
-                entries.append(entry)
-                all_ok = False
-                continue
             start = time.perf_counter()
-            try:
-                for rep in CHECK_RUNNERS[name](value, config.seed):
-                    now = time.perf_counter()
-                    entry = rep.to_json()
-                    entry["duration_ms"] = round((now - start) * 1000)
-                    start = now
-                    entries.append(entry)
-                    all_ok = all_ok and rep.ok
-            except CapExceededError as exc:
-                entry = _cap_report(name, value, str(exc)).to_json()
+            if message is None:
+                try:
+                    for rep in check.run(value, config.seed):
+                        now = time.perf_counter()
+                        entry = rep.to_json()
+                        entry["duration_ms"] = round((now - start) * 1000)
+                        start = now
+                        entries.append(entry)
+                        all_ok = all_ok and rep.ok
+                except CapExceededError as exc:
+                    message = str(exc)
+            if message is not None:
+                # cost rises with the scope: every later value is capped too
+                entry = _cap_report(name, value, hi, message).to_json()
                 entry["duration_ms"] = round((time.perf_counter() - start) * 1000)
                 entries.append(entry)
                 all_ok = False
+                break
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": TOOL_NAME,
@@ -572,17 +550,20 @@ def _resolve_range(args: argparse.Namespace, parser: argparse.ArgumentParser):
     if len(given) > 1:
         parser.error("give at most one of --g/--k/--n")
     key, text = next(iter(given.items()))
-    if args.check != "all" and key != scope_param(args.check):
-        parser.error(
-            f"check {args.check!r} is scoped by --{scope_param(args.check)}, not --{key}"
-        )
+    if args.check == "all":
+        check = next(c for c in CHECKS.values() if c.scope == key)
+    else:
+        check = CHECKS[args.check]
+        if key != check.scope:
+            parser.error(
+                f"check {args.check!r} is scoped by --{check.scope}, not --{key}"
+            )
     try:
         lo, hi = parse_range(text)
     except ValueError as exc:
         parser.error(str(exc))
-    floor = 1 if key in ("k", "n") else 3
-    if lo < floor:
-        parser.error(f"--{key} must start at {floor} or above, got {lo}")
+    if lo < check.floor:
+        parser.error(f"--{key} must start at {check.floor} or above, got {lo}")
     return key, (lo, hi)
 
 
@@ -609,20 +590,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     range_param, value_range = _resolve_range(args, parser)
     try:
-        config = RunConfig(
-            check=args.check,
-            value_range=value_range,
-            range_param=range_param,
-            seed=args.seed,
-            emit=args.emit,
-            out=args.out,
-        )
-        report = run(config)
+        report = run(RunConfig(args.check, value_range, range_param, args.seed))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        emit_report(report, config.emit, config.out)
+        emit_report(report, args.emit, args.out)
     except OSError as exc:
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return 2

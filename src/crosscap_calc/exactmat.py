@@ -23,9 +23,11 @@ and refuses to answer if they disagree.
 Words never invert: every slide is an involution (relator family (1),
 checked once per cached slide), so ``eval_word`` reads an exponent of -1
 as +1.  It right-multiplies by a slide by rewriting only the at most two
-columns where the slide differs from I.  All arithmetic is exact on
-Python ints; ``mat_inv`` (Gauss-Jordan over ``Fraction``) is on no
-evaluation path and is kept as the oracle that tests compare against.
+columns where the slide differs from I; the involution check of each
+new slide squares it by the same column step.  All arithmetic is exact
+on Python ints; ``mat_mul`` and ``mat_inv`` (Gauss-Jordan over
+``Fraction``) are on no evaluation path and are kept as the oracles that
+tests compare against.
 """
 
 from __future__ import annotations
@@ -175,10 +177,13 @@ def is_level2(a: IntMatrix) -> bool:
 
 def _check_group_element(m: IntMatrix, label: str) -> IntMatrix:
     # constructed generators must be level-2 involutions (so unimodular:
-    # det(m)^2 = det(m * m) = 1)
+    # det(m)^2 = det(m * m) = 1).  m * m runs on m's own column updates,
+    # not on _column_update, whose cache is being filled by this call.
     if not is_level2(m):
         raise ArithmeticError(f"{label} is not congruent to I mod 2")
-    if m * m != identity(m.n):
+    cols = [list(col) for col in zip(*m.rows)]
+    _right_multiply(cols, _updates(m))
+    if cols != [list(row) for row in identity(m.n).rows]:  # I is symmetric
         raise ArithmeticError(f"{label} is not an involution")
     return m
 
@@ -242,16 +247,35 @@ def y_matrix(g: int, i: int, j: int) -> IntMatrix:
     return make_y(g, i, j)
 
 
-@functools.cache
-def _column_update(g: int, i: int, j: int) -> tuple[tuple[int, tuple], ...]:
-    """``(c, ((r, entry), ...))`` for each column c where the slide differs
-    from I: right-multiplying by it sets column c to sum entry * column r."""
-    cols = enumerate(zip(*y_matrix(g, i, j).rows))
+ColumnUpdates = tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+
+
+def _updates(m: IntMatrix) -> ColumnUpdates:
+    """``(c, ((r, entry), ...))`` for each column c where ``m`` differs
+    from I: right-multiplying by ``m`` sets column c to sum entry * column r."""
     return tuple(
         (c, terms)
-        for c, col in cols
+        for c, col in enumerate(zip(*m.rows))
         if (terms := tuple((r, x) for r, x in enumerate(col) if x)) != ((c, 1),)
     )
+
+
+def _right_multiply(cols: list[list[int]], updates: ColumnUpdates) -> None:
+    """Replace the columns ``cols`` of a matrix A by those of A * M, where
+    ``updates`` are M's; every column of M must have a nonzero entry."""
+    new = []
+    for c, ((k, x), *rest) in updates:
+        col = [x * v for v in cols[k]]
+        for k, x in rest:
+            col = [s + x * v for s, v in zip(col, cols[k])]
+        new.append((c, col))
+    for c, col in new:
+        cols[c] = col
+
+
+@functools.cache
+def _column_update(g: int, i: int, j: int) -> ColumnUpdates:
+    return _updates(y_matrix(g, i, j))
 
 
 def eval_word(g: int, letters: Iterable[YLetter]) -> IntMatrix:
@@ -266,12 +290,5 @@ def eval_word(g: int, letters: Iterable[YLetter]) -> IntMatrix:
     for (i, j), exp in letters:
         if exp not in (1, -1):
             raise ValueError(f"exponent must be +1 or -1, got {exp}")
-        new = []
-        for c, ((k, x), *rest) in _column_update(g, i, j):
-            col = [x * v for v in cols[k]]
-            for k, x in rest:
-                col = [s + x * v for s, v in zip(col, cols[k])]
-            new.append((c, col))
-        for c, col in new:
-            cols[c] = col
+        _right_multiply(cols, _column_update(g, i, j))
     return _trusted_matrix(tuple(zip(*cols)))

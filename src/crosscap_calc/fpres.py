@@ -393,9 +393,11 @@ def verify_commutation_lemma(g: int) -> CheckReport:
         for j in range(1, g):
             if j == i:
                 continue
-            a = exactmat.make_y(g, i, j)
-            b = exactmat.make_y_gi(g, j)
-            rb.record(a * b == b * a, f"[Y[{i},{j}],Y[{g},{j}]] != 1")
+            a, b = ((i, j), 1), ((g, j), 1)
+            rb.record(
+                exactmat.eval_word(g, (a, b)) == exactmat.eval_word(g, (b, a)),
+                f"[Y[{i},{j}],Y[{g},{j}]] != 1",
+            )
     return rb.build()
 
 

@@ -121,7 +121,8 @@ def test_criterion_04_twist_subspace_rank(capsys):
 
 def test_criterion_05_twist_symbols_die_in_quotient(capsys):
     with criterion(capsys, 5, "squared/bounding twists are level-2 with zero"
-                   " quotient image; subset twists decompose for genus <= 6"):
+                   " quotient image; for genus <= 6 the T2 core of each"
+                   " T(s,t) is level-2 with zero image"):
         for g in range(3, 9):
             qmap = build_quotient_map(g)
             for i, j in pair_set(g):

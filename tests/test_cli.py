@@ -1,18 +1,21 @@
 """Command line driver: runners, caps, report schema, golden comparison."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
 import crosscap_calc
-from crosscap_calc import SCHEMA_VERSION, __version__, cli, fpres
+from crosscap_calc import SCHEMA_VERSION, __version__, cli, exactmat, fpres
 from crosscap_calc.cli import (
     CHECK_NAMES,
-    DEFAULT_CAPS,
     RunConfig,
     SchemaMismatchError,
     effective_caps,
@@ -50,14 +53,55 @@ class TestParsing:
             with pytest.raises(ValueError):
                 parse_cap_overrides(bad)
 
-    def test_effective_caps_precedence(self, monkeypatch):
-        monkeypatch.setenv(cli.CAP_ENV_VAR, "chain=9")
-        caps = effective_caps({"chain": 11})
-        assert caps["chain"] == 11  # explicit config beats environment
+    def test_effective_caps_read_the_environment(self, monkeypatch):
         monkeypatch.setenv(cli.CAP_ENV_VAR, "o2=6")
-        assert effective_caps({})["o2"] == 6
+        assert effective_caps()["o2"] == 6
         monkeypatch.delenv(cli.CAP_ENV_VAR)
-        assert effective_caps({}) == DEFAULT_CAPS
+        # the caps every report records under config.caps
+        assert effective_caps() == {
+            "presentation": 8, "commutation": 16, "quotient-rank": 64,
+            "main-theorem": 64, "o2": 5, "stabilizer": 5, "chain": 6,
+            "commutator-lemma": 16, "transversal": 16, "rs": 16,
+            "case-identities": 8,
+        }
+
+    @given(st.text())
+    def test_parse_range_parses_or_raises_value_error(self, text):
+        try:
+            lo, hi = parse_range(text)
+        except ValueError:
+            return
+        assert lo <= hi
+
+    @given(st.text())
+    def test_parse_cap_overrides_parses_or_raises_value_error(self, text):
+        try:
+            caps = parse_cap_overrides(text)
+        except ValueError:
+            return
+        assert set(caps) <= set(CHECK_NAMES)
+        assert all(isinstance(cap, int) for cap in caps.values())
+
+
+def _junk_override(text):
+    try:
+        parse_cap_overrides(text)
+    except ValueError:
+        return True
+    return False
+
+
+# environment values cannot hold NUL or unpaired surrogates
+env_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"))
+
+
+@given(env_text.filter(_junk_override))
+def test_junk_cap_override_exits_two(text):
+    err = io.StringIO()
+    with mock.patch.dict(os.environ, {cli.CAP_ENV_VAR: text}):
+        with contextlib.redirect_stderr(err):
+            assert main(["verify", "chain", "--k", "1"]) == 2
+    assert err.getvalue().startswith("error: bad cap override")
 
 
 class TestRun:
@@ -76,7 +120,7 @@ class TestRun:
 
     def test_every_check_runs_at_minimum_scope(self):
         for name in CHECK_NAMES:
-            lo = cli.min_scope(name)
+            lo = cli.CHECKS[name].floor
             report = run(RunConfig(check=name, value_range=(lo, lo)))
             assert report["overall_pass"] is True, name
 
@@ -88,25 +132,50 @@ class TestRun:
         cap_entry = next(e for e in report["checks"] if e["check"] == "chain:cap")
         assert cap_entry["failed"] == 1
 
-    def test_cap_override_unlocks_scope(self):
-        report = run(
-            RunConfig(check="chain", value_range=(7, 7), cap_overrides={"chain": 7})
-        )
+    def test_cap_override_unlocks_scope(self, monkeypatch):
+        monkeypatch.setenv(cli.CAP_ENV_VAR, "chain=7")
+        report = run(RunConfig(check="chain", value_range=(7, 7)))
         assert report["overall_pass"] is True
 
-    def test_dimension_capped_check_uses_rank_not_genus(self):
+    def test_dimension_capped_check_uses_rank_not_genus(self, monkeypatch):
         # transversal cap bounds the quotient dimension 2^rank, not g itself
         report = run(RunConfig(check="transversal", value_range=(3, 7)))
         assert report["overall_pass"] is True
-        report = run(
-            RunConfig(
-                check="transversal",
-                value_range=(9, 9),
-                cap_overrides={"transversal": 16},
-            )
-        )
+        monkeypatch.setenv(cli.CAP_ENV_VAR, "transversal=16")
+        report = run(RunConfig(check="transversal", value_range=(9, 9)))
         assert report["overall_pass"] is False
         assert report["checks"][0]["check"] == "transversal:cap"
+
+    def test_a_range_stops_at_its_first_capped_value(self):
+        # one entry for the rest of the range, however long it is
+        report = run(RunConfig(check="chain", value_range=(1, 10**12), range_param="k"))
+        assert [(e["check"], e["k"]) for e in report["checks"]] == [
+            ("chain-relation", k) for k in range(1, 7)
+        ] + [("chain:cap", 7)]
+        assert report["checks"][-1]["failures"] == [
+            f"k=7 exceeds cap 6; raise it via {cli.CAP_ENV_VAR}=chain=N;"
+            f" the range to k={10**12} stops here"
+        ]
+        assert report["overall_pass"] is False
+
+    def test_library_cap_becomes_a_cap_entry(self, capsys, monkeypatch):
+        # past the CLI gate, rschreier.transversal raises CapExceededError
+        monkeypatch.setenv(cli.CAP_ENV_VAR, "transversal=30")
+        code, report = run_json(capsys, "verify", "transversal", "--g", "8..9")
+        assert code == 1
+        [entry] = report["checks"]
+        assert (entry["check"], entry["g"], entry["failed"]) == ("transversal:cap", 8, 1)
+        assert entry["failures"] == [
+            "transversal has 2^22 elements, past the dimension cap 16;"
+            " the range to g=9 stops here"
+        ]
+
+    def test_commutation_multiplies_no_matrices(self, monkeypatch):
+        def forbidden(*_args):
+            raise AssertionError("the commutation check must not call mat_mul")
+
+        monkeypatch.setattr(exactmat, "mat_mul", forbidden)
+        assert run(RunConfig(check="commutation", value_range=(3, 5)))["overall_pass"]
 
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError):

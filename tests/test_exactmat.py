@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from crosscap_calc import exactmat
+from crosscap_calc import exactmat, fpres
 from crosscap_calc.exactmat import (
     DimensionMismatchError,
     IndexRangeError,
@@ -214,9 +214,9 @@ class TestSlideMatrices:
                 c.cache_clear()
         assert make_y_gi(4, 1).rows[1][0] == -2
 
-    def test_back_slide_costs_one_matrix_product(self, monkeypatch):
-        # the defining product runs on eval_word; the only mat_mul left is
-        # the involution check of _check_group_element
+    def test_back_slide_costs_no_matrix_product(self, monkeypatch):
+        # the defining product runs on eval_word and the involution check
+        # squares by column updates: no mat_mul is left
         calls = []
 
         def counting(a, b):
@@ -231,7 +231,7 @@ class TestSlideMatrices:
                 with monkeypatch.context() as m:
                     m.setattr(exactmat, "mat_mul", counting)
                     make_y_gi(g, i)
-                assert len(calls) == 1, (g, i)
+                assert len(calls) == 0, (g, i)
 
     def test_back_slide_frozen_genus3(self):
         assert make_y_gi(3, 1).rows == Y31
@@ -318,14 +318,21 @@ class TestEvalWord:
     def test_no_inverse_or_product_on_the_path(self, monkeypatch):
         g = 6
         w = [(p, e) for p in slide_pairs(g) for e in (1, -1)]
-        expected = oracle_fold(g, w)  # also warms the slide caches
+        expected = oracle_fold(g, w)
+        slides = {p: y_matrix(g, *p) for p in slide_pairs(g)}
+        caches = (make_y, make_y_gi, exactmat._column_update)
 
         def forbidden(*_args):
-            raise AssertionError("eval_word must not multiply or invert matrices")
+            raise AssertionError("evaluation must not multiply or invert matrices")
 
         monkeypatch.setattr(exactmat, "mat_inv", forbidden)
         monkeypatch.setattr(exactmat, "mat_mul", forbidden)
+        # cold caches: building and checking each slide is on the path too
+        for c in caches:
+            c.cache_clear()
+        assert {p: y_matrix(g, *p) for p in slide_pairs(g)} == slides
         assert eval_word(g, w) == expected
+        assert fpres.verify_commutation_lemma(g).ok
 
     def test_rejects_other_exponents(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Schreier transversal, subgroup generators, family words, case identities."""
 
 import itertools
+import re
 
 import pytest
 
@@ -137,6 +138,19 @@ class TestTransversal:
     def test_dimension_cap(self):
         with pytest.raises(rschreier.CapExceededError):
             transversal(12)
+
+    def test_dimension_cap_boundary(self, monkeypatch):
+        # g=7 has quotient dimension 15: a cap of 15 admits it, 14 does not
+        transversal.cache_clear()
+        try:
+            monkeypatch.setattr(rschreier, "TRANSVERSAL_DIM_CAP", 15)
+            assert len(transversal(7)) == 2**15
+            transversal.cache_clear()
+            monkeypatch.setattr(rschreier, "TRANSVERSAL_DIM_CAP", 14)
+            with pytest.raises(rschreier.CapExceededError, match="2\\^15 elements"):
+                transversal(7)
+        finally:
+            transversal.cache_clear()
 
     @pytest.mark.parametrize("g", [3, 4, 5, 6, 7])
     def test_depth_first_order_is_sorted_combinations(self, g):
@@ -346,8 +360,10 @@ class TestCaseIdentities:
         assert classify_pair_case((1, 4), (2, 3)) == CASE_NESTED
 
     def test_requires_lexicographic_order(self):
-        with pytest.raises(ValueError):
-            classify_pair_case((2, 3), (1, 2))
+        for p, q in (((2, 3), (1, 2)), ((1, 3), (1, 2)), ((1, 2), (1, 2))):
+            message = f"need (i,j) < (k,l) lexicographically, got {p}, {q}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                classify_pair_case(p, q)
 
     def test_every_pair_combination_is_classified(self):
         for p, q in itertools.combinations(pair_set(6), 2):
@@ -377,12 +393,18 @@ class TestCaseIdentities:
 
 class TestTstMembership:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            verify_tst_membership(5, (1, 2, 3))
-        with pytest.raises(ValueError):
-            verify_tst_membership(5, (2, 1))
-        with pytest.raises(ValueError):
-            verify_tst_membership(5, (1, 6))
+        for indices, message in (
+            ((0, 1), "indices (0, 1) outside 1..5"),
+            ((4, 6), "indices (4, 6) outside 1..5"),
+            ((1, 6), "indices (1, 6) outside 1..5"),
+            ((), "need an even number of indices, got ()"),
+            ((1, 2, 3), "need an even number of indices, got (1, 2, 3)"),
+            ((1, 1), "indices must strictly increase, got (1, 1)"),
+            ((2, 1), "indices must strictly increase, got (2, 1)"),
+            ((1, 3, 2, 4), "indices must strictly increase, got (1, 3, 2, 4)"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                verify_tst_membership(5, indices)
 
     def test_full_tuple_genus4(self):
         rep = verify_tst_membership(4, (1, 2, 3, 4))
