@@ -7,7 +7,9 @@ caveat strings that qualify what a pass actually certifies.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,14 @@ class ReportBuilder:
             if len(self.failures) < CheckReport.MAX_FAILURES:
                 self.failures.append(label)
         return ok
+
+    def tally(self, passed: int, failed: int, labels: Iterable[str]) -> None:
+        """Count items in bulk.  ``labels`` yields the failures' labels in
+        item order and is read only as far as the truncated list has room."""
+        self.passed += passed
+        self.failed += failed
+        room = max(CheckReport.MAX_FAILURES - len(self.failures), 0)
+        self.failures.extend(itertools.islice(labels, room))
 
     def caveat(self, text: str) -> None:
         if text not in self.caveats:

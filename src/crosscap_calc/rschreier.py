@@ -24,6 +24,25 @@ them as exact integer matrix identities through ``fpres.phi_image``.
 The matrix representation kills the Torelli group, so a pass certifies
 each identity modulo that kernel: necessary, not sufficient, and every
 report says so.
+
+The two zero-image sweeps give every word a verdict without building it.
+Quotient images are XOR-linear over letters, so a family word
+f core f^-1 has its core's image, and an RS word has the XOR of its three
+parts' images; a core is folded once and a part image is read from
+tables built once per transversal element, and the counts of passing
+words follow in closed form.  A word is assembled only to be refolded
+letter by letter, which checks that the assembly matches its parts: every
+word up to LETTER_FOLD_LIMIT words, and past it a stratified sample.  The
+exact word count N (from ``construction_counts``) is cut into
+k = LETTER_FOLD_SAMPLE contiguous blocks of floor(N/k) or ceil(N/k)
+positions, and one position is drawn from each.  This is at least as
+strong as one independent draw per word with probability k/N: every word
+still gets its core or part-level verdict, each word is drawn with
+probability 1/floor(N/k) or 1/ceil(N/k), about k/N, the number
+drawn is k exactly rather than k on average, and any run of
+2 ceil(N/k) - 1 consecutive words holds a whole block, so it always has a
+word drawn.  The draws are integers streamed in increasing order and
+never stored.
 """
 
 from __future__ import annotations
@@ -56,10 +75,10 @@ from .reports import CheckReport, ReportBuilder
 #: 2^dim transversal elements; past 16 dimensions this is not a desk job
 TRANSVERSAL_DIM_CAP = 16
 
-#: above this many words, zero-image checks fold letters only on a sample
+#: above this many words, zero-image checks refold letters only on a sample
 LETTER_FOLD_LIMIT = 300_000
 
-#: expected number of words refolded letter by letter past the limit
+#: words refolded letter by letter past the limit, one per block of positions
 LETTER_FOLD_SAMPLE = 50_000
 
 CAVEAT_TORELLI = (
@@ -170,11 +189,47 @@ def _pairs_mask(bit: dict[Pair, int], pairs: tuple[Pair, ...]) -> int:
     return mask
 
 
-def _basis_masks(g: int) -> tuple[dict[Pair, int], dict[int, TransversalElement]]:
+def _basis_masks(g: int) -> tuple[dict[Pair, int], tuple[int, ...], dict[int, int]]:
+    """(bit of each basis pair, each transversal element's image in
+    transversal order, the index of the element with each image)."""
     qmap = build_quotient_map(g)
     bit = {p: 1 << n for n, p in enumerate(qmap.basis)}
-    by_mask = {_pairs_mask(bit, t.pairs): t for t in transversal(g)}
-    return bit, by_mask
+    masks = tuple(_pairs_mask(bit, t.pairs) for t in transversal(g))
+    return bit, masks, {m: n for n, m in enumerate(masks)}
+
+
+#: the signs emitted for one (f, x): both, or -1 alone when f x^+1 is skipped
+_BOTH_SIGNS = (1, -1)
+_MINUS_ONLY = (-1,)
+
+
+def _rs_pairs(g: int) -> Iterator[tuple]:
+    """(f, its word, x, rep(f x), its inverse word, part image, emitted
+    signs) for every (f, x), in emission order.
+
+    The part image is the XOR of the images of f, x and rep(f x), the
+    representative's read from the per-element table rather than from the
+    mask it was looked up by.  The skip rule is stated here and only here.
+    """
+    g = genus(g)
+    qmap = build_quotient_map(g)
+    bit, masks, by_mask = _basis_masks(g)
+    elems = transversal(g)
+    inverses = [winv(t.word()) for t in elems]
+    # (symbol, image, its pair when it is a basis slide)
+    xs = [
+        (x, qmap.image(x), x.indices if x.kind == KIND_YSLIDE and x.indices in bit else None)
+        for x in level2_generating_set(g)
+    ]
+    for f, fmask in zip(elems, masks):
+        fword = f.word()
+        for x, xmask, pair in xs:
+            r = by_mask[fmask ^ xmask]
+            rep = elems[r]
+            # skipped: f x^+1 when it literally is its own representative
+            skip = pair is not None and rep.pairs == f.pairs + (pair,)
+            signs = _MINUS_ONLY if skip else _BOTH_SIGNS
+            yield f, fword, x, rep, inverses[r], fmask ^ xmask ^ masks[r], signs
 
 
 def iter_rs_generators(g: int) -> Iterator[RsGenerator]:
@@ -183,25 +238,9 @@ def iter_rs_generators(g: int) -> Iterator[RsGenerator]:
     Deterministic order: transversal elements lexicographically, then
     generating symbols in listed order, then sign +1 before -1.
     """
-    g = genus(g)
-    qmap = build_quotient_map(g)
-    bit, by_mask = _basis_masks(g)
-    inv_by_mask = {m: winv(t.word()) for m, t in by_mask.items()}
-    # (symbol, image, its pair when it is a basis slide)
-    xs = [
-        (x, qmap.image(x), x.indices if x.kind == KIND_YSLIDE and x.indices in bit else None)
-        for x in level2_generating_set(g)
-    ]
-    for f in transversal(g):
-        fmask = _pairs_mask(bit, f.pairs)
-        fword = f.word()
-        for x, xmask, pair in xs:
-            rep = by_mask[fmask ^ xmask]
-            rep_inv = inv_by_mask[fmask ^ xmask]
-            # skipped: f x^+1 when it literally is its own representative
-            if pair is None or rep.pairs != f.pairs + (pair,):
-                yield RsGenerator(f, x, 1, rep, fword + ((x, 1),) + rep_inv)
-            yield RsGenerator(f, x, -1, rep, fword + ((x, -1),) + rep_inv)
+    for f, fword, x, rep, rep_inv, _image, signs in _rs_pairs(g):
+        for sign in signs:
+            yield RsGenerator(f, x, sign, rep, fword + ((x, sign),) + rep_inv)
 
 
 FAMILY_NAMES = ("1", "2", "3", "4")
@@ -314,45 +353,65 @@ def verify_transversal(g: int) -> CheckReport:
     return rb.build()
 
 
+def _stratified_positions(n: int, k: int, rng: random.Random) -> Iterator[int]:
+    """One position drawn from each of k contiguous blocks of range(n),
+    in increasing order; block b is [b n // k, (b + 1) n // k), so it
+    holds floor(n/k) or ceil(n/k) positions.  Needs 0 < k <= n."""
+    start = 0
+    for b in range(1, k + 1):
+        end = b * n // k
+        yield start + rng.randrange(end - start)
+        start = end
+
+
+def _refold_positions(n: int, seed: int) -> tuple[Iterator[int], bool]:
+    """The positions among n words to refold letter by letter, increasing,
+    and whether they are all n; a sample as large as n is all of them."""
+    if n <= max(LETTER_FOLD_LIMIT, LETTER_FOLD_SAMPLE):
+        return iter(range(n)), True
+    return _stratified_positions(n, LETTER_FOLD_SAMPLE, random.Random(seed)), False
+
+
 def verify_rs_zero_images(g: int, seed: int = 0) -> CheckReport:
     """Every RS generator word has quotient image zero.
 
     Images are linear over letters, so each word's image is the exact
     XOR of its three parts (transversal word, symbol, representative),
-    each folded from letters once.  Up to LETTER_FOLD_LIMIT words the
-    check also refolds every assembled word letter by letter; past it,
-    a seeded sample is refolded and the report says so.
+    each read from a table built once; the check runs once per (f, x)
+    and covers both signs.  Words are refolded letter by letter at the
+    positions of ``_refold_positions`` (see the module docstring), and
+    an emitted count other than ``construction_counts``' is a failure.
     """
     g = genus(g)
     qmap = build_quotient_map(g)
-    bit, _by_mask = _basis_masks(g)
-    xmasks = {x: qmap.image(x) for x in level2_generating_set(g)}
-    total_bound = len(transversal(g)) * len(xmasks) * 2
-    fold_all = total_bound <= LETTER_FOLD_LIMIT
+    total = construction_counts(g)["rs_generator_count"]
+    positions, fold_all = _refold_positions(total, seed)
     rb = ReportBuilder("rs-zero-image", g=g)
     if not uses_subset_twist_generators(g):
         rb.caveat(CAVEAT_G3_GENERATORS)
-    rng = random.Random(seed)
-    folded = 0
-    f = x = None
-    for gen in iter_rs_generators(g):
-        if gen.f is not f:
-            f = gen.f
-            fmask = _pairs_mask(bit, f.pairs)
-        if gen.x is not x:
-            x = gen.x
-            xmask = xmasks[x]
-        ok = fmask ^ xmask ^ _pairs_mask(bit, gen.rep.pairs) == 0
-        # one draw per word, failed or not, so the sample is seed-fixed;
-        # only a word still passing is refolded and counted
-        if (fold_all or rng.randrange(total_bound) < LETTER_FOLD_SAMPLE) and ok:
-            ok = qmap.word_image(gen.word) == 0
-            folded += 1
-        if not ok:
-            rb.record(False, f"f={f.pairs} x={x.label()} sign={gen.sign}")
-        else:
-            rb.passed += 1
-    rb.detail(f"emitted {rb.passed + rb.failed} generators, letter-folded {folded}")
+    pos = next(positions, None)
+    emitted = folded = 0
+    for f, fword, x, _rep, rep_inv, part_image, signs in _rs_pairs(g):
+        ok = part_image == 0
+        end = emitted + len(signs)
+        if ok and (pos is None or pos >= end):
+            emitted = end
+            continue
+        for sign in signs:
+            word_ok = ok
+            # only a word still passing is refolded and counted
+            if emitted == pos:
+                pos = next(positions, None)
+                if ok:
+                    word_ok = qmap.word_image(fword + ((x, sign),) + rep_inv) == 0
+                    folded += 1
+            if not word_ok:
+                rb.record(False, f"f={f.pairs} x={x.label()} sign={sign}")
+            emitted += 1
+    rb.passed += emitted - rb.failed
+    if emitted != total:
+        rb.record(False, f"emitted {emitted} generators, closed form {total}")
+    rb.detail(f"emitted {emitted} generators, letter-folded {folded}")
     if not fold_all:
         rb.detail(
             f"letter-level refolds sampled with seed {seed}; part-level"
@@ -370,42 +429,57 @@ def verify_family_zero_images(
     include the slide-commutator family of the lemma as well.  The
     quotient image is XOR-linear over letters, so a conjugate f w f^-1
     has the image of w alone; that core image is checked once per index
-    tuple, which covers every conjugate.  Up to LETTER_FOLD_LIMIT words
-    the check also refolds every assembled word letter by letter; past
-    it, a seeded sample is refolded and the report says so.
+    tuple, and a core passes or fails all |T| of its conjugates, counted
+    in closed form.  Conjugates are refolded letter by letter at the
+    positions of ``_refold_positions`` over the families' words in order
+    (see the module docstring), and a word count other than
+    ``construction_counts``' is a failure.
     """
     g = genus(g)
     qmap = build_quotient_map(g)
     rb = ReportBuilder("family-zero-image", g=g)
     counts = construction_counts(g)["families"]
-    total_bound = sum(counts[family] for family in families)
-    fold_all = total_bound <= LETTER_FOLD_LIMIT
-    rng = random.Random(seed)
-    folded = 0
+    total = sum(counts[family] for family in families)
+    positions, fold_all = _refold_positions(total, seed)
+    elems = transversal(g)
+    pos = next(positions, None)
+    start = folded = 0
     for family in families:
         cores = [
             (indices, core, qmap.word_image(core) == 0)
             for indices, core in _family_cores(g, family)
         ]
-        count = 0
-        for f in transversal(g):
-            # f's word and its inverse, built on the first refold only
-            fword = finv = None
-            for indices, core, core_ok in cores:
-                count += 1
-                ok = core_ok
-                # one draw per word, as in verify_rs_zero_images
-                if (fold_all or rng.randrange(total_bound) < LETTER_FOLD_SAMPLE) and ok:
-                    folded += 1
-                    if fword is None:
-                        fword = f.word()
-                        finv = winv(fword)
-                    ok = qmap.word_image(fword + core + finv) == 0
-                if not ok:
-                    rb.record(False, f"family {family} f={f.pairs} indices {indices}")
-                else:
-                    rb.passed += 1
+        count = len(elems) * len(cores)
+        end = start + count
+        # (transversal index, core index) of each refold that failed
+        refold_failures: list[tuple[int, int]] = []
+        fi_prev = None
+        while pos is not None and pos < end:
+            fi, ci = divmod(pos - start, len(cores))
+            _indices, core, core_ok = cores[ci]
+            # only a word whose core passed is refolded and counted
+            if core_ok:
+                if fi != fi_prev:
+                    fi_prev, fword = fi, elems[fi].word()
+                    finv = winv(fword)
+                folded += 1
+                if qmap.word_image(fword + core + finv) != 0:
+                    refold_failures.append((fi, ci))
+            pos = next(positions, None)
+        bad_cores = [ci for ci, (_indices, _core, ok) in enumerate(cores) if not ok]
+        core_failures = ((fi, ci) for fi in range(len(elems)) for ci in bad_cores)
+        failed = len(elems) * len(bad_cores) + len(refold_failures)
+        # both lists are in word order, so the labels the report keeps are
+        # among the first MAX_FAILURES of each
+        first = itertools.islice(core_failures, CheckReport.MAX_FAILURES)
+        rb.tally(count - failed, failed, (
+            f"family {family} f={elems[fi].pairs} indices {cores[ci][0]}"
+            for fi, ci in sorted([*first, *refold_failures])
+        ))
         rb.detail(f"family {family}: {count} words")
+        start = end
+    if start != total:
+        rb.record(False, f"walked {start} words, closed form {total}")
     rb.detail(f"letter-folded {folded} assembled words")
     if not fold_all:
         rb.detail(

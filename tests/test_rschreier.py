@@ -1,9 +1,12 @@
 """Schreier transversal, subgroup generators, family words, case identities."""
 
+import inspect
 import itertools
+import random
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from crosscap_calc import fpres, rschreier
 from crosscap_calc.fpres import (
@@ -16,6 +19,7 @@ from crosscap_calc.fpres import (
     word,
     yslide,
 )
+from crosscap_calc.reports import CheckReport, ReportBuilder
 from crosscap_calc.rschreier import (
     CASE_CHAINED,
     CASE_INTERLEAVED,
@@ -44,6 +48,8 @@ from crosscap_calc.rschreier import (
 GENERATING_SET_SIZES = {3: 4, 4: 10, 5: 20, 6: 35}
 RS_COUNTS = {3: 15, 4: 305, 5: 2497}
 
+FAMILIES = ("1", "2", "3", "4")
+
 
 def count_word_images(monkeypatch):
     """Patch QuotientMap.word_image to count calls; returns the live counter."""
@@ -56,6 +62,81 @@ def count_word_images(monkeypatch):
 
     monkeypatch.setattr(fpres.QuotientMap, "word_image", counting)
     return calls
+
+
+def count_draws(monkeypatch):
+    """Patch random.Random.randrange to count calls; returns the live counter."""
+    draws = [0]
+    randrange = random.Random.randrange
+
+    def counting(self, *args):
+        draws[0] += 1
+        return randrange(self, *args)
+
+    monkeypatch.setattr(random.Random, "randrange", counting)
+    return draws
+
+
+def refold_sample(total, seed):
+    """The positions the sweeps refold among ``total`` words, as a set."""
+    positions, _fold_all = rschreier._refold_positions(total, seed)
+    return set(positions)
+
+
+def reference_rs_sweep(g, seed=0):
+    """The per-word RS loop the sweep replaced: one generator object, its
+    part-level check with the representative's mask folded from its pairs,
+    and a refold at each of the sweep's sample positions.  Returns the
+    report and the number of refolds."""
+    qmap = build_quotient_map(g)
+    bit = {p: 1 << n for n, p in enumerate(qmap.basis)}
+
+    def mask(pairs):
+        acc = 0
+        for p in pairs:
+            acc ^= bit[p]
+        return acc
+
+    sample = refold_sample(construction_counts(g)["rs_generator_count"], seed)
+    rb = ReportBuilder("reference", g=g)
+    folded = 0
+    for n, gen in enumerate(iter_rs_generators(g)):
+        ok = mask(gen.f.pairs) ^ qmap.image(gen.x) ^ mask(gen.rep.pairs) == 0
+        if n in sample and ok:
+            ok = qmap.word_image(gen.word) == 0
+            folded += 1
+        if ok:
+            rb.passed += 1
+        else:
+            rb.record(False, f"f={gen.f.pairs} x={gen.x.label()} sign={gen.sign}")
+    return rb.build(), folded
+
+
+def reference_family_sweep(g, families, seed=0):
+    """The per-word family loop the sweep replaced: each conjugate takes
+    its core's verdict, then a refold at each of the sweep's sample
+    positions.  Returns the report and the number of refolds."""
+    qmap = build_quotient_map(g)
+    counts = construction_counts(g)["families"]
+    sample = refold_sample(sum(counts[family] for family in families), seed)
+    rb = ReportBuilder("reference", g=g)
+    n = folded = 0
+    for family in families:
+        cores = [
+            (indices, core, qmap.word_image(core) == 0)
+            for indices, core in rschreier._family_cores(g, family)
+        ]
+        for f in transversal(g):
+            for indices, core, ok in cores:
+                if n in sample and ok:
+                    ok = qmap.word_image(f.word() + core + winv(f.word())) == 0
+                    folded += 1
+                if ok:
+                    rb.passed += 1
+                else:
+                    rb.record(False, f"family {family} f={f.pairs} indices {indices}")
+                n += 1
+    return rb.build(), folded
 
 
 class TestTransversal:
@@ -253,13 +334,18 @@ class TestRsGenerators:
             assert rep.ok, rep.failures[:3]
             assert rep.passed == RS_COUNTS[g]
 
-    @pytest.mark.parametrize("g", [4, 6])  # fold-all path, then sampled path
+    # both fold-all: 305 and 141,313 words, under LETTER_FOLD_LIMIT; the
+    # sampled path is test_sampled_rs_sweep_genus7
+    @pytest.mark.parametrize("g", [4, 6])
     def test_rs_letter_folded_equals_refolds(self, g, monkeypatch):
         build_quotient_map(g)  # built outside the count
         calls = count_word_images(monkeypatch)
         rep = verify_rs_zero_images(g)
         assert rep.ok
-        assert rep.details[0].endswith(f", letter-folded {calls[0]}")
+        total = construction_counts(g)["rs_generator_count"]
+        assert total <= rschreier.LETTER_FOLD_LIMIT
+        assert calls[0] == total
+        assert rep.details == (f"emitted {total} generators, letter-folded {total}",)
 
     def test_genus3_report_flags_substitute_generators(self):
         assert verify_rs_zero_images(3).caveats
@@ -315,7 +401,7 @@ class TestFamilyWords:
         assert all(label.endswith("indices (2, 3)") for label in rep.failures)
         # one fold per index tuple, then one per refold; a word whose core
         # failed is drawn for the sample but not refolded or counted
-        n_cores, folded = {4: (49, 768), 6: (265, 49_757)}[g]
+        n_cores, folded = {4: (49, 768), 6: (265, 49_826)}[g]
         assert calls[0] == n_cores + folded
         assert f"letter-folded {folded} assembled words" in rep.details
 
@@ -333,10 +419,10 @@ class TestFamilyWords:
         monkeypatch.setattr(fpres.QuotientMap, "word_image", counting)
         rep = verify_family_zero_images(6, ("1", "2", "3", "4"), seed=0)
         assert (rep.passed, rep.failed) == (542_720, 0)
-        assert "letter-folded 49960 assembled words" in rep.details
+        assert "letter-folded 50000 assembled words" in rep.details
         # one fold per index tuple (15 + 15 + 10 + 225) plus the refolds
-        assert calls == 265 + 49_960
-        assert letters == 727_167
+        assert calls == 265 + 50_000
+        assert letters == 728_293
         assert qmap is build_quotient_map(6)
 
     def test_reduced4_constraint(self):
@@ -418,3 +504,210 @@ class TestTstMembership:
             for r in range(2, g + 1, 2):
                 for idx in itertools.combinations(range(1, g + 1), r):
                     assert verify_tst_membership(g, idx).ok
+
+
+# ---------------------------------------------------------------------------
+# the zero-image sweeps against the per-word loops they replaced
+
+#: (genus, LETTER_FOLD_LIMIT override) per sweep and scope; RS words stay
+#: under the real limit through g=6, so its sampled scope lowers the limit
+SWEEP_SCOPES = {
+    ("rs", "fold-all"): (4, None),
+    ("rs", "sampled"): (6, 100_000),
+    ("family", "fold-all"): (4, None),
+    ("family", "sampled"): (6, None),
+}
+
+
+def run_sweep(sweep, g):
+    if sweep == "rs":
+        return verify_rs_zero_images(g)
+    return verify_family_zero_images(g, FAMILIES)
+
+
+def run_reference(sweep, g):
+    if sweep == "rs":
+        return reference_rs_sweep(g)
+    return reference_family_sweep(g, FAMILIES)
+
+
+def sampled_word(sweep, g):
+    """The assembled word at the middle refold position of the sweep."""
+    if sweep == "rs":
+        total = construction_counts(g)["rs_generator_count"]
+        words = (gen.word for gen in iter_rs_generators(g))
+    else:
+        total = sum(construction_counts(g)["families"].values())
+        words = (
+            w for family in FAMILIES for _f, _indices, w in iter_family_words(g, family)
+        )
+    positions = sorted(refold_sample(total, 0))
+    return next(itertools.islice(words, positions[len(positions) // 2], None))
+
+
+class TestSweepsAgainstReference:
+    @pytest.mark.parametrize("condition", ["none", "core", "refold", "many"])
+    @pytest.mark.parametrize("sweep, scope", list(SWEEP_SCOPES))
+    def test_same_verdicts_labels_and_refolds(self, sweep, scope, condition, monkeypatch):
+        g, limit = SWEEP_SCOPES[sweep, scope]
+        if limit is not None:
+            monkeypatch.setattr(rschreier, "LETTER_FOLD_LIMIT", limit)
+        build_quotient_map(g)  # built before any patch
+        total = (
+            construction_counts(g)["rs_generator_count"] if sweep == "rs"
+            else sum(construction_counts(g)["families"].values())
+        )
+        assert (total > rschreier.LETTER_FOLD_LIMIT) == (scope == "sampled")
+        word_image = fpres.QuotientMap.word_image
+        if condition == "core":
+            # a core of family 1 fails; no RS word holds the symbol
+            image = fpres.QuotientMap.image
+            bad = twist_sq(2, 3)
+            monkeypatch.setattr(
+                fpres.QuotientMap, "image",
+                lambda self, sym: 1 if sym == bad else image(self, sym),
+            )
+        elif condition == "refold":
+            w0 = sampled_word(sweep, g)
+            monkeypatch.setattr(
+                fpres.QuotientMap, "word_image",
+                lambda self, w: 1 if w == w0 else word_image(self, w),
+            )
+        elif condition == "many":
+            # family 1 interleaves the conjugates of a failing core with
+            # failing refolds of passing cores (by f holding (2, 3)), in
+            # word order; family 4 has more failing cores
+            bad = {(yslide(2, 3), -1), (twist_sq(2, 4), 1)}
+            monkeypatch.setattr(
+                fpres.QuotientMap, "word_image",
+                lambda self, w: word_image(self, w) if bad.isdisjoint(w) else 1,
+            )
+        rep = run_sweep(sweep, g)
+        expected, folded = run_reference(sweep, g)
+        assert (rep.passed, rep.failed) == (expected.passed, expected.failed)
+        assert rep.failures == expected.failures
+        assert any(re.search(rf"letter-folded {folded}\b", d) for d in rep.details)
+        n_trans = len(transversal(g))
+        assert rep.failed == {
+            "none": 0,
+            "core": n_trans if sweep == "family" else 0,
+            "refold": 1,
+        }.get(condition, rep.failed)
+        if condition == "many":
+            assert rep.failed > CheckReport.MAX_FAILURES
+            assert len(rep.failures) == CheckReport.MAX_FAILURES
+
+
+def swap_lookup(monkeypatch, a, b):
+    """Make the image -> transversal element lookup hand out element b for
+    a's image and a for b's."""
+    basis_masks = rschreier._basis_masks
+
+    def swapped(g):
+        bit, masks, by_mask = basis_masks(g)
+        by_mask = dict(by_mask)
+        by_mask[masks[a]], by_mask[masks[b]] = b, a
+        return bit, masks, by_mask
+
+    monkeypatch.setattr(rschreier, "_basis_masks", swapped)
+
+
+class TestRsPartLevelCheck:
+    # fold-all, then sampled: there only the part-level check sees every word
+    @pytest.mark.parametrize("g, limit", [(4, None), (6, 100_000)])
+    def test_a_swapped_lookup_fails_exactly_its_words(self, g, limit, monkeypatch):
+        if limit is not None:
+            monkeypatch.setattr(rschreier, "LETTER_FOLD_LIMIT", limit)
+        elems = transversal(g)
+        a, b = 2, 5
+        swap_lookup(monkeypatch, a, b)
+        gens = list(iter_rs_generators(g))
+        wrong = [
+            f"f={gen.f.pairs} x={gen.x.label()} sign={gen.sign}"
+            for gen in gens if gen.rep in (elems[a], elems[b])
+        ]
+        closed = construction_counts(g)["rs_generator_count"]
+        # each swapped element was the literal representative of one f x^+1,
+        # which is no longer skipped
+        assert len(gens) == closed + 2
+        mismatch = f"emitted {len(gens)} generators, closed form {closed}"
+        rep = verify_rs_zero_images(g)
+        assert 0 < len(wrong) < len(gens)
+        assert rep.passed == len(gens) - len(wrong)
+        assert rep.failed == len(wrong) + 1
+        assert rep.failures == tuple((wrong + [mismatch])[: CheckReport.MAX_FAILURES])
+        if limit is not None:
+            # fewer wrong words than refolds, yet every one of them fails
+            assert any(d.startswith("letter-level refolds sampled") for d in rep.details)
+
+
+class TestClosedFormCounts:
+    @pytest.mark.parametrize("sweep", ["rs", "family"])
+    def test_a_walk_off_the_closed_form_fails(self, sweep, monkeypatch):
+        counts = construction_counts(4)
+        skewed = {
+            **counts,
+            "rs_generator_count": counts["rs_generator_count"] + 1,
+            "families": {**counts["families"], "1": counts["families"]["1"] + 1},
+        }
+        monkeypatch.setattr(rschreier, "construction_counts", lambda g: skewed)
+        rep = run_sweep(sweep, 4)
+        if sweep == "rs":
+            assert rep.failures == ("emitted 305 generators, closed form 306",)
+            assert rep.passed == 305
+        else:
+            assert rep.failures == ("walked 784 words, closed form 785",)
+            assert rep.passed == 784
+
+
+class TestRefoldSample:
+    @given(
+        st.integers(1, 10**15),
+        st.integers(1, 300),
+        st.integers(0, 2**64),
+    )
+    def test_one_increasing_position_per_block(self, n, k, seed):
+        k = min(k, n)
+        positions = rschreier._stratified_positions(n, k, random.Random(seed))
+        assert inspect.isgenerator(positions)
+        positions = list(positions)
+        assert len(positions) == k
+        for b, p in enumerate(positions):
+            lo, hi = b * n // k, (b + 1) * n // k
+            assert hi - lo in (n // k, -(-n // k))
+            assert lo <= p < hi
+        assert all(p < q for p, q in zip(positions, positions[1:]))
+        assert 0 <= positions[0] and positions[-1] < n
+        again = rschreier._stratified_positions(n, k, random.Random(seed))
+        assert list(again) == positions
+
+    def test_sampled_family_sweep_draws_once_per_block(self, monkeypatch):
+        draws = count_draws(monkeypatch)
+        rep = verify_family_zero_images(6, FAMILIES)
+        assert rep.ok
+        assert draws[0] == rschreier.LETTER_FOLD_SAMPLE
+        assert f"letter-folded {rschreier.LETTER_FOLD_SAMPLE} assembled words" in rep.details
+
+    def test_sampled_rs_sweep_genus7(self, monkeypatch):
+        build_quotient_map(7)  # built outside the count
+        draws = count_draws(monkeypatch)
+        calls = count_word_images(monkeypatch)
+        rep = verify_rs_zero_images(7)
+        sample = rschreier.LETTER_FOLD_SAMPLE
+        assert construction_counts(7)["rs_generator_count"] > rschreier.LETTER_FOLD_LIMIT
+        assert (rep.passed, rep.failed) == (3_637_249, 0)
+        assert draws[0] == calls[0] == sample
+        assert rep.details == (
+            f"emitted 3637249 generators, letter-folded {sample}",
+            "letter-level refolds sampled with seed 0; part-level images"
+            " checked for all words",
+        )
+
+    def test_fold_all_scopes_draw_nothing(self, monkeypatch):
+        draws = count_draws(monkeypatch)
+        for g in (3, 4, 5, 6):
+            assert verify_rs_zero_images(g).ok
+        for g in (3, 4, 5):
+            assert verify_family_zero_images(g, FAMILIES).ok
+        assert verify_family_zero_images(6).ok  # families 1-3: 81,920 words
+        assert draws[0] == 0
