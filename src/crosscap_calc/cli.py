@@ -206,12 +206,8 @@ def _run_transversal(g: int, seed: int) -> Iterator[CheckReport]:
 
 def _run_rs(g: int, seed: int) -> Iterator[CheckReport]:
     yield rschreier.verify_rs_zero_images(g, seed=seed)
-    counts = rschreier.construction_counts(g)["families"]
-    include4 = counts["4"] <= rschreier.LETTER_FOLD_LIMIT
-    families = ("1", "2", "3", "4") if include4 else ("1", "2", "3")
-    yield rschreier.verify_family_zero_images(g, families, seed=seed)
-    if include4:
-        yield rschreier.verify_reduced4_constraint(g)
+    yield rschreier.verify_family_zero_images(g, ("1", "2", "3", "4"), seed=seed)
+    yield rschreier.verify_reduced4_constraint(g)
 
 
 def _run_case_identities(g: int, seed: int) -> Iterator[CheckReport]:

@@ -18,11 +18,14 @@ distinct argument tuple, so words share their symbols.
   in the matrix group, and are deliberately never matrix-verified.
 
 Families bar-(1) and bar-(2) make the quotient an elementary abelian
-2-group, so its relators abelianize to GF(2) rows and the quotient rank
-is a bit-matrix rank computation (``quotient_rank``).  A word's image
-in the quotient is the XOR of its letters' bitmasks
-(``QuotientMap.word_image``); the masks of the slide letters are a table
-filled when the map is built.  The subgroup
+2-group, so its relators abelianize to GF(2) rows over the pair classes.
+One row reduction per genus gives both the rank (``quotient_rank``:
+pairs less pivots) and the map (``build_quotient_map``): with the
+declared basis in the low bits, a pair's image is its normal form modulo
+the relator rows, once the pivots' leading bits are checked to be exactly
+the non-basis positions.  A word's image in the quotient is the XOR of
+its letters' bitmasks (``QuotientMap.word_image``); the masks of the
+slide letters are a table filled when the map is built.  The subgroup
 generated by the squares of Dehn twists sits at index 2, whence
 ``twist_quotient_rank`` is one less.
 
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from . import exactmat
@@ -76,7 +79,8 @@ class UnsupportedSymbolError(ValueError):
 
 
 class InconsistentQuotientError(ArithmeticError):
-    """The bar-(5) relations failed to determine the quotient classes.
+    """The declared basis is not a basis of the quotient: the relator
+    rows' pivots do not lead at exactly the non-basis pair positions.
 
     This cannot happen if the quotient presentation is consistent; it
     aborts loudly rather than return a wrong map.
@@ -416,14 +420,37 @@ def degenerate_representation_control(g: int) -> bool:
 # the GF(2) quotient
 
 
-def _f2_row_rank(rows: Iterable[int]) -> int:
+def _f2_reduce(row: int, pivots: Iterable[int]) -> int:
+    """Normal form of ``row`` modulo the pivots' span: XOR in each pivot,
+    in the order the pivots were found, whose leading bit ``row`` has.
+    Each pivot was itself reduced by the earlier ones, so the result has
+    none of their leading bits."""
+    for p in pivots:
+        row = min(row, row ^ p)
+    return row
+
+
+@functools.cache
+def _quotient_pivots(g: int) -> tuple[tuple[Pair, ...], tuple[int, ...]]:
+    """(the pair classes in bit order, the reduced relator rows).
+
+    The declared basis takes the low bits, in basis order, and the other
+    pairs the bits above it.  Each QUOTIENT_BAR relator abelianizes to a
+    row; the bar-(1) and bar-(2) rows are 0 and are skipped.
+    """
+    basis = quotient_basis(g)
+    layout = basis + tuple(p for p in pair_set(g) if p not in basis)
+    bit = {yslide(*p): 1 << n for n, p in enumerate(layout)}
     pivots: list[int] = []
-    for row in rows:
-        for p in pivots:
-            row = min(row, row ^ p)
+    for rel in build_presentation(g, VARIANT_QUOTIENT).relators:
+        row = 0
+        for sym, _exp in rel.word:
+            row ^= bit[sym]
         if row:
-            pivots.append(row)
-    return len(pivots)
+            row = _f2_reduce(row, pivots)
+            if row:
+                pivots.append(row)
+    return layout, tuple(pivots)
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,46 +460,23 @@ class QuotientMap:
     The quotient of the level-2 group by the normal closure of the
     slide-swap elements is an elementary abelian 2-group with basis the
     pair classes ``(i, j)`` with ``2 <= i < j <= g``, plus ``(1, g)``
-    when g is even.  Images are bitmasks over that basis; bit positions
-    follow ``self.basis``.
+    when g is even.  Images are bitmasks over that basis; bit n is
+    ``basis[n]``.
     """
 
     g: int
     basis: tuple[Pair, ...]
-    first_row: tuple[tuple[int, int], ...]  # (j, mask) for the (1, j) classes
-    #: every slide symbol Y[i, j] of genus g -> its mask, filled on construction
-    _slide_masks: dict[GenSymbol, int] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        g = self.g
-        masks = {
-            yslide(i, j): self.pair_image(i, j)
-            for i in range(1, g + 1)
-            for j in range(1, g + 1)
-            if i != j
-        }
-        object.__setattr__(self, "_slide_masks", masks)
-
-    @functools.cached_property
-    def _bit(self) -> dict[Pair, int]:
-        return {p: n for n, p in enumerate(self.basis)}
-
-    @functools.cached_property
-    def _first(self) -> dict[int, int]:
-        return dict(self.first_row)
-
-    def pair_image(self, i: int, j: int) -> int:
-        i, j = min(i, j), max(i, j)
-        if not 1 <= i < j <= self.g:
-            raise IndexRangeError(f"pair ({i},{j}) outside genus {self.g}")
-        if (i, j) in self._bit:
-            return 1 << self._bit[(i, j)]
-        return self._first[j]
+    #: every slide symbol Y[i, j] of genus g, both index orders -> its mask
+    slide_masks: dict[GenSymbol, int]
 
     def image(self, sym: GenSymbol) -> int:
         """Quotient image of a symbol as a bitmask over ``basis``."""
         if sym.kind == KIND_YSLIDE:
-            return self.pair_image(*sym.indices)
+            mask = self.slide_masks.get(sym)
+            if mask is None:
+                i, j = sorted(sym.indices)
+                raise IndexRangeError(f"pair ({i},{j}) outside genus {self.g}")
+            return mask
         if sym.kind in (KIND_TWIST_SQ, KIND_BETA_TWIST, KIND_SUBSET_SQ):
             # these lie in the normal closure being quotiented away
             return 0
@@ -481,7 +485,7 @@ class QuotientMap:
     def word_image(self, w: Word) -> int:
         """XOR of the letters' images: slides read from the table built
         with the map, every other letter through ``image``."""
-        slide_mask = self._slide_masks.get
+        slide_mask = self.slide_masks.get
         acc = 0
         for sym, _exp in w:  # in a 2-group the exponent sign is irrelevant
             mask = slide_mask(sym)
@@ -501,96 +505,34 @@ def quotient_basis(g: int) -> tuple[Pair, ...]:
 
 @functools.cache
 def build_quotient_map(g: int) -> QuotientMap:
-    """Solve the bar-(5) relations for the classes of the (1, j) slides.
+    """Each pair class's normal form modulo the quotient relator rows.
 
-    Every pair class with both indices >= 2 (plus (1, g) for even g) is
-    declared a basis vector; the remaining (1, j) classes are the
-    unknowns of the GF(2) linear system read off the bar-(5) relators.
-    The system must have a unique solution and the solved map must kill
-    every quotient relator, otherwise the construction aborts.
+    With the declared basis in the low bits, the basis is independent
+    modulo the relators and spans the quotient exactly when the pivots'
+    leading bits are the non-basis positions; otherwise the construction
+    aborts.  Then every normal form lies in the basis bits and a basis
+    pair keeps its own bit.  Normal forms are linear and send every
+    relator row to 0, so the map kills every quotient relator.
     """
     g = genus(g)
     basis = quotient_basis(g)
-    bit = {p: n for n, p in enumerate(basis)}
-    unknowns = [j for j in range(2, g + 1) if (1, j) not in bit]
-    upos = {j: n for n, j in enumerate(unknowns)}
-
-    def term(i: int, j: int) -> tuple[int, int]:
-        """(unknown-coefficients, known-mask) for one pair class."""
-        i, j = min(i, j), max(i, j)
-        if (i, j) in bit:
-            return 0, 1 << bit[(i, j)]
-        return 1 << upos[j], 0
-
-    equations: list[tuple[int, int]] = []
-    pres = build_presentation(g, VARIANT_QUOTIENT)
-    for rel in pres.relators:
-        if not rel.family.startswith("bar5"):
-            continue
-        coeff, rhs = 0, 0
-        for sym, _exp in rel.word:
-            c, k = term(*sym.indices)
-            coeff ^= c
-            rhs ^= k
-        equations.append((coeff, rhs))
-
-    # GF(2) elimination for a unique solution of the unknown classes
-    solution = [0] * len(unknowns)
-    pivots: dict[int, tuple[int, int]] = {}
-    for coeff, rhs in equations:
-        for p, (pc, pr) in pivots.items():
-            if coeff >> p & 1:
-                coeff ^= pc
-                rhs ^= pr
-        if coeff == 0:
-            if rhs != 0:
-                raise InconsistentQuotientError("contradictory bar-(5) relations")
-            continue
-        pivots[coeff.bit_length() - 1] = (coeff, rhs)
-    if len(pivots) != len(unknowns):
-        raise InconsistentQuotientError("bar-(5) relations leave a free class")
-    # each pivot row writes its unknown in terms of strictly lower
-    # positions, so substitution must walk the positions upward
-    for p in sorted(pivots):
-        coeff, rhs = pivots[p]
-        rest = coeff & ~(1 << p)
-        while rest:
-            q = rest.bit_length() - 1
-            rhs ^= solution[q]
-            rest &= ~(1 << q)
-        solution[p] = rhs
-
-    first_row = []
-    for j in range(2, g + 1):
-        if (1, j) in bit:
-            first_row.append((j, 1 << bit[(1, j)]))
-        else:
-            first_row.append((j, solution[upos[j]]))
-    qmap = QuotientMap(g=g, basis=basis, first_row=tuple(first_row))
-
-    for rel in pres.relators:
-        if qmap.word_image(rel.word) != 0:
-            raise InconsistentQuotientError(
-                f"solved map fails quotient relator {rel.family}{rel.indices}"
-            )
-    return qmap
+    layout, pivots = _quotient_pivots(g)
+    leads = sorted(p.bit_length() - 1 for p in pivots)
+    if leads != list(range(len(basis), len(layout))):
+        raise InconsistentQuotientError(
+            f"the declared pair classes are not a basis of the genus {g} quotient"
+        )
+    masks: dict[GenSymbol, int] = {}
+    for n, (i, j) in enumerate(layout):
+        masks[yslide(i, j)] = masks[yslide(j, i)] = _f2_reduce(1 << n, pivots)
+    return QuotientMap(g=g, basis=basis, slide_masks=masks)
 
 
-@functools.cache
 def quotient_rank(g: int) -> int:
-    """GF(2) dimension of the quotient, by row reduction of the full
-    abelianized relator matrix over all pair generators."""
-    g = genus(g)
-    pres = build_presentation(g, VARIANT_QUOTIENT)
-    pairs = pair_set(g)
-    bit = {p: n for n, p in enumerate(pairs)}
-    rows = []
-    for rel in pres.relators:
-        row = 0
-        for sym, _exp in rel.word:
-            row ^= 1 << bit[sym.indices]
-        rows.append(row)
-    return len(pairs) - _f2_row_rank(rows)
+    """GF(2) dimension of the quotient: the pair classes less the pivots
+    of the relator row reduction, whatever basis the map declares."""
+    layout, pivots = _quotient_pivots(genus(g))
+    return len(layout) - len(pivots)
 
 
 def twist_quotient_rank(g: int) -> int:

@@ -379,8 +379,6 @@ def stabilizer_case_check(
         if inv not in table:
             rb.record(False, f"{label}: not expressible over permitted twists")
             continue
-        w = table[inv]
-        product = evaluate_word(g, gens, w)
-        ok = product == inv and (target * product).is_identity()
-        rb.record(ok, f"{label}: word does not re-multiply to the inverse")
+        product = evaluate_word(g, gens, table[inv])
+        rb.record(product == inv, f"{label}: word does not re-multiply to the inverse")
     return rb.build()

@@ -190,10 +190,10 @@ def _pairs_mask(bit: dict[Pair, int], pairs: tuple[Pair, ...]) -> int:
 
 
 def _basis_masks(g: int) -> tuple[dict[Pair, int], tuple[int, ...], dict[int, int]]:
-    """(bit of each basis pair, each transversal element's image in
+    """(image of each basis pair, each transversal element's image in
     transversal order, the index of the element with each image)."""
     qmap = build_quotient_map(g)
-    bit = {p: 1 << n for n, p in enumerate(qmap.basis)}
+    bit = {p: qmap.image(yslide(*p)) for p in qmap.basis}
     masks = tuple(_pairs_mask(bit, t.pairs) for t in transversal(g))
     return bit, masks, {m: n for n, m in enumerate(masks)}
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import crosscap_calc
-from crosscap_calc import SCHEMA_VERSION, __version__, cli, exactmat, fpres
+from crosscap_calc import SCHEMA_VERSION, __version__, cli, exactmat, fpres, rschreier
 from crosscap_calc.cli import (
     CHECK_NAMES,
     RunConfig,
@@ -176,6 +176,16 @@ class TestRun:
 
         monkeypatch.setattr(exactmat, "mat_mul", forbidden)
         assert run(RunConfig(check="commutation", value_range=(3, 5)))["overall_pass"]
+
+    def test_rs_covers_family_4_at_genus_6(self, capsys):
+        # family 4 has 460,800 words at g=6, more than the fold-all limit
+        assert rschreier.LETTER_FOLD_LIMIT < 460_800
+        code, report = run_json(capsys, "verify", "rs", "--g", "6")
+        assert code == 0
+        entries = {e["check"]: e for e in report["checks"]}
+        assert all(e["failed"] == 0 for e in entries.values())
+        assert "family 4: 460800 words" in entries["family-zero-image"]["details"]
+        assert entries["family4-reduced"]["passed"] == 2086
 
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,16 @@
 """Presentations, relator verification, and the GF(2) quotient map."""
 
+import functools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crosscap_calc import exactmat, fpres
 from crosscap_calc.fpres import (
     InconsistentQuotientError,
+    Relator,
     UnsupportedSymbolError,
     VARIANT_COR,
     VARIANT_PROP,
@@ -228,21 +231,21 @@ class TestQuotientMap:
 
     def test_genus3_all_classes_collapse(self):
         qm = build_quotient_map(3)
-        assert qm.pair_image(1, 2) == 1
-        assert qm.pair_image(1, 3) == 1
-        assert qm.pair_image(2, 3) == 1
+        assert qm.image(yslide(1, 2)) == 1
+        assert qm.image(yslide(1, 3)) == 1
+        assert qm.image(yslide(2, 3)) == 1
 
     def test_genus4_solved_images_frozen(self):
         qm = build_quotient_map(4)
         bit = {p: 1 << n for n, p in enumerate(quotient_basis(4))}
-        assert qm.pair_image(1, 4) == bit[(1, 4)]
-        assert qm.pair_image(1, 2) == bit[(1, 4)] ^ bit[(2, 3)] ^ bit[(3, 4)]
-        assert qm.pair_image(1, 3) == bit[(1, 4)] ^ bit[(2, 3)] ^ bit[(2, 4)]
+        assert qm.image(yslide(1, 4)) == bit[(1, 4)]
+        assert qm.image(yslide(1, 2)) == bit[(1, 4)] ^ bit[(2, 3)] ^ bit[(3, 4)]
+        assert qm.image(yslide(1, 3)) == bit[(1, 4)] ^ bit[(2, 3)] ^ bit[(2, 4)]
 
     def test_pair_image_is_symmetric(self):
         qm = build_quotient_map(5)
         for i, j in pair_set(5):
-            assert qm.pair_image(i, j) == qm.pair_image(j, i)
+            assert qm.image(yslide(i, j)) == qm.image(yslide(j, i))
 
     def test_every_quotient_relator_dies(self):
         for g in (3, 4, 5, 6):
@@ -273,8 +276,8 @@ class TestQuotientMap:
         for g in (3, 4, 7):
             qm = build_quotient_map(g)
             slides = [yslide(i, j) for i in range(1, g + 1) for j in range(1, g + 1) if i != j]
-            assert len(qm._slide_masks) == g * (g - 1)
-            assert all(qm._slide_masks[s] == qm.image(s) for s in slides)
+            assert len(qm.slide_masks) == g * (g - 1)
+            assert all(qm.slide_masks[s] == qm.image(s) for s in slides)
 
     def test_word_image_matches_a_per_letter_fold(self):
         rng = random.Random(2024)
@@ -313,6 +316,85 @@ class TestQuotientMap:
             parity = 1 if g % 2 == 0 else 0
             assert r == math.comb(g - 1, 2) + parity
         assert len(build_quotient_map(6).basis) == RANKS[6]
+
+    def test_basis_pairs_map_to_their_unit_bits(self):
+        for g in range(3, 9):
+            qm = build_quotient_map(g)
+            for n, (i, j) in enumerate(qm.basis):
+                assert qm.image(yslide(i, j)) == qm.image(yslide(j, i)) == 1 << n
+
+
+@functools.cache
+def _relator_rows(g):
+    """Each quotient relator abelianized over the reduction's bit layout."""
+    layout, _pivots = fpres._quotient_pivots(g)
+    bit = {p: 1 << n for n, p in enumerate(layout)}
+    rows = []
+    for rel in build_presentation(g, VARIANT_QUOTIENT).relators:
+        row = 0
+        for sym, _exp in rel.word:
+            row ^= bit[sym.indices]
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.integers(3, 8), data=st.data())
+def test_f2_reduce_is_a_normal_form_modulo_the_relators(g, data):
+    layout, pivots = fpres._quotient_pivots(g)
+    rows = st.integers(0, (1 << len(layout)) - 1)
+    a, b = data.draw(rows), data.draw(rows)
+
+    def nf(row):
+        return fpres._f2_reduce(row, pivots)
+
+    assert nf(a ^ b) == nf(a) ^ nf(b)
+    assert nf(nf(a)) == nf(a)
+    assert all(not nf(a) >> (p.bit_length() - 1) & 1 for p in pivots)
+    assert all(nf(row) == 0 for row in _relator_rows(g))
+
+
+def _clear_quotient_caches():
+    fpres._quotient_pivots.cache_clear()
+    build_quotient_map.cache_clear()
+
+
+@pytest.fixture
+def edit_quotient_relators(monkeypatch):
+    """Install ``edit(g, relators) -> relators`` over the quotient
+    relators with the quotient caches cleared, and restore both after."""
+    original = fpres._quotient_relators
+
+    def install(edit):
+        monkeypatch.setattr(fpres, "_quotient_relators", lambda g: edit(g, list(original(g))))
+        _clear_quotient_caches()
+
+    yield install
+    monkeypatch.undo()
+    _clear_quotient_caches()
+
+
+class TestQuotientNegativeControls:
+    @pytest.mark.parametrize("g, rank", [(4, 6), (5, 9), (6, 15)])
+    def test_dropping_bar5_frees_classes(self, edit_quotient_relators, g, rank):
+        edit_quotient_relators(lambda g, rels: [r for r in rels if r.family != "bar5"])
+        assert quotient_rank(g) == rank != RANKS[g]
+        with pytest.raises(InconsistentQuotientError):
+            build_quotient_map(g)
+
+    def test_dropping_bar5odd_frees_a_class(self, edit_quotient_relators):
+        edit_quotient_relators(lambda g, rels: [r for r in rels if r.family != "bar5odd"])
+        assert quotient_rank(5) == 7 != RANKS[5]
+        with pytest.raises(InconsistentQuotientError):
+            build_quotient_map(5)
+
+    @pytest.mark.parametrize("g", [4, 5, 6])
+    def test_killing_a_basis_class_is_caught(self, edit_quotient_relators, g):
+        extra = Relator("extra", (2, 3), word(yslide(2, 3)))
+        edit_quotient_relators(lambda g, rels: rels + [extra])
+        assert quotient_rank(g) == RANKS[g] - 1
+        with pytest.raises(InconsistentQuotientError):
+            build_quotient_map(g)
 
 
 class TestPhiImages:

@@ -337,6 +337,26 @@ class TestStabilizerCases:
             stab = [a for a in enumerate_o2(g) if a.apply(v) == v]
             assert len(stab) == order
 
+    @pytest.mark.parametrize("case", [CASE_ALPHA1, CASE_ALPHA_ALL])
+    def test_a_wrong_word_fails_its_element_only(self, monkeypatch, case):
+        # give one stabilizer element the word of another one
+        g = 4
+        v = {CASE_ALPHA1: 0b1, CASE_ALPHA_ALL: (1 << g) - 1}[case]
+        stab = sorted(a for a in enumerate_o2(g) if a.apply(v) == v)
+        victim, donor = stab[1], stab[2]
+        original = gf2.word_table
+
+        def swapped(g, gens):
+            table = original(g, gens)
+            table[victim.transpose()] = table[donor.transpose()]
+            return table
+
+        monkeypatch.setattr(gf2, "word_table", swapped)
+        rep = stabilizer_case_check(g, case)
+        assert rep.failures == (
+            f"element rows={victim.rows}: word does not re-multiply to the inverse",
+        )
+
     def test_unknown_case_rejected(self):
         with pytest.raises(ValueError):
             stabilizer_case_check(4, "alpha99")
