@@ -75,10 +75,9 @@ def _run_presentation(g: int, seed: int) -> Iterator[CheckReport]:
     prop = fpres.build_presentation(g, fpres.VARIANT_PROP)
     prop_report = fpres.verify_relators(prop)
     yield prop_report
-    # COR_WITH_5 is PROP then family (5): fold PROP's report with the tail's
-    cor = fpres.build_presentation(g, fpres.VARIANT_COR)
-    family5 = replace(cor, relators=cor.relators[len(prop.relators):])
-    rb = ReportBuilder(f"relators:{cor.variant}", g=g)
+    # COR_WITH_5 is PROP then family (5): fold PROP's report with family (5)'s
+    family5 = replace(prop, variant=fpres.VARIANT_COR, relators=fpres.family5_relators(g))
+    rb = ReportBuilder(f"relators:{family5.variant}", g=g)
     _fold(rb, prop_report)
     _fold(rb, fpres.verify_relators(family5))
     yield rb.build()

@@ -16,9 +16,11 @@ Matrices act on column vectors; column ``m`` holds the image of the
 m-th basis class.  ``Y[g, i]`` is not an independent generator: it is
 the product ``(Y[1,i] Y[1,g]) ... (Y[g-1,i] Y[g-1,g]) Y[i,g]`` (the
 ``k = i`` factor omitted), which collapses to a closed form with ``-1``
-at ``(i, i)`` and ``-2`` down the rest of column ``i``.  ``make_y_gi``
-computes both, the product through ``eval_word`` like any other word,
-and refuses to answer if they disagree.
+at ``(i, i)`` and ``-2`` down the rest of column ``i``.  That product is
+written once, as the letters of ``gi_product``; ``fpres`` reads its
+relator (5) and the quotient form bar-(5) from the same letters.
+``make_y_gi`` computes both, the product through ``eval_word`` like any
+other word, and refuses to answer if they disagree.
 
 Words never invert: every slide is an involution (relator family (1),
 checked once per cached slide), so ``eval_word`` reads an exponent of -1
@@ -202,8 +204,7 @@ def make_y(g: int, i: int, j: int) -> IntMatrix:
         raise IndexRangeError(f"second index {j} outside 1..{g}")
     if i == j:
         raise IndexRangeError("slide indices must differ")
-    n = g - 1
-    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    rows = [list(row) for row in identity(g - 1).rows]
     rows[i - 1][i - 1] = -1
     if j <= g - 1:
         rows[i - 1][j - 1] = 2
@@ -212,23 +213,28 @@ def make_y(g: int, i: int, j: int) -> IntMatrix:
     )
 
 
+def gi_product(g: int, i: int) -> tuple[YLetter, ...]:
+    """The letters of (Y[1,i] Y[1,g]) ... (Y[g-1,i] Y[g-1,g]) Y[i,g], the
+    k = i factor omitted: the defining product of Y[g, i] (family (5))."""
+    g = genus(g)
+    if not 1 <= i <= g - 1:
+        raise IndexRangeError(f"index {i} outside 1..{g - 1}")
+    letters = [((k, j), 1) for k in range(1, g) if k != i for j in (i, g)]
+    return (*letters, ((i, g), 1))
+
+
 @functools.cache
 def make_y_gi(g: int, i: int) -> IntMatrix:
     """Matrix of Y[g, i]: closed form, cross-checked against the product.
 
-    Product: (Y[1,i] Y[1,g]) ... (Y[g-1,i] Y[g-1,g]) Y[i,g] with the
-    k = i factor omitted, evaluated by ``eval_word`` over the ``make_y``
-    column updates.  Closed form: -1 at (i, i), -2 at (m, i) for every
-    other row m, identity elsewhere.  Disagreement would mean the matrix
-    convention is inconsistent, so it raises instead of guessing.
+    The product is ``gi_product`` evaluated by ``eval_word`` over the
+    ``make_y`` column updates.  Closed form: -1 at (i, i), -2 at (m, i)
+    for every other row m, identity elsewhere.  Disagreement would mean
+    the matrix convention is inconsistent, so it raises instead of
+    guessing.
     """
-    g = genus(g)
-    if not 1 <= i <= g - 1:
-        raise IndexRangeError(f"index {i} outside 1..{g - 1}")
-    n = g - 1
-    letters = [((k, j), 1) for k in range(1, g) if k != i for j in (i, g)]
-    product = eval_word(g, letters + [((i, g), 1)])
-    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    product = eval_word(g, gi_product(g, i))
+    rows = [list(row) for row in identity(g - 1).rows]
     for m in range(1, g):
         rows[m - 1][i - 1] = -1 if m == i else -2
     closed = IntMatrix(tuple(tuple(row) for row in rows))

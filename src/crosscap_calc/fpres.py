@@ -7,15 +7,17 @@ constructors) return interned ``GenSymbol``s, validated once per
 distinct argument tuple, so words share their symbols.
 
 * ``PROP_1_TO_4``: relator families (1)-(4) on the generators with
-  first index at most g - 1.  Every relator is a matrix identity and
-  ``verify_relators`` checks exactly that.
+  first index at most g - 1, one row each of the table ``_PROP_FAMILIES``.
+  Every relator is a matrix identity and ``verify_relators`` checks
+  exactly that.
 * ``COR_WITH_5``: the same plus family (5), the Tietze extension that
-  defines ``Y[g, i]`` as a product of the other generators.
+  defines ``Y[g, i]`` as the one product ``exactmat.gi_product``.
 * ``QUOTIENT_BAR``: the induced presentation of the quotient by the
   normal closure of the elements ``Y[j, i]^-1 Y[i, j]``.  In the
   quotient the two index orders coincide, so its generators are the
-  unordered pairs ``i < j``.  These relators hold in the quotient, not
-  in the matrix group, and are deliberately never matrix-verified.
+  unordered pairs ``i < j`` and bar-(5) is that product's quotient
+  reading.  These relators hold in the quotient, not in the matrix
+  group, and are deliberately never matrix-verified.
 
 Families bar-(1) and bar-(2) make the quotient an elementary abelian
 2-group, so its relators abelianize to GF(2) rows over the pair classes.
@@ -202,82 +204,41 @@ def _sq(*pairs: Pair) -> Word:
     return w + w
 
 
+#: relator families (1)-(4): (family, the range of each index, "I" for
+#: 1..g-1 and "J" for 1..g, the slides as pairs of index positions).  A
+#: relator is the square of the product of its slides, for every index
+#: tuple with pairwise distinct entries, in nested-loop order.
+_PROP_FAMILIES = (
+    # (1): each slide is an involution
+    ("1", "IJ", ((0, 1),)),
+    # (2): two slides with a shared second index or fully disjoint indices
+    ("2a", "IJI", ((0, 1), (2, 1))),
+    ("2b", "IJIJ", ((0, 1), (2, 3))),
+    # (3): three slides through a shared index
+    ("3a", "IIJ", ((0, 1), (0, 2), (1, 2))),
+    ("3b", "IJJJ", ((0, 1), (0, 2), (0, 3))),
+    # (4): the six-slide cycle on three indices
+    ("4", "III", ((1, 0), (0, 1), (2, 1), (1, 2), (0, 2), (2, 0))),
+)
+
+
 def _prop_relators(g: int) -> Iterator[Relator]:
-    rng_i = range(1, g)      # first slide index
-    rng_j = range(1, g + 1)  # second slide index
-    # family (1): each slide is an involution
-    for i in rng_i:
-        for j in rng_j:
-            if j != i:
-                yield Relator("1", (i, j), _sq((i, j)))
-    # family (2): squares of two-slide products, shared second index or
-    # fully disjoint indices
-    for i in rng_i:
-        for j in rng_j:
-            if j == i:
-                continue
-            for k in rng_i:
-                if k not in (i, j):
-                    yield Relator("2a", (i, j, k), _sq((i, j), (k, j)))
-    for i in rng_i:
-        for j in rng_j:
-            if j == i:
-                continue
-            for k in rng_i:
-                if k in (i, j):
-                    continue
-                for l in rng_j:
-                    if l not in (i, j, k):
-                        yield Relator("2b", (i, j, k, l), _sq((i, j), (k, l)))
-    # family (3): squares of three-slide products through a shared index
-    for i in rng_i:
-        for j in rng_i:
-            if j == i:
-                continue
-            for k in rng_j:
-                if k not in (i, j):
-                    yield Relator("3a", (i, j, k), _sq((i, j), (i, k), (j, k)))
-    for i in rng_i:
-        for j in rng_j:
-            if j == i:
-                continue
-            for k in rng_j:
-                if k in (i, j):
-                    continue
-                for l in rng_j:
-                    if l not in (i, j, k):
-                        yield Relator("3b", (i, j, k, l), _sq((i, j), (i, k), (i, l)))
-    # family (4): square of the six-slide cycle word on three indices
-    for i in rng_i:
-        for j in rng_i:
-            if j == i:
-                continue
-            for k in rng_i:
-                if k in (i, j):
-                    continue
-                yield Relator(
-                    "4", (i, j, k),
-                    _sq((j, i), (i, j), (k, j), (j, k), (i, k), (k, i)),
-                )
+    ranges = {"I": range(1, g), "J": range(1, g + 1)}
+    for family, letters, shape in _PROP_FAMILIES:
+        for idx in itertools.product(*(ranges[c] for c in letters)):
+            if len(set(idx)) == len(idx):
+                yield Relator(family, idx, _sq(*((idx[a], idx[b]) for a, b in shape)))
 
 
 def relator5_word(g: int, i: int) -> Word:
-    """(Y[1,i] Y[1,g]) ... (Y[g-1,i] Y[g-1,g]) Y[i,g] Y[g,i]^-1, k=i omitted."""
-    letters: list[tuple[GenSymbol, int]] = []
-    for k in range(1, g):
-        if k == i:
-            continue
-        letters.append((yslide(k, i), 1))
-        letters.append((yslide(k, g), 1))
-    letters.append((yslide(i, g), 1))
-    letters.append((yslide(g, i), -1))
-    return tuple(letters)
+    """Y[g, i]'s defining product (``exactmat.gi_product``), then Y[g, i]^-1."""
+    letters = tuple((yslide(*p), exp) for p, exp in exactmat.gi_product(g, i))
+    return letters + ((yslide(g, i), -1),)
 
 
-def _cor_relators(g: int) -> Iterator[Relator]:
-    yield from _prop_relators(g)
-    for i in range(1, g):
-        yield Relator("5", (i,), relator5_word(g, i))
+def family5_relators(g: int) -> tuple[Relator, ...]:
+    """Family (5), the relators that COR_WITH_5 adds to PROP_1_TO_4."""
+    return tuple(Relator("5", (i,), relator5_word(g, i)) for i in range(1, g))
 
 
 def pair_set(g: int) -> tuple[Pair, ...]:
@@ -286,16 +247,11 @@ def pair_set(g: int) -> tuple[Pair, ...]:
 
 
 def bar5_word(g: int, i: int) -> Word:
-    """(Y[1,i] Y[1,g]) ... (Y[i-1,i] Y[i-1,g]) (Y[i,i+1] Y[i+1,g]) ...
-    (Y[i,g-1] Y[g-1,g]), all first indices below second (quotient form)."""
-    letters: list[tuple[GenSymbol, int]] = []
-    for k in range(1, i):
-        letters.append((yslide(k, i), 1))
-        letters.append((yslide(k, g), 1))
-    for k in range(i + 1, g):
-        letters.append((yslide(i, k), 1))
-        letters.append((yslide(k, g), 1))
-    return tuple(letters)
+    """Family (5) read in the quotient: the defining product of Y[g, i]
+    with each pair's indices sorted, less its last letter Y[i, g], which
+    cancels against Y[g, i]^-1 once the two index orders coincide."""
+    letters = exactmat.gi_product(g, i)[:-1]
+    return tuple((yslide(*sorted(p)), exp) for p, exp in letters)
 
 
 def bar5_odd_word(g: int) -> Word:
@@ -336,22 +292,18 @@ def build_presentation(g: int, variant: str) -> Presentation:
     g = genus(g)
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    if variant == VARIANT_PROP:
+    if variant == VARIANT_QUOTIENT:
+        gens = tuple(yslide(i, j) for i, j in pair_set(g))
+        rels = tuple(_quotient_relators(g))
+    else:
         gens = tuple(
             yslide(i, j) for i in range(1, g) for j in range(1, g + 1) if j != i
         )
         rels = tuple(_prop_relators(g))
-    elif variant == VARIANT_COR:
-        gens = tuple(
-            yslide(i, j)
-            for i in range(1, g + 1)
-            for j in range(1, g + 1)
-            if j != i and (i < g or j < g)
-        )
-        rels = tuple(_cor_relators(g))
-    else:
-        gens = tuple(yslide(i, j) for i, j in pair_set(g))
-        rels = tuple(_quotient_relators(g))
+    if variant == VARIANT_COR:
+        # COR_WITH_5 is PROP_1_TO_4 plus the Y[g, i] that family (5) defines
+        gens += tuple(yslide(g, i) for i in range(1, g))
+        rels += family5_relators(g)
     return Presentation(g=g, variant=variant, generators=gens, relators=rels)
 
 

@@ -209,13 +209,14 @@ def _rs_pairs(g: int) -> Iterator[tuple]:
 
     The part image is the XOR of the images of f, x and rep(f x), the
     representative's read from the per-element table rather than from the
-    mask it was looked up by.  The skip rule is stated here and only here.
+    mask it was looked up by.  Each inverse word is built the first time
+    it is needed.  The skip rule is stated here and only here.
     """
     g = genus(g)
     qmap = build_quotient_map(g)
     bit, masks, by_mask = _basis_masks(g)
     elems = transversal(g)
-    inverses = [winv(t.word()) for t in elems]
+    inverses: list[Word | None] = [None] * len(elems)
     # (symbol, image, its pair when it is a basis slide)
     xs = [
         (x, qmap.image(x), x.indices if x.kind == KIND_YSLIDE and x.indices in bit else None)
@@ -229,6 +230,8 @@ def _rs_pairs(g: int) -> Iterator[tuple]:
             # skipped: f x^+1 when it literally is its own representative
             skip = pair is not None and rep.pairs == f.pairs + (pair,)
             signs = _MINUS_ONLY if skip else _BOTH_SIGNS
+            if inverses[r] is None:
+                inverses[r] = winv(rep.word())
             yield f, fword, x, rep, inverses[r], fmask ^ xmask ^ masks[r], signs
 
 

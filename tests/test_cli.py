@@ -214,6 +214,18 @@ def _relator_entries(g):
 
 
 class TestPresentationRunner:
+    def test_builds_prop_once_per_genus_and_cor_never(self, monkeypatch):
+        built = []
+        real = fpres.build_presentation
+
+        def counting(g, variant):
+            built.append((g, variant))
+            return real(g, variant)
+
+        monkeypatch.setattr(fpres, "build_presentation", counting)
+        run(RunConfig(check="presentation", value_range=(3, 5)))
+        assert built == [(g, fpres.VARIANT_PROP) for g in (3, 4, 5)]
+
     def test_a_broken_relator_fails_both_entries_alike(self, monkeypatch):
         _patch_prop_relators(monkeypatch, lambda rel: rel.indices == (1, 2, 3, 4))
         prop, cor = _relator_entries(5)

@@ -1,5 +1,6 @@
 """Presentations, relator verification, and the GF(2) quotient map."""
 
+import collections
 import functools
 import math
 import random
@@ -15,6 +16,7 @@ from crosscap_calc.fpres import (
     VARIANT_COR,
     VARIANT_PROP,
     VARIANT_QUOTIENT,
+    bar5_word,
     beta_twist,
     build_presentation,
     build_quotient_map,
@@ -40,6 +42,33 @@ from crosscap_calc.fpres import (
 
 # closed-form quotient ranks for g = 3..12, confirmed by elimination
 RANKS = {3: 1, 4: 4, 5: 6, 6: 11, 7: 15, 8: 22, 9: 28, 10: 37, 11: 45, 12: 56}
+
+# closed forms for the number of relators in each of the families (1)-(4)
+FAMILY_COUNTS = {
+    "1": lambda g: (g - 1) ** 2,
+    "2a": lambda g: (g - 1) * (g - 2) ** 2,
+    "2b": lambda g: (g - 1) * (g - 2) ** 2 * (g - 3),
+    "3a": lambda g: (g - 1) * (g - 2) ** 2,
+    "3b": lambda g: (g - 1) ** 2 * (g - 2) * (g - 3),
+    "4": lambda g: (g - 1) * (g - 2) * (g - 3),
+}
+
+# the first and last relator of each family at g = 5: (family, indices,
+# the slides of the word's first half; the word is that half squared)
+FAMILY_ENDS_G5 = [
+    ("1", (1, 2), [(1, 2)]),
+    ("1", (4, 5), [(4, 5)]),
+    ("2a", (1, 2, 3), [(1, 2), (3, 2)]),
+    ("2a", (4, 5, 3), [(4, 5), (3, 5)]),
+    ("2b", (1, 2, 3, 4), [(1, 2), (3, 4)]),
+    ("2b", (4, 5, 3, 2), [(4, 5), (3, 2)]),
+    ("3a", (1, 2, 3), [(1, 2), (1, 3), (2, 3)]),
+    ("3a", (4, 3, 5), [(4, 3), (4, 5), (3, 5)]),
+    ("3b", (1, 2, 3, 4), [(1, 2), (1, 3), (1, 4)]),
+    ("3b", (4, 5, 3, 2), [(4, 5), (4, 3), (4, 2)]),
+    ("4", (1, 2, 3), [(2, 1), (1, 2), (3, 2), (2, 3), (1, 3), (3, 1)]),
+    ("4", (4, 3, 2), [(3, 4), (4, 3), (2, 3), (3, 2), (4, 2), (2, 4)]),
+]
 
 
 class TestGenSymbol:
@@ -204,6 +233,57 @@ class TestPresentations:
         w = relator5_word(3, 1)
         assert w[-1] == (yslide(3, 1), -1)
         assert eval_symbol_word(3, w) == exactmat.identity(2)
+
+
+def pair_row(g, w):
+    """A word's GF(2) row over the unordered pairs: its abelianization in
+    the quotient, where Y[i, j] and Y[j, i] coincide."""
+    bit = {p: 1 << n for n, p in enumerate(pair_set(g))}
+    row = 0
+    for sym, _exp in w:
+        row ^= bit[tuple(sorted(sym.indices))]
+    return row
+
+
+class TestRelatorFamilies:
+    @pytest.mark.parametrize("g", range(3, 13))
+    def test_family_counts_match_closed_forms(self, g):
+        got = collections.Counter(r.family for r in build_presentation(g, VARIANT_PROP).relators)
+        assert set(got) <= set(FAMILY_COUNTS)
+        assert {f: got[f] for f in FAMILY_COUNTS} == {
+            f: count(g) for f, count in FAMILY_COUNTS.items()
+        }
+
+    def test_first_and_last_relator_of_each_family_pinned(self):
+        rels = build_presentation(5, VARIANT_PROP).relators
+        ends = []
+        for family in FAMILY_COUNTS:
+            members = [r for r in rels if r.family == family]
+            ends += [members[0], members[-1]]
+        got = []
+        for r in ends:
+            half = r.word[: len(r.word) // 2]
+            assert r.word == half + half
+            assert all(exp == 1 for _sym, exp in r.word)
+            got.append((r.family, r.indices, [sym.indices for sym, _exp in half]))
+        assert got == FAMILY_ENDS_G5
+
+    @pytest.mark.parametrize("g", range(3, 13))
+    def test_bar5_is_relator5_read_in_the_quotient(self, g):
+        for i in range(2, g):
+            assert pair_row(g, bar5_word(g, i)) == pair_row(g, relator5_word(g, i)), i
+
+    def test_family5_words_pinned(self):
+        def pairs(w):
+            return [(sym.indices, exp) for sym, exp in w]
+
+        assert pairs(relator5_word(5, 2)) == [
+            ((1, 2), 1), ((1, 5), 1), ((3, 2), 1), ((3, 5), 1),
+            ((4, 2), 1), ((4, 5), 1), ((2, 5), 1), ((5, 2), -1),
+        ]
+        assert pairs(bar5_word(5, 2)) == [
+            ((1, 2), 1), ((1, 5), 1), ((2, 3), 1), ((3, 5), 1), ((2, 4), 1), ((4, 5), 1),
+        ]
 
 
 class TestCommutationAndControls:

@@ -347,6 +347,18 @@ class TestRsGenerators:
         assert calls[0] == total
         assert rep.details == (f"emitted {total} generators, letter-folded {total}",)
 
+    def test_each_inverse_word_is_built_once_when_first_needed(self, monkeypatch):
+        # not for all 2^15 transversal elements before the first yield, and
+        # not again for a representative met before
+        calls = []
+        real = rschreier.winv
+        monkeypatch.setattr(rschreier, "winv", lambda w: calls.append(w) or real(w))
+        next(iter_rs_generators(7))
+        assert len(calls) == 1
+        calls.clear()
+        reps = {r.rep for r in iter_rs_generators(4)}
+        assert len(calls) == len(reps) == len(transversal(4))
+
     def test_genus3_report_flags_substitute_generators(self):
         assert verify_rs_zero_images(3).caveats
         assert not verify_rs_zero_images(4).caveats
