@@ -10,9 +10,15 @@ chosen transvections by Dimino's coset closure, and can express any
 element as a canonical shortest word in a labelled generating set.
 
 Vectors are ints with bit ``i - 1`` holding coordinate ``i``; matrices
-are tuples of row bitmasks.  Everything is immutable and deterministic:
-the word table's BFS visits parents in discovery order and generators in
-sorted label order, so the word assigned to each element is the
+are tuples of row bitmasks.  Row r of a product A M is the XOR of the
+rows of M that r selects; a product reads each such row from a lazily
+filled span of M (``_RowSpan``), so the coset closure and the word table,
+which multiply many matrices by the same M, fold each distinct row once.
+The frame enumeration reads the last row of each frame instead of
+searching for it, since the rows of an orthogonal matrix sum to the
+all-ones vector.  Everything is immutable and deterministic: the word
+table's BFS visits parents in discovery order and generators in sorted
+label order, so the word assigned to each element is the
 lexicographically least among the shortest ones.
 """
 
@@ -21,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .reports import CheckReport, ReportBuilder
 
@@ -75,16 +81,7 @@ class F2Matrix(_F2MatrixFields):
     def __mul__(self, other: "F2Matrix") -> "F2Matrix":
         if self.g != other.g:
             raise ValueError("size mismatch")
-        rows = []
-        for r in self.rows:
-            acc = 0
-            bits = r
-            while bits:
-                low = bits & -bits
-                acc ^= other.rows[low.bit_length() - 1]
-                bits ^= low
-            rows.append(acc)
-        return _trusted_f2((self.g, tuple(rows)))
+        return _RowSpan(other.rows).left(self)
 
     def apply(self, v: int) -> int:
         """The image M v of a vector bitmask."""
@@ -99,6 +96,35 @@ class F2Matrix(_F2MatrixFields):
 
 #: ``(g, rows) -> F2Matrix`` unvalidated, for products and enumerated frames
 _trusted_f2 = functools.partial(tuple.__new__, F2Matrix)
+
+
+class _RowSpan(dict):
+    """The XOR of the rows of M that each bitmask selects, filled lazily.
+
+    Row r of A M is the sum of the rows of M that row r of A selects, so
+    it is ``span[r]``.  Each mask is folded bit by bit once, on its first
+    lookup, and read back from the dict after that: the span holds only
+    the masks actually used, never all 2^g of them.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[int, ...]) -> None:
+        self.rows = rows
+
+    def __missing__(self, mask: int) -> int:
+        acc = 0
+        bits = mask
+        while bits:
+            low = bits & -bits
+            acc ^= self.rows[low.bit_length() - 1]
+            bits ^= low
+        self[mask] = acc
+        return acc
+
+    def left(self, a: F2Matrix) -> F2Matrix:
+        """The product A M, with no size check."""
+        return _trusted_f2((a.g, tuple(map(self.__getitem__, a.rows))))
 
 
 def is_orthogonal(m: F2Matrix) -> bool:
@@ -131,26 +157,46 @@ def enumerate_o2(g: int) -> frozenset[F2Matrix]:
     its rows are orthonormal.  Each row has odd weight and is orthogonal
     to every row above it, so a depth keeps only the candidates that are
     orthogonal to the row just chosen and hands them down.
+
+    The last row is read, not searched.  The rows of an orthogonal M sum
+    to the all-ones vector: the sum of the rows is 1^T M, whose entry j
+    is the weight of column j mod 2, and M^T M = I makes every column of
+    odd weight.  So once g - 1 rows are chosen the last one can only be
+    the all-ones vector plus their sum: the search stops with g - 2 rows
+    chosen, and each candidate v for row g - 1 fixes row g.  The lemma
+    is used for completeness only; row g is kept only if it passes the
+    same odd-weight and orthogonality tests as every other row.
     """
+    if g < 1:
+        raise ValueError(f"O_2(g) needs g >= 1, got {g}")
     if g > ENUMERATION_CAP:
         raise CapExceededError(
             f"frame enumeration capped at g <= {ENUMERATION_CAP}, got {g}"
         )
+    ones = (1 << g) - 1
+    if g == 1:
+        # the one row is the all-ones vector, with nothing chosen above it
+        return frozenset({_trusted_f2((1, (ones,)))})
     odd = [v for v in range(1, 1 << g) if v.bit_count() % 2 == 1]
     found: list[F2Matrix] = []
     rows: list[int] = []
 
-    def extend(candidates: list[int]) -> None:
-        if len(rows) == g:
-            found.append(_trusted_f2((g, tuple(rows))))
+    def extend(candidates: list[int], acc: int) -> None:
+        if len(rows) == g - 2:
+            # candidates are the odd rows orthogonal to every row above
+            pool = set(candidates)
+            for v in candidates:
+                last = ones ^ acc ^ v
+                if last in pool and (last & v).bit_count() % 2 == 0:
+                    found.append(_trusted_f2((g, (*rows, v, last))))
             return
         for v in candidates:
             rows.append(v)
             # v has odd weight, so v itself drops out of its own filter
-            extend([w for w in candidates if (w & v).bit_count() % 2 == 0])
+            extend([w for w in candidates if (w & v).bit_count() % 2 == 0], acc ^ v)
             rows.pop()
 
-    extend(odd)
+    extend(odd, 0)
     return frozenset(found)
 
 
@@ -178,31 +224,37 @@ def generate_group(g: int, gens: Iterable[F2Matrix]) -> frozenset[F2Matrix]:
     generator s appends the coset H s; then every coset representative r
     times every generator t used so far either lies in a coset already
     listed or opens the new coset H (r t).  That costs about one product
-    per element instead of one per element and generator.  It relies on
-    H being a group, whose right cosets are disjoint, so every generator
-    must be invertible: each is checked to be orthogonal (one product
-    apiece) and one that is not raises ``ValueError``.
+    per element instead of one per element and generator.  Each product
+    is read from a row span of its right factor: one span per generator
+    for the representatives, and one per new representative c for the
+    coset H c.  It relies on H being a group, whose right cosets are
+    disjoint, so every generator must be invertible: each is checked to
+    be orthogonal (one product apiece) and one that is not raises
+    ``ValueError``, as does a generator that is not g x g.
     """
     gens = sorted(set(gens))
     for s in gens:
         if not is_orthogonal(s):
             raise ValueError(f"generator rows={s.rows} is not orthogonal")
+    if any(s.g != g for s in gens):
+        raise ValueError("size mismatch")
     identity = F2Matrix.identity(g)
     seen = {identity}
-    used: list[F2Matrix] = []
+    # right multiplication by each generator used so far
+    used: list[Callable[[F2Matrix], F2Matrix]] = []
     for s in gens:
         if s in seen:
             continue
-        used.append(s)
+        used.append(_RowSpan(s.rows).left)
         subgroup = list(seen)
         # H itself is the first coset: its representative I times s opens H s
         reps = [identity]
         for r in reps:  # grows while it is walked
-            for t in used:
-                c = r * t
+            for by_t in used:
+                c = by_t(r)
                 if c not in seen:
                     reps.append(c)
-                    seen.update([h * c for h in subgroup])
+                    seen.update(map(_RowSpan(c.rows).left, subgroup))
     return frozenset(seen)
 
 
@@ -214,16 +266,23 @@ def word_table(
     Parents are dequeued in discovery order and generators tried in
     sorted label order, so each element's word is the lexicographically
     least among the shortest.  Involutive generators mean no inverse
-    letters are ever needed.
+    letters are ever needed.  Each generator gets one row span, built
+    before the search, and every product by it is read from that span;
+    a generator that is not g x g raises ``ValueError``.
     """
     items = sorted(gens.items())
-    table: dict[F2Matrix, tuple[Subset, ...]] = {F2Matrix.identity(g): ()}
-    frontier = [F2Matrix.identity(g)]
+    if any(b.g != g for _, b in items):
+        raise ValueError("size mismatch")
+    # right multiplication by each generator, one span apiece
+    times = [(label, _RowSpan(b.rows).left) for label, b in items]
+    identity = F2Matrix.identity(g)
+    table: dict[F2Matrix, tuple[Subset, ...]] = {identity: ()}
+    frontier = [identity]
     while frontier:
         new = []
         for a in frontier:
-            for label, b in items:
-                c = a * b
+            for label, by_b in times:
+                c = by_b(a)
                 if c not in table:
                     table[c] = table[a] + (label,)
                     new.append(c)

@@ -1,10 +1,13 @@
 """Bit-packed GF(2) linear algebra, orthogonal group, stabilizer cases."""
 
+import functools
 import itertools
 import math
+import operator
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from crosscap_calc import gf2
 from crosscap_calc.gf2 import (
@@ -66,16 +69,59 @@ def columns_orthonormal(g, rows):
 
 
 def count_products(monkeypatch):
-    """Patch F2Matrix.__mul__ to count calls; returns the live counter."""
+    """Count every product; returns the live counter.
+
+    ``F2Matrix.__mul__``, the coset fill of ``generate_group`` and the
+    breadth-first search of ``word_table`` all read their products from
+    a row span through ``_RowSpan.left``, so that is what gets patched.
+    """
     calls = [0]
-    mul = F2Matrix.__mul__
+    left = gf2._RowSpan.left
 
-    def counting(self, other):
+    def counting(self, a):
         calls[0] += 1
-        return mul(self, other)
+        return left(self, a)
 
-    monkeypatch.setattr(F2Matrix, "__mul__", counting)
+    monkeypatch.setattr(gf2._RowSpan, "left", counting)
     return calls
+
+
+def reference_product(a_rows, b_rows):
+    """Rows of A B by definition: entry (i, j) is row i of A dotted with
+    column j of B."""
+    cols = [
+        sum((r >> j & 1) << k for k, r in enumerate(b_rows)) for j in range(len(b_rows))
+    ]
+    return tuple(
+        sum(((r & col).bit_count() & 1) << j for j, col in enumerate(cols))
+        for r in a_rows
+    )
+
+
+def reference_word_table(g, gens):
+    """Breadth-first words over the reference product, keyed by rows:
+    parents in discovery order, generators in sorted label order."""
+    items = sorted(gens.items())
+    start = F2Matrix.identity(g).rows
+    table = {start: ()}
+    frontier = [start]
+    while frontier:
+        new = []
+        for a in frontier:
+            for label, b in items:
+                c = reference_product(a, b.rows)
+                if c not in table:
+                    table[c] = table[a] + (label,)
+                    new.append(c)
+        frontier = new
+    return table
+
+
+@st.composite
+def row_tuple_pairs(draw):
+    g = draw(st.integers(1, 10))
+    rows = st.tuples(*[st.integers(0, (1 << g) - 1)] * g)
+    return g, draw(rows), draw(rows)
 
 
 class TestF2Matrix:
@@ -99,6 +145,27 @@ class TestF2Matrix:
             b = twist_transvection(g, tuple(sorted(rng.sample(range(1, g + 1), 2))))
             v = rng.randrange(1 << g)
             assert (a * b).apply(v) == a.apply(b.apply(v))
+
+    @given(row_tuple_pairs())
+    def test_span_products_match_reference(self, pair):
+        g, a, b = pair
+        expected = reference_product(a, b)
+        span = gf2._RowSpan(b)
+        assert span.left(F2Matrix(g, a)).rows == expected
+        # the span holds the rows the product used and nothing more
+        assert set(span) == set(a)
+        # a second read comes from the filled dict and agrees
+        assert span.left(F2Matrix(g, a)).rows == expected
+        assert (F2Matrix(g, a) * F2Matrix(g, b)).rows == expected
+
+    def test_every_product_is_counted(self, monkeypatch):
+        calls = count_products(monkeypatch)
+        a, b = twist_transvection(4, (1, 2)), twist_transvection(4, (1, 2, 3, 4))
+        a * b
+        assert calls[0] == 1
+        word_table(4, {(1, 2): a})
+        # I a opens {I, a}; a a = I and the search ends
+        assert calls[0] == 3
 
 
 class TestF2MatrixTuple:
@@ -179,6 +246,25 @@ class TestOrthogonalGroup:
         with pytest.raises(CapExceededError):
             enumerate_o2(7)
 
+    def test_small_genus_orders(self):
+        # O(1) is {(1)}; O(2) is the identity and the swap
+        assert enumerate_o2(1) == frozenset({F2Matrix.identity(1)})
+        assert len(enumerate_o2(2)) == 2
+        assert enumerate_o2(2) == permutation_matrices(2)
+
+    @pytest.mark.parametrize("g", [0, -1])
+    def test_nonpositive_genus_rejected(self, g):
+        with pytest.raises(ValueError, match="needs g >= 1") as info:
+            enumerate_o2(g)
+        assert not isinstance(info.value, CapExceededError)
+
+    @pytest.mark.parametrize("g", range(1, 7))
+    def test_rows_sum_to_all_ones(self, g):
+        # the lemma that lets the search read the last row
+        ones = (1 << g) - 1
+        for m in enumerate_o2(g):
+            assert functools.reduce(operator.xor, m.rows) == ones
+
     def test_generation_matches_enumeration(self):
         for g in (3, 4, 5):
             gens = standard_twist_generators(g)
@@ -236,6 +322,14 @@ class TestClosure:
         group = generate_group(g, gens.values())
         assert len(group) == math.factorial(g)
         assert group == permutation_matrices(g)
+
+    @pytest.mark.parametrize("other", [3, 5])
+    def test_wrong_size_generator_rejected(self, other):
+        good = twist_transvection(4, (1, 2))
+        bad = twist_transvection(other, (1, 2))
+        for gens in ([bad], [good, bad], [bad, good]):
+            with pytest.raises(ValueError, match="^size mismatch$"):
+                generate_group(4, gens)
 
     def test_non_orthogonal_generator_rejected(self):
         shear = F2Matrix(3, (0b011, 0b010, 0b100))  # invertible, not orthogonal
@@ -300,6 +394,22 @@ class TestWordTable:
         assert set(table) == set(dist)
         for target, w in table.items():
             assert len(w) == dist[target]
+
+
+    @pytest.mark.parametrize("other", [3, 5])
+    def test_wrong_size_generator_rejected(self, other):
+        gens = standard_twist_generators(4)
+        gens[(1, 2)] = twist_transvection(other, (1, 2))
+        with pytest.raises(ValueError, match="^size mismatch$"):
+            word_table(4, gens)
+
+    @pytest.mark.parametrize("g", [3, 4, 5])
+    @pytest.mark.parametrize("case", STABILIZER_CASES)
+    def test_stabilizer_tables_match_reference_bfs(self, g, case):
+        gens = gf2._case_generators(g, case)
+        table = word_table(g, gens)
+        got = [(m.rows, w) for m, w in table.items()]
+        assert got == list(reference_word_table(g, gens).items())
 
 
 class TestStabilizerCases:
