@@ -9,7 +9,13 @@ distinct argument tuple, so words share their symbols.
 * ``PROP_1_TO_4``: relator families (1)-(4) on the generators with
   first index at most g - 1, one row each of the table ``_PROP_FAMILIES``.
   Every relator is a matrix identity and ``verify_relators`` checks
-  exactly that.
+  exactly that, once per relabelled word: a word in slides Y[i, j] with
+  i <= g - 1 and j <= g moves only the rows and columns of its indices
+  below g, and is I exactly when the word with those indices renamed
+  1..m in order of first appearance, and g renamed max(m + 1, 3), is.
+  Right multiplication by Y[i, j] rewrites only columns i and j (j < g)
+  as combinations of the two, so the columns outside the indices stay
+  unit vectors and the block on them is the renamed word's, permuted.
 * ``COR_WITH_5``: the same plus family (5), the Tietze extension that
   defines ``Y[g, i]`` as the one product ``exactmat.gi_product``.
 * ``QUOTIENT_BAR``: the induced presentation of the quotient by the
@@ -317,11 +323,53 @@ def eval_symbol_word(g: int, w: Word) -> IntMatrix:
     return exactmat.eval_word(g, _slide_letters(w))
 
 
+#: (genus n, slide letters): a relator's word on its relabelled indices
+SupportWord = tuple[int, tuple[exactmat.YLetter, ...]]
+
+
+def _support_word(g: int, w: Word) -> SupportWord | None:
+    """``(n, letters)``: a slide word whose letters Y[i, j] all have
+    i <= g - 1 and j <= g, with its indices below g relabelled 1..m in
+    order of first appearance, g relabelled n = max(m + 1, 3) and the
+    exponents kept.  None for a word with any other letter."""
+    label: dict[int, int] = {}
+    pairs = []
+    for sym, exp in w:
+        if sym.kind != KIND_YSLIDE:
+            return None
+        i, j = sym.indices
+        if i >= g or j > g:
+            return None
+        pairs.append((i, j, exp))
+        label.setdefault(i, len(label) + 1)
+        if j != g:
+            label.setdefault(j, len(label) + 1)
+    n = max(len(label) + 1, 3)
+    label[g] = n
+    return n, tuple(((label[i], label[j]), exp) for i, j, exp in pairs)
+
+
 def verify_relators(p: Presentation) -> CheckReport:
     """Check every relator of a matrix-verifiable variant evaluates to I.
 
-    The QUOTIENT_BAR relators hold only in the quotient, so asking to
-    matrix-verify them is a usage error, not a failing report.
+    One evaluation per relabelled word (``_support_word``), not one per
+    relator.  Lemma: a word w whose letters Y[i, j] all have i <= g - 1
+    and j <= g, with S its indices below g, is I outside the S x S block,
+    and that block is conjugate by a permutation matrix to the relabelled
+    word evaluated at genus n; so w = I exactly when the relabelled word
+    is I_{n-1}, and two relators with the same relabelled word have the
+    same verdict.  Proof: right-multiplying by Y[i, j] rewrites only
+    columns i and j (j < g), each as a combination of columns i and j,
+    so columns outside S stay unit vectors and those in S stay inside
+    rows S; renaming S and g keeps every Y[i, j] entry, and the genus n
+    columns that no label reaches stay unit vectors.
+
+    The first relator of each relabelled word is evaluated directly, as
+    is every relator with another letter (a Y[g, i], a twist symbol, an
+    index past g), so errors are those of ``eval_symbol_word``.  The
+    verdicts are kept for this call only.  The QUOTIENT_BAR relators
+    hold only in the quotient, so asking to matrix-verify them is a
+    usage error, not a failing report.
     """
     if p.variant == VARIANT_QUOTIENT:
         raise ValueError(
@@ -331,8 +379,14 @@ def verify_relators(p: Presentation) -> CheckReport:
     rb = ReportBuilder(f"relators:{p.variant}", g=p.g)
     rb.caveat(CAVEAT_SOUNDNESS)
     ident = exactmat.identity(p.g - 1)
+    verdicts: dict[SupportWord, bool] = {}
     for rel in p.relators:
-        ok = eval_symbol_word(p.g, rel.word) == ident
+        shape = _support_word(p.g, rel.word)
+        ok = verdicts.get(shape)
+        if ok is None:
+            ok = eval_symbol_word(p.g, rel.word) == ident
+            if shape is not None:
+                verdicts[shape] = ok
         rb.record(ok, f"{rel.family}{rel.indices}")
     return rb.build()
 

@@ -12,8 +12,9 @@ element as a canonical shortest word in a labelled generating set.
 Vectors are ints with bit ``i - 1`` holding coordinate ``i``; matrices
 are tuples of row bitmasks.  Row r of a product A M is the XOR of the
 rows of M that r selects; a product reads each such row from a lazily
-filled span of M (``_RowSpan``), so the coset closure and the word table,
-which multiply many matrices by the same M, fold each distinct row once.
+filled span of M (``_RowSpan``), so the coset closure, the word table and
+the stabilizer checks' re-multiplication, which multiply many matrices by
+the same M, fold each distinct row once.
 The frame enumeration reads the last row of each frame instead of
 searching for it, since the rows of an orthogonal matrix sum to the
 all-ones vector.  Everything is immutable and deterministic: the word
@@ -258,6 +259,16 @@ def generate_group(g: int, gens: Iterable[F2Matrix]) -> frozenset[F2Matrix]:
     return frozenset(seen)
 
 
+def _right_multipliers(
+    g: int, gens: Mapping[Subset, F2Matrix]
+) -> dict[Subset, Callable[[F2Matrix], F2Matrix]]:
+    """Right multiplication by each generator, through a new row span
+    apiece; a generator that is not g x g raises ``ValueError``."""
+    if any(b.g != g for b in gens.values()):
+        raise ValueError("size mismatch")
+    return {label: _RowSpan(b.rows).left for label, b in gens.items()}
+
+
 def word_table(
     g: int, gens: Mapping[Subset, F2Matrix]
 ) -> dict[F2Matrix, tuple[Subset, ...]]:
@@ -270,11 +281,7 @@ def word_table(
     before the search, and every product by it is read from that span;
     a generator that is not g x g raises ``ValueError``.
     """
-    items = sorted(gens.items())
-    if any(b.g != g for _, b in items):
-        raise ValueError("size mismatch")
-    # right multiplication by each generator, one span apiece
-    times = [(label, _RowSpan(b.rows).left) for label, b in items]
+    times = sorted(_right_multipliers(g, gens).items())
     identity = F2Matrix.identity(g)
     table: dict[F2Matrix, tuple[Subset, ...]] = {identity: ()}
     frontier = [identity]
@@ -290,11 +297,25 @@ def word_table(
     return table
 
 
-def evaluate_word(g: int, gens: Mapping[Subset, F2Matrix], w: Iterable[Subset]) -> F2Matrix:
-    acc = F2Matrix.identity(g)
-    for label in w:
-        acc = acc * gens[label]
-    return acc
+def word_evaluator(
+    g: int, gens: Mapping[Subset, F2Matrix]
+) -> Callable[[Iterable[Subset]], F2Matrix]:
+    """The product of a word in the generators' labels, left to right.
+
+    Each generator gets one row span, built here and read by every word
+    the evaluator is given; a generator that is not g x g raises
+    ``ValueError``.
+    """
+    times = _right_multipliers(g, gens)
+    identity = F2Matrix.identity(g)
+
+    def evaluate(w: Iterable[Subset]) -> F2Matrix:
+        acc = identity
+        for label in w:
+            acc = times[label](acc)
+        return acc
+
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +415,9 @@ def stabilizer_case_check(
     stab = [a for a in group if a.apply(v) == v]
     gens = _case_generators(g, case)
     table = word_table(g, gens)
+    # spans of its own, not the table's: the certificate is re-multiplied
+    # independently of the search that found it
+    evaluate = word_evaluator(g, gens)
 
     rb = ReportBuilder(f"stabilizer:{case}", g=g)
     rb.caveat(CAVEAT_O2_SCALE)
@@ -438,6 +462,6 @@ def stabilizer_case_check(
         if inv not in table:
             rb.record(False, f"{label}: not expressible over permitted twists")
             continue
-        product = evaluate_word(g, gens, table[inv])
+        product = evaluate(table[inv])
         rb.record(product == inv, f"{label}: word does not re-multiply to the inverse")
     return rb.build()

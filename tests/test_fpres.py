@@ -286,6 +286,173 @@ class TestRelatorFamilies:
         ]
 
 
+@functools.cache
+def _prop_relators(g):
+    return build_presentation(g, VARIANT_PROP).relators
+
+
+def reference_relabel(g, w):
+    """A word's letters Y[i, j] as (i, j, exp), with every index below g
+    renamed by its rank in order of first appearance and g kept apart as
+    "g"; None if a letter is not a slide Y[i, j] with i < g and j <= g."""
+    order = []
+    for sym, _exp in w:
+        if sym.kind != fpres.KIND_YSLIDE or sym.indices[0] >= g or sym.indices[1] > g:
+            return None
+        order += [x for x in sym.indices if x < g and x not in order]
+    rank = {x: n for n, x in enumerate(order, 1)}
+    rank[g] = "g"
+    return tuple((rank[sym.indices[0]], rank[sym.indices[1]], exp) for sym, exp in w)
+
+
+def is_identity(g, w):
+    return eval_symbol_word(g, w) == exactmat.identity(g - 1)
+
+
+def presentation_of(g, *words):
+    rels = tuple(Relator(f"w{n}", (), w) for n, w in enumerate(words))
+    return fpres.Presentation(g, VARIANT_PROP, (), rels)
+
+
+def permuted(g, w, perm):
+    """w with each index below g renamed by ``perm`` (index k goes to
+    ``perm[k - 1]``) and g kept."""
+    rename = dict(zip(range(1, g), perm))
+    rename[g] = g
+    return tuple((yslide(*(rename[x] for x in sym.indices)), exp) for sym, exp in w)
+
+
+@st.composite
+def relator_shaped_words(draw):
+    """(g, a word of one of four kinds): a genuine relator, a relator with
+    a slide letter spliced in, a random slide word with a Y[i, g] letter
+    (half of them u u^-1, which is I), or a word with a Y[g, i] letter."""
+    g = draw(st.integers(3, 9))
+    below = st.integers(1, g - 1)
+
+    def slide():
+        i = draw(below)
+        j = draw(st.integers(1, g).filter(lambda j: j != i))
+        return yslide(i, j), draw(st.sampled_from((1, -1)))
+
+    def splice(w, letter):
+        pos = draw(st.integers(0, len(w)))
+        return w[:pos] + (letter,) + w[pos:]
+
+    kind = draw(st.sampled_from(("relator", "spliced", "random", "gi")))
+    if kind in ("relator", "spliced"):
+        w = draw(st.sampled_from(_prop_relators(g))).word
+        if kind == "spliced":
+            w = splice(w, slide())
+        return g, w
+    u = tuple(slide() for _ in range(draw(st.integers(0, 6))))
+    u = splice(u, (yslide(draw(below), g), 1))
+    if draw(st.booleans()):
+        u = u + winv(u)
+    if kind == "random":
+        return g, u
+    i = draw(below)
+    return g, draw(st.sampled_from((splice(u, (yslide(g, i), -1)), relator5_word(g, i))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=relator_shaped_words(), data=st.data())
+def test_relator_verdicts_match_direct_evaluation(case, data):
+    g, w = case
+    direct = is_identity(g, w)
+    rep = verify_relators(presentation_of(g, w))
+    assert (rep.passed, rep.failed) == ((1, 0) if direct else (0, 1))
+    # a relabelled copy first, so w's verdict comes from the one stored
+    # for the copy when both have the same relabelled word
+    perm = data.draw(st.permutations(range(1, g)))
+    warm = permuted(g, w, perm)
+    shape = fpres._support_word(g, w)
+    assert fpres._support_word(g, warm) == shape
+    assert is_identity(g, warm) == direct
+    rep = verify_relators(presentation_of(g, warm, w))
+    assert rep.failures == (() if direct else ("w0()", "w1()"))
+    # the lemma itself: the relabelled word at genus n decides the verdict
+    if shape is None:
+        assert any(sym.indices[0] == g for sym, _exp in w)
+    else:
+        n, letters = shape
+        expected = reference_relabel(g, w)
+        m = len({x for i, j, _exp in expected for x in (i, j)} - {"g"})
+        assert n == max(m + 1, 3)
+        assert letters == tuple(((i, n if j == "g" else j), exp) for i, j, exp in expected)
+        assert (exactmat.eval_word(n, letters) == exactmat.identity(n - 1)) == direct
+
+
+class TestRelatorShapes:
+    @pytest.mark.parametrize("g, family", [
+        (g, f) for g in range(3, 9) for f in sorted(FAMILY_COUNTS) if FAMILY_COUNTS[f](g)
+    ])
+    @pytest.mark.parametrize("letter_to_g", [True, False])
+    def test_spliced_relator_after_the_genuine_ones_fails_alone(self, g, family, letter_to_g):
+        # every genuine relator first, then one that keeps a genuine
+        # (family, indices) but has a slide letter spliced into its word:
+        # a b = I makes a Y b conjugate to Y, so it must fail, and only it
+        rels = _prop_relators(g)
+        rel = [r for r in rels if r.family == family][-1]
+        i = rel.indices[0]
+        j = g if letter_to_g else next(k for k in range(1, g) if k != i)
+        pos = len(rel.word) // 2
+        bad = rel.word[:pos] + ((yslide(i, j), 1),) + rel.word[pos:]
+        rep = verify_relators(fpres.Presentation(
+            g, VARIANT_PROP, (), rels + (Relator(rel.family, rel.indices, bad),)
+        ))
+        assert (rep.passed, rep.failed) == (len(rels), 1)
+        assert rep.failures == (f"{rel.family}{rel.indices}",)
+
+    # each at g = 5, alone and after every genuine relator: the exception
+    # class and message of evaluating the word directly
+    @pytest.mark.parametrize("bad, error, message", [
+        (word(yslide(1, 6)), exactmat.IndexRangeError, "second index 6 outside 1..5"),
+        (word(yslide(6, 1)), exactmat.IndexRangeError, "first index 6 outside 1..4"),
+        (word(yslide(1, 2), twist_sq(1, 2)), UnsupportedSymbolError,
+         "T2(1,2) is not a slide symbol; use phi_word_matrix"),
+        (((yslide(1, 2), 2),), ValueError, "exponent must be +1 or -1, got 2"),
+        (((yslide(1, 5), 2),), ValueError, "exponent must be +1 or -1, got 2"),
+    ], ids=["index-past-g", "first-index-past-g", "twist", "exponent", "exponent-to-g"])
+    @pytest.mark.parametrize("after_genuine", [False, True])
+    def test_bad_letters_raise_as_before(self, bad, error, message, after_genuine):
+        rels = _prop_relators(5) if after_genuine else ()
+        with pytest.raises(error) as info:
+            verify_relators(fpres.Presentation(
+                5, VARIANT_PROP, (), rels + (Relator("w", (), bad),)
+            ))
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_one_evaluation_per_relabelled_word(self, monkeypatch):
+        rels = _prop_relators(8)
+        shapes = {reference_relabel(8, r.word) for r in rels}
+        assert None not in shapes
+        assert len(shapes) == 14
+        calls = []
+        evaluate = exactmat.eval_word
+
+        def counting(g, letters):
+            calls.append(g)
+            return evaluate(g, letters)
+
+        monkeypatch.setattr(exactmat, "eval_word", counting)
+        rep = verify_relators(build_presentation(8, VARIANT_PROP))
+        assert (rep.passed, rep.failed) == (len(rels), 0)
+        assert len(calls) == len(shapes)
+
+    def test_relabelled_words_pinned(self):
+        # Y[3,1] Y[2,5] squared at g = 5: 3, 1, 2 -> 1, 2, 3, and g -> 4
+        half = word(yslide(3, 1), yslide(2, 5))
+        assert fpres._support_word(5, half + half) == (4, (((1, 2), 1), ((3, 4), 1)) * 2)
+        # one index below g: n is still 3, the smallest genus
+        assert fpres._support_word(7, word(yslide(4, 7), (yslide(4, 7), -1))) == (
+            3, (((1, 3), 1), ((1, 3), -1))
+        )
+        assert fpres._support_word(5, word(yslide(5, 1))) is None
+        assert fpres._support_word(5, word(beta_twist(1, 2))) is None
+
+
 class TestCommutationAndControls:
     def test_commutation_lemma_small(self):
         for g in (3, 4, 5):
