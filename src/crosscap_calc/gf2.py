@@ -14,19 +14,26 @@ are tuples of row bitmasks.  Row r of a product A M is the XOR of the
 rows of M that r selects; a product reads each such row from a lazily
 filled span of M (``_RowSpan``), so the coset closure, the word table and
 the stabilizer checks' re-multiplication, which multiply many matrices by
-the same M, fold each distinct row once.
+the same M, fold each distinct row once.  Where a whole list of matrices
+is multiplied by one M (the closure's coset fill, a level of the word
+table), its rows are grouped by row position (``_row_columns``) and each
+group goes through the span in one ``map`` (``_RowSpan.left_all``); the
+stabilizer checks test "A fixes v" over the same grouping (``_fixing``).
 The frame enumeration reads the last row of each frame instead of
 searching for it, since the rows of an orthogonal matrix sum to the
-all-ones vector.  Everything is immutable and deterministic: the word
-table's BFS visits parents in discovery order and generators in sorted
-label order, so the word assigned to each element is the
-lexicographically least among the shortest ones.
+all-ones vector, and narrows the candidates for the next row by set
+intersection with precomputed orthogonal complements.  Everything is
+immutable and deterministic: the word table's BFS visits parents in
+discovery order and generators in sorted label order, so the word
+assigned to each element is the lexicographically least among the
+shortest ones.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -43,6 +50,11 @@ Subset = tuple[int, ...]
 
 class CapExceededError(ValueError):
     """The requested size is past the configured desk-scale cap."""
+
+
+@functools.cache
+def _identity_rows(g: int) -> tuple[int, ...]:
+    return tuple(1 << i for i in range(g))
 
 
 class _F2MatrixFields(NamedTuple):
@@ -66,7 +78,7 @@ class F2Matrix(_F2MatrixFields):
 
     @classmethod
     def identity(cls, g: int) -> "F2Matrix":
-        return cls(g, tuple(1 << i for i in range(g)))
+        return cls(g, _identity_rows(g))
 
     @classmethod
     def from_columns(cls, g: int, cols: Iterable[int]) -> "F2Matrix":
@@ -92,7 +104,7 @@ class F2Matrix(_F2MatrixFields):
         return bits
 
     def is_identity(self) -> bool:
-        return self == F2Matrix.identity(self.g)
+        return self.rows == _identity_rows(self.g)
 
 
 #: ``(g, rows) -> F2Matrix`` unvalidated, for products and enumerated frames
@@ -127,6 +139,38 @@ class _RowSpan(dict):
         """The product A M, with no size check."""
         return _trusted_f2((a.g, tuple(map(self.__getitem__, a.rows))))
 
+    def left_all(self, columns: tuple[tuple[int, ...], ...]) -> list[F2Matrix]:
+        """The products A M for every A of a list, in order, given as its
+        row columns (``_row_columns``), with no size check.
+
+        Each column goes through the span in one ``map``; zipping the
+        images back gives the products' rows.
+        """
+        get = self.__getitem__
+        images = zip(*[map(get, column) for column in columns])
+        return list(map(_trusted_f2, zip(itertools.repeat(len(self.rows)), images)))
+
+
+def _row_columns(mats: Iterable[F2Matrix]) -> tuple[tuple[int, ...], ...]:
+    """Row r of every matrix, in order, for each row position r: the
+    layout that ``_RowSpan.left_all`` and ``_fixing`` read."""
+    return tuple(zip(*map(operator.attrgetter("rows"), mats)))
+
+
+def _fixing(g: int, mats: list[F2Matrix], v: int) -> list[F2Matrix]:
+    """The matrices A of ``mats`` with A v = v, in order, read from their
+    row columns: entry r of A v is the parity of row r and v, and it must
+    equal bit r of v.  One ``map`` per row position looks each row up in
+    a table of that test over all 2^g masks.
+    """
+    columns = _row_columns(mats)
+    meets = [(m & v).bit_count() & 1 for m in range(1 << g)]
+    tables = [[p == bit for p in meets] for bit in (0, 1)]
+    keeps = [
+        map(tables[v >> r & 1].__getitem__, column) for r, column in enumerate(columns)
+    ]
+    return list(itertools.compress(mats, map(all, zip(*keeps))))
+
 
 def is_orthogonal(m: F2Matrix) -> bool:
     """True iff the columns are orthonormal: M^T M = I."""
@@ -157,7 +201,10 @@ def enumerate_o2(g: int) -> frozenset[F2Matrix]:
     M^T M = I holds exactly when M M^T = I: a matrix is orthogonal iff
     its rows are orthonormal.  Each row has odd weight and is orthogonal
     to every row above it, so a depth keeps only the candidates that are
-    orthogonal to the row just chosen and hands them down.
+    orthogonal to the row just chosen and hands them down: one
+    intersection with that row's precomputed set of orthogonal odd rows
+    (``_odd_complements``).  The candidates are sets, visited in no
+    particular order; the result is a set, so the order cannot show.
 
     The last row is read, not searched.  The rows of an orthogonal M sum
     to the all-ones vector: the sum of the rows is 1^T M, whose entry j
@@ -178,27 +225,35 @@ def enumerate_o2(g: int) -> frozenset[F2Matrix]:
     if g == 1:
         # the one row is the all-ones vector, with nothing chosen above it
         return frozenset({_trusted_f2((1, (ones,)))})
-    odd = [v for v in range(1, 1 << g) if v.bit_count() % 2 == 1]
+    perp = _odd_complements(g)
     found: list[F2Matrix] = []
     rows: list[int] = []
 
-    def extend(candidates: list[int], acc: int) -> None:
+    def extend(candidates: frozenset[int], acc: int) -> None:
         if len(rows) == g - 2:
             # candidates are the odd rows orthogonal to every row above
-            pool = set(candidates)
             for v in candidates:
                 last = ones ^ acc ^ v
-                if last in pool and (last & v).bit_count() % 2 == 0:
+                if last in candidates and (last & v).bit_count() % 2 == 0:
                     found.append(_trusted_f2((g, (*rows, v, last))))
             return
         for v in candidates:
             rows.append(v)
-            # v has odd weight, so v itself drops out of its own filter
-            extend([w for w in candidates if (w & v).bit_count() % 2 == 0], acc ^ v)
+            extend(candidates & perp[v], acc ^ v)
             rows.pop()
 
-    extend(odd, 0)
+    extend(frozenset(perp), 0)
     return frozenset(found)
+
+
+def _odd_complements(g: int) -> dict[int, frozenset[int]]:
+    """Each odd-weight vector of length g mapped to the odd-weight vectors
+    orthogonal to it; an odd v is not orthogonal to itself, so v is not
+    in its own set."""
+    odd = [v for v in range(1, 1 << g) if v.bit_count() % 2 == 1]
+    return {
+        v: frozenset(w for w in odd if (w & v).bit_count() % 2 == 0) for v in odd
+    }
 
 
 def standard_twist_generators(
@@ -228,9 +283,11 @@ def generate_group(g: int, gens: Iterable[F2Matrix]) -> frozenset[F2Matrix]:
     per element instead of one per element and generator.  Each product
     is read from a row span of its right factor: one span per generator
     for the representatives, and one per new representative c for the
-    coset H c.  It relies on H being a group, whose right cosets are
-    disjoint, so every generator must be invertible: each is checked to
-    be orthogonal (one product apiece) and one that is not raises
+    coset H c, which is filled in bulk (``_RowSpan.left_all``) from H's
+    row columns, built once per generator added.  It relies on H being
+    a group, whose right cosets are disjoint, so every generator must be
+    invertible: each is checked to be orthogonal (one product apiece)
+    and one that is not raises
     ``ValueError``, as does a generator that is not g x g.
     """
     gens = sorted(set(gens))
@@ -247,7 +304,7 @@ def generate_group(g: int, gens: Iterable[F2Matrix]) -> frozenset[F2Matrix]:
         if s in seen:
             continue
         used.append(_RowSpan(s.rows).left)
-        subgroup = list(seen)
+        subgroup = _row_columns(seen)
         # H itself is the first coset: its representative I times s opens H s
         reps = [identity]
         for r in reps:  # grows while it is walked
@@ -255,18 +312,18 @@ def generate_group(g: int, gens: Iterable[F2Matrix]) -> frozenset[F2Matrix]:
                 c = by_t(r)
                 if c not in seen:
                     reps.append(c)
-                    seen.update(map(_RowSpan(c.rows).left, subgroup))
+                    seen.update(_RowSpan(c.rows).left_all(subgroup))
     return frozenset(seen)
 
 
 def _right_multipliers(
     g: int, gens: Mapping[Subset, F2Matrix]
-) -> dict[Subset, Callable[[F2Matrix], F2Matrix]]:
-    """Right multiplication by each generator, through a new row span
-    apiece; a generator that is not g x g raises ``ValueError``."""
+) -> dict[Subset, _RowSpan]:
+    """A new row span of each generator, for right multiplication by it;
+    a generator that is not g x g raises ``ValueError``."""
     if any(b.g != g for b in gens.values()):
         raise ValueError("size mismatch")
-    return {label: _RowSpan(b.rows).left for label, b in gens.items()}
+    return {label: _RowSpan(b.rows) for label, b in gens.items()}
 
 
 def word_table(
@@ -278,20 +335,26 @@ def word_table(
     sorted label order, so each element's word is the lexicographically
     least among the shortest.  Involutive generators mean no inverse
     letters are ever needed.  Each generator gets one row span, built
-    before the search, and every product by it is read from that span;
-    a generator that is not g x g raises ``ValueError``.
+    before the search; a level of the search multiplies the whole
+    frontier by each generator in bulk (``_RowSpan.left_all``), and the
+    products are then assigned words parent by parent, generators in
+    label order, which is the order of a one-at-a-time search.  A
+    generator that is not g x g raises ``ValueError``.
     """
     times = sorted(_right_multipliers(g, gens).items())
+    labels = [label for label, _ in times]
     identity = F2Matrix.identity(g)
     table: dict[F2Matrix, tuple[Subset, ...]] = {identity: ()}
     frontier = [identity]
     while frontier:
+        columns = _row_columns(frontier)
         new = []
-        for a in frontier:
-            for label, by_b in times:
-                c = by_b(a)
+        # parent-major, then label order: the order of the one-at-a-time search
+        for a, products in zip(frontier, zip(*[b.left_all(columns) for _, b in times])):
+            word = table[a]
+            for label, c in zip(labels, products):
                 if c not in table:
-                    table[c] = table[a] + (label,)
+                    table[c] = word + (label,)
                     new.append(c)
         frontier = new
     return table
@@ -306,13 +369,13 @@ def word_evaluator(
     the evaluator is given; a generator that is not g x g raises
     ``ValueError``.
     """
-    times = _right_multipliers(g, gens)
+    spans = _right_multipliers(g, gens)
     identity = F2Matrix.identity(g)
 
     def evaluate(w: Iterable[Subset]) -> F2Matrix:
         acc = identity
         for label in w:
-            acc = times[label](acc)
+            acc = spans[label].left(acc)
         return acc
 
     return evaluate
@@ -401,7 +464,9 @@ def stabilizer_case_check(
     permitted and each generator is checked to fix the class.  With
     ``sample_count`` set, that many elements are drawn from the
     stabilizer with replacement using the seed; otherwise the check is
-    exhaustive.
+    exhaustive.  A ``sample_count`` below 1 raises ``ValueError``: it
+    would check no element.  The stabilizer is read off O_2(g) in one
+    pass over its row columns (``_fixing``).
     """
     if g < 3:
         raise ValueError("stabilizer cases need g >= 3")
@@ -410,9 +475,11 @@ def stabilizer_case_check(
             f"stabilizer checks enumerate O_2(g) and O_2(g-1); capped at"
             f" g <= {ENUMERATION_CAP - 1}"
         )
+    if sample_count is not None and sample_count < 1:
+        raise ValueError(f"sample_count must be at least 1, got {sample_count}")
     v = _case_vector(g, case)
     group = sorted(enumerate_o2(g))
-    stab = [a for a in group if a.apply(v) == v]
+    stab = _fixing(g, group, v)
     gens = _case_generators(g, case)
     table = word_table(g, gens)
     # spans of its own, not the table's: the certificate is re-multiplied

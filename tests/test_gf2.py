@@ -71,18 +71,26 @@ def columns_orthonormal(g, rows):
 def count_products(monkeypatch):
     """Count every product; returns the live counter.
 
-    ``F2Matrix.__mul__``, the coset fill of ``generate_group`` and the
-    breadth-first search of ``word_table`` all read their products from
-    a row span through ``_RowSpan.left``, so that is what gets patched.
+    Every product is read from a row span: one at a time through
+    ``_RowSpan.left`` (``F2Matrix.__mul__``, the closure's coset
+    representatives, ``word_evaluator``), or in bulk through
+    ``_RowSpan.left_all`` (the coset fill of ``generate_group`` and the
+    levels of ``word_table``), which counts one per output matrix.
     """
     calls = [0]
-    left = gf2._RowSpan.left
+    left, left_all = gf2._RowSpan.left, gf2._RowSpan.left_all
 
     def counting(self, a):
         calls[0] += 1
         return left(self, a)
 
+    def counting_all(self, columns):
+        products = left_all(self, columns)
+        calls[0] += len(products)
+        return products
+
     monkeypatch.setattr(gf2._RowSpan, "left", counting)
+    monkeypatch.setattr(gf2._RowSpan, "left_all", counting_all)
     return calls
 
 
@@ -124,6 +132,16 @@ def row_tuple_pairs(draw):
     return g, draw(rows), draw(rows)
 
 
+@st.composite
+def matrix_lists(draw):
+    """A genus, 0..20 matrices of that size and one more to multiply by."""
+    g = draw(st.integers(1, 10))
+    matrix = st.builds(
+        lambda rows: F2Matrix(g, rows), st.tuples(*[st.integers(0, (1 << g) - 1)] * g)
+    )
+    return g, draw(st.lists(matrix, max_size=20)), draw(matrix)
+
+
 class TestF2Matrix:
     def test_identity_and_columns(self):
         m = F2Matrix.identity(4)
@@ -157,6 +175,20 @@ class TestF2Matrix:
         # a second read comes from the filled dict and agrees
         assert span.left(F2Matrix(g, a)).rows == expected
         assert (F2Matrix(g, a) * F2Matrix(g, b)).rows == expected
+
+    @given(matrix_lists())
+    def test_bulk_products_match_one_at_a_time(self, drawn):
+        g, mats, m = drawn
+        span = gf2._RowSpan(m.rows)
+        assert span.left_all(gf2._row_columns(mats)) == [a * m for a in mats]
+        # the span holds the rows the products used and nothing more
+        assert set(span) == {r for a in mats for r in a.rows}
+
+    @given(matrix_lists(), st.data())
+    def test_bulk_fixing_matches_apply(self, drawn, data):
+        g, mats, _ = drawn
+        v = data.draw(st.integers(0, (1 << g) - 1))
+        assert gf2._fixing(g, mats, v) == [a for a in mats if a.apply(v) == v]
 
     def test_every_product_is_counted(self, monkeypatch):
         calls = count_products(monkeypatch)
@@ -205,12 +237,16 @@ class TestF2MatrixTuple:
         monkeypatch.setattr(F2Matrix, "__new__", staticmethod(counting))
         product = a * b
         frames = enumerate_o2.__wrapped__(4)
+        bulk = gf2._RowSpan(b.rows).left_all(gf2._row_columns([a, b, product]))
+        assert not product.is_identity() and (a * a).is_identity()
         assert built == []
         assert F2Matrix(5, product.rows) == product  # the patch is live
         assert built == [product.rows]
         monkeypatch.undo()
         assert frames == enumerate_o2(4)
         assert all(type(m) is F2Matrix for m in frames) and type(product) is F2Matrix
+        assert bulk == [a * b, b * b, product * b]
+        assert all(type(m) is F2Matrix for m in bulk)
 
 
 class TestTransvections:
@@ -257,6 +293,14 @@ class TestOrthogonalGroup:
         with pytest.raises(ValueError, match="needs g >= 1") as info:
             enumerate_o2(g)
         assert not isinstance(info.value, CapExceededError)
+
+    @pytest.mark.parametrize("g", range(1, 7))
+    def test_odd_complements_match_direct_filter(self, g):
+        odd = [v for v in range(1 << g) if v.bit_count() % 2 == 1]
+        expected = {
+            v: frozenset(w for w in odd if (w & v).bit_count() % 2 == 0) for v in odd
+        }
+        assert gf2._odd_complements(g) == expected
 
     @pytest.mark.parametrize("g", range(1, 7))
     def test_rows_sum_to_all_ones(self, g):
@@ -487,6 +531,14 @@ class TestStabilizerCases:
         assert stabilizer_case_check(g, case).ok
         gens = gf2._case_generators(g, case)
         assert built[0] == 2 * len(gens) + per_element * order
+
+    @pytest.mark.parametrize("case", STABILIZER_CASES)
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_empty_sample_rejected(self, case, count):
+        # a sample of no elements would check nothing and still read ok
+        with pytest.raises(ValueError, match="sample_count must be at least 1"):
+            stabilizer_case_check(4, case, sample_count=count)
+        assert stabilizer_case_check(4, case, sample_count=1).passed >= 1
 
     def test_unknown_case_rejected(self):
         with pytest.raises(ValueError):
