@@ -19,7 +19,6 @@ ends in a ``:cap`` entry.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -35,10 +34,6 @@ from .reports import CheckReport, ReportBuilder
 CAP_ENV_VAR = "CROSSCAP_CAP_OVERRIDE"
 
 TOOL_NAME = "crosscap-calc"
-
-#: genus past which the conjugated-twist tuple sweep is skipped (the
-#: number of even index tuples grows as 2^(g-1))
-TST_GENUS_LIMIT = 6
 
 #: stabilizer checks are exhaustive up to this genus, sampled above it
 STABILIZER_EXHAUSTIVE_LIMIT = 4
@@ -107,12 +102,7 @@ def _run_quotient_rank(g: int, seed: int) -> Iterator[CheckReport]:
     expected = quotient_dim_bound(g)
     got = fpres.quotient_rank(g)
     rb.record(got == expected, f"rank {got} != closed form {expected}")
-    got_twist = fpres.twist_quotient_rank(g)
-    rb.record(
-        got_twist == expected - 1,
-        f"twist-subgroup rank {got_twist} != closed form {expected - 1}",
-    )
-    rb.detail(f"rank {got}, twist-subgroup rank {got_twist}")
+    rb.detail(f"rank {got}")
     yield rb.build()
 
 
@@ -125,19 +115,6 @@ def _run_main_theorem(g: int, seed: int) -> Iterator[CheckReport]:
     rb.detail(f"level-2 group is index 2^{got} over the twist-subgroup part")
     yield rb.build()
     yield fpres.symbol_kernel_report(g)
-    rb = ReportBuilder("tst-membership", g=g)
-    if g <= TST_GENUS_LIMIT:
-        tuples = 0
-        for r in range(2, g + 1, 2):
-            for idx in itertools.combinations(range(1, g + 1), r):
-                _fold(rb, rschreier.verify_tst_membership(g, idx))
-                tuples += 1
-        rb.detail(f"{tuples} even index tuples checked")
-    else:
-        rb.detail(
-            f"conjugated-twist tuple sweep skipped above genus {TST_GENUS_LIMIT}"
-        )
-    yield rb.build()
 
 
 def _run_o2(g: int, seed: int) -> Iterator[CheckReport]:
@@ -206,7 +183,6 @@ def _run_transversal(g: int, seed: int) -> Iterator[CheckReport]:
 def _run_rs(g: int, seed: int) -> Iterator[CheckReport]:
     yield rschreier.verify_rs_zero_images(g, seed=seed)
     yield rschreier.verify_family_zero_images(g, ("1", "2", "3", "4"), seed=seed)
-    yield rschreier.verify_reduced4_constraint(g)
 
 
 def _run_case_identities(g: int, seed: int) -> Iterator[CheckReport]:
@@ -371,7 +347,8 @@ def run(config: RunConfig) -> dict:
                         entry["duration_ms"] = round((now - start) * 1000)
                         start = now
                         entries.append(entry)
-                        all_ok = all_ok and rep.ok
+                        # an entry that checked nothing is not a pass
+                        all_ok = all_ok and rep.ok and rep.passed > 0
                 except CapExceededError as exc:
                     message = str(exc)
             if message is not None:

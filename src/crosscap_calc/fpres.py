@@ -26,8 +26,9 @@ distinct argument tuple, so words share their symbols.
   group, and are deliberately never matrix-verified.
 
 Families bar-(1) and bar-(2) make the quotient an elementary abelian
-2-group, so its relators abelianize to GF(2) rows over the pair classes.
-One row reduction per genus gives both the rank (``quotient_rank``:
+2-group, so its relators abelianize to GF(2) rows over the pair classes;
+theirs are squares, whose rows are 0, so only bar-(5)'s are reduced.  One
+row reduction per genus gives both the rank (``quotient_rank``:
 pairs less pivots) and the map (``build_quotient_map``): with the
 declared basis in the low bits, a pair's image is its normal form modulo
 the relator rows, once the pivots' leading bits are checked to be exactly
@@ -264,7 +265,8 @@ def bar5_odd_word(g: int) -> Word:
     return word(*(yslide(k, g) for k in range(1, g)))
 
 
-def _quotient_relators(g: int) -> Iterator[Relator]:
+def _bar_square_relators(g: int) -> Iterator[Relator]:
+    """Families bar-(1) and bar-(2): squares of one or two pair classes."""
     pairs = pair_set(g)
     # bar-(1): involutions
     for i, j in pairs:
@@ -287,7 +289,10 @@ def _quotient_relators(g: int) -> Iterator[Relator]:
     for (i, j), (k, l) in itertools.combinations(pairs, 2):
         if len({i, j, k, l}) == 4:
             yield Relator("bar2d", (i, j, k, l), _sq((i, j), (k, l)))
-    # bar-(5): the defining products of the dropped generators
+
+
+def _bar5_relators(g: int) -> Iterator[Relator]:
+    """Families bar-(5) and bar-(5)-odd: the dropped generators' products."""
     for i in range(2, g):
         yield Relator("bar5", (i,), bar5_word(g, i))
     if g % 2 == 1:
@@ -300,7 +305,7 @@ def build_presentation(g: int, variant: str) -> Presentation:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     if variant == VARIANT_QUOTIENT:
         gens = tuple(yslide(i, j) for i, j in pair_set(g))
-        rels = tuple(_quotient_relators(g))
+        rels = (*_bar_square_relators(g), *_bar5_relators(g))
     else:
         gens = tuple(
             yslide(i, j) for i in range(1, g) for j in range(1, g + 1) if j != i
@@ -441,21 +446,22 @@ def _quotient_pivots(g: int) -> tuple[tuple[Pair, ...], tuple[int, ...]]:
     """(the pair classes in bit order, the reduced relator rows).
 
     The declared basis takes the low bits, in basis order, and the other
-    pairs the bits above it.  Each QUOTIENT_BAR relator abelianizes to a
-    row; the bar-(1) and bar-(2) rows are 0 and are skipped.
+    pairs the bits above it.  Only the bar-(5) and bar-(5)-odd relators
+    are reduced.  Lemma: every bar-(1) and bar-(2) word is ``_sq(...)``,
+    that is ``w + w``, so each letter occurs in it an even number of
+    times and its row, the XOR of its letters' bits, is 0.
     """
     basis = quotient_basis(g)
     layout = basis + tuple(p for p in pair_set(g) if p not in basis)
     bit = {yslide(*p): 1 << n for n, p in enumerate(layout)}
     pivots: list[int] = []
-    for rel in build_presentation(g, VARIANT_QUOTIENT).relators:
+    for rel in _bar5_relators(g):
         row = 0
         for sym, _exp in rel.word:
             row ^= bit[sym]
+        row = _f2_reduce(row, pivots)
         if row:
-            row = _f2_reduce(row, pivots)
-            if row:
-                pivots.append(row)
+            pivots.append(row)
     return layout, tuple(pivots)
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import random
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -271,6 +272,14 @@ def standard_twist_generators(
     return gens
 
 
+def o2_order(g: int) -> int:
+    """|O(g, F2)| in closed form: |O(2m+1)| = |Sp(2m, F2)| =
+    2^(m^2) (4^1 - 1) ... (4^m - 1) and |O(2m)| = 2^(2m-1) |Sp(2m-2, F2)|."""
+    m = (g - 1) // 2
+    sp = 2 ** (m * m) * math.prod(4**i - 1 for i in range(1, m + 1))
+    return sp if g % 2 else 2 ** (g - 1) * sp
+
+
 def generate_group(g: int, gens: Iterable[F2Matrix]) -> frozenset[F2Matrix]:
     """The subgroup of O_2(g) the generators generate; empty input gives {I}.
 
@@ -288,7 +297,9 @@ def generate_group(g: int, gens: Iterable[F2Matrix]) -> frozenset[F2Matrix]:
     a group, whose right cosets are disjoint, so every generator must be
     invertible: each is checked to be orthogonal (one product apiece)
     and one that is not raises
-    ``ValueError``, as does a generator that is not g x g.
+    ``ValueError``, as does a generator that is not g x g.  The closure
+    lists at most |O(g, F2)| / |H| cosets of H (``o2_order``); more can
+    only come from a wrong product, and raise ``ArithmeticError``.
     """
     gens = sorted(set(gens))
     for s in gens:
@@ -305,6 +316,7 @@ def generate_group(g: int, gens: Iterable[F2Matrix]) -> frozenset[F2Matrix]:
             continue
         used.append(_RowSpan(s.rows).left)
         subgroup = _row_columns(seen)
+        max_cosets = o2_order(g) // len(seen)
         # H itself is the first coset: its representative I times s opens H s
         reps = [identity]
         for r in reps:  # grows while it is walked
@@ -313,6 +325,10 @@ def generate_group(g: int, gens: Iterable[F2Matrix]) -> frozenset[F2Matrix]:
                 if c not in seen:
                     reps.append(c)
                     seen.update(_RowSpan(c.rows).left_all(subgroup))
+                    if len(reps) > max_cosets:
+                        raise ArithmeticError(
+                            f"more than |O({g}, F2)| / |H| cosets: a product is wrong"
+                        )
     return frozenset(seen)
 
 

@@ -1,11 +1,13 @@
 """Command line driver: runners, caps, report schema, golden comparison."""
 
 import contextlib
+import functools
 import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -25,7 +27,7 @@ from crosscap_calc.cli import (
     parse_range,
     run,
 )
-from crosscap_calc.reports import CheckReport
+from crosscap_calc.reports import CheckReport, ReportBuilder
 
 
 def run_json(capsys, *argv):
@@ -185,7 +187,6 @@ class TestRun:
         entries = {e["check"]: e for e in report["checks"]}
         assert all(e["failed"] == 0 for e in entries.values())
         assert "family 4: 460800 words" in entries["family-zero-image"]["details"]
-        assert entries["family4-reduced"]["passed"] == 2086
 
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError):
@@ -256,6 +257,18 @@ class TestMainVerify:
         assert code == 0
         assert report["overall_pass"] is True
         assert len(report["checks"]) == 4
+
+    def test_an_entry_that_checked_nothing_fails_the_run(self, capsys, monkeypatch):
+        def empty(g, seed):
+            yield ReportBuilder("empty", g=g).build()
+
+        check = cli.CHECKS["quotient-rank"]
+        monkeypatch.setitem(cli.CHECKS, "quotient-rank", replace(check, run=empty))
+        code, report = run_json(capsys, "verify", "quotient-rank", "--g", "3")
+        assert code == 1
+        assert report["overall_pass"] is False
+        [entry] = report["checks"]
+        assert (entry["check"], entry["passed"], entry["failed"]) == ("empty", 0, 0)
 
     def test_markdown_emission(self, capsys):
         code = main(["verify", "chain", "--k", "1..3", "--emit", "markdown"])
@@ -412,9 +425,20 @@ class TestGolden:
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
+@functools.cache
+def _verify_all_seed0():
+    return run(RunConfig(check="all", seed=0))
+
+
 def test_verify_all_matches_the_checked_in_golden():
     """``verify all --seed 0`` at default scopes equals the frozen report
     in ``tests/golden``, timings ignored: a speedup must not move a count,
     a failure label, a detail or a verdict."""
     golden = json.loads((GOLDEN_DIR / "verify_all_seed0.json").read_text())
-    assert golden_compare(run(RunConfig(check="all", seed=0)), golden) == []
+    assert golden_compare(_verify_all_seed0(), golden) == []
+
+
+def test_verify_all_has_no_entry_that_checked_nothing():
+    report = _verify_all_seed0()
+    assert report["overall_pass"] is True
+    assert all(e["passed"] + e["failed"] > 0 for e in report["checks"])

@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import hashlib
 import math
 import random
 
@@ -606,14 +607,76 @@ def _clear_quotient_caches():
     build_quotient_map.cache_clear()
 
 
+def _full_reduction_pivots(g):
+    """Reference oracle: the pivots of a reduction over every QUOTIENT_BAR
+    row in presentation order, zero rows skipped."""
+    basis = quotient_basis(g)
+    layout = basis + tuple(p for p in pair_set(g) if p not in basis)
+    bit = {p: 1 << n for n, p in enumerate(layout)}
+    pivots = []
+    for rel in build_presentation(g, VARIANT_QUOTIENT).relators:
+        row = 0
+        for sym, _exp in rel.word:
+            row ^= bit[tuple(sorted(sym.indices))]
+        for p in pivots:
+            row = min(row, row ^ p)
+        if row:
+            pivots.append(row)
+    return layout, tuple(pivots)
+
+
+class TestBarFiveOnlyReduction:
+    @pytest.mark.parametrize("g", range(3, 17))
+    def test_pivots_equal_a_full_reduction(self, g):
+        assert fpres._quotient_pivots(g) == _full_reduction_pivots(g)
+
+    @pytest.mark.parametrize("g", range(3, 13))
+    def test_square_relators_are_doubled_words(self, g):
+        # the lemma's premise: every letter occurs twice, so the row is 0
+        for rel in fpres._bar_square_relators(g):
+            half = len(rel.word) // 2
+            assert rel.word == rel.word[:half] * 2, rel
+
+    def test_presentation_is_squares_then_bar5(self):
+        for g in range(3, 13):
+            rels = build_presentation(g, VARIANT_QUOTIENT).relators
+            assert rels == (*fpres._bar_square_relators(g), *fpres._bar5_relators(g))
+            assert {r.family for r in fpres._bar5_relators(g)} <= {"bar5", "bar5odd"}
+
+    def test_relators_frozen_from_the_full_construction(self):
+        # sha256 of every QUOTIENT_BAR presentation at g=3..12, taken when
+        # all of its relators were still built by one function
+        h = hashlib.sha256()
+        for g in range(3, 13):
+            p = build_presentation(g, VARIANT_QUOTIENT)
+            h.update(repr((p.generators, p.relators)).encode())
+        assert h.hexdigest() == (
+            "dffb921003ffeb09ccbcde719567d4f428c37d4473705084cb525995d5f29799"
+        )
+
+    def test_verdict_path_builds_no_square_relator(self, monkeypatch):
+        def forbidden(g):
+            raise AssertionError("the quotient solve must not build a square relator")
+
+        monkeypatch.setattr(fpres, "_bar_square_relators", forbidden)
+        _clear_quotient_caches()
+        try:
+            for g in range(3, 13):
+                assert quotient_rank(g) == RANKS[g]
+                assert build_quotient_map(g).basis == quotient_basis(g)
+        finally:
+            _clear_quotient_caches()
+
+
 @pytest.fixture
 def edit_quotient_relators(monkeypatch):
-    """Install ``edit(g, relators) -> relators`` over the quotient
-    relators with the quotient caches cleared, and restore both after."""
-    original = fpres._quotient_relators
+    """Install ``edit(g, relators) -> relators`` over the bar-(5)
+    relators, the only ones the quotient solve reads, with the quotient
+    caches cleared, and restore both after."""
+    original = fpres._bar5_relators
 
     def install(edit):
-        monkeypatch.setattr(fpres, "_quotient_relators", lambda g: edit(g, list(original(g))))
+        monkeypatch.setattr(fpres, "_bar5_relators", lambda g: edit(g, list(original(g))))
         _clear_quotient_caches()
 
     yield install

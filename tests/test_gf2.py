@@ -20,6 +20,7 @@ from crosscap_calc.gf2 import (
     enumerate_o2,
     generate_group,
     is_orthogonal,
+    o2_order,
     stabilizer_case_check,
     standard_twist_generators,
     twist_transvection,
@@ -309,6 +310,10 @@ class TestOrthogonalGroup:
         for m in enumerate_o2(g):
             assert functools.reduce(operator.xor, m.rows) == ones
 
+    @pytest.mark.parametrize("g", range(1, 7))
+    def test_closed_form_order_matches_enumeration(self, g):
+        assert o2_order(g) == len(enumerate_o2(g))
+
     def test_generation_matches_enumeration(self):
         for g in (3, 4, 5):
             gens = standard_twist_generators(g)
@@ -380,6 +385,16 @@ class TestClosure:
         assert not is_orthogonal(shear)
         with pytest.raises(ValueError, match="not orthogonal"):
             generate_group(3, [twist_transvection(3, (1, 2)), shear])
+
+    def test_wrong_product_raises_instead_of_growing(self, monkeypatch):
+        # coset fills with their row columns rotated: the fills miss their
+        # representatives, so without the bound the closure never ends
+        left_all = gf2._RowSpan.left_all
+        monkeypatch.setattr(
+            gf2._RowSpan, "left_all", lambda span, cols: left_all(span, cols[1:] + cols[:1])
+        )
+        with pytest.raises(ArithmeticError, match=r"\|O\(4, F2\)\| / \|H\| cosets"):
+            generate_group(4, standard_twist_generators(4).values())
 
     def test_products_close_to_group_order(self, monkeypatch):
         # breadth-first closure takes |O(6)| * 30 = 691,200 products here

@@ -2,6 +2,7 @@
 
 import inspect
 import itertools
+import math
 import random
 import re
 
@@ -442,6 +443,11 @@ class TestFamilyWords:
             rep = verify_reduced4_constraint(g)
             assert rep.ok, rep.failures[:3]
 
+    def test_reduced4_count_genus6(self):
+        rep = verify_reduced4_constraint(6)
+        assert rep.ok
+        assert rep.passed == 2086
+
     def test_reduced4_is_a_proper_subset(self):
         full = sum(1 for _ in iter_family_words(4, "4"))
         reduced = sum(1 for _ in iter_family_words(4, "4", reduced4=True))
@@ -516,6 +522,19 @@ class TestTstMembership:
             for r in range(2, g + 1, 2):
                 for idx in itertools.combinations(range(1, g + 1), r):
                     assert verify_tst_membership(g, idx).ok
+
+    @pytest.mark.parametrize("g", [3, 4, 5, 6])
+    def test_cores_are_symbol_kernel_pairs(self, g):
+        # each core is twist_sq(i_s, i_(s+1)) with the same two records,
+        # image zero and level-2, that symbol-kernel makes for every pair
+        cores = {
+            idx[s : s + 2]
+            for r in range(2, g + 1, 2)
+            for idx in itertools.combinations(range(1, g + 1), r)
+            for s in range(r - 1)
+        }
+        assert cores == set(pair_set(g))
+        assert fpres.symbol_kernel_report(g).passed == 4 * math.comb(g, 2)
 
 
 # ---------------------------------------------------------------------------
