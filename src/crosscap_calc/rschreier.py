@@ -4,7 +4,10 @@ The quotient of the level-2 group by the squared-twist-and-Torelli
 subgroup is elementary abelian with basis the pair classes of
 ``fpres.quotient_basis``.  The ordered products of basis slides (one
 slide per pair, pairs strictly increasing) form a Schreier transversal:
-dropping the last factor of a transversal word gives another one.  The
+dropping the last factor of a transversal word gives another one.  One
+lex (depth-first) walk lists them with O(dim) state: ``transversal``
+caches its elements for the sweeps, and ``verify_transversal`` checks
+them as they stream past, in tables of 2^dim bytes.  The
 Reidemeister-Schreier generators of the subgroup are then
 
     f x^(+-1) rep(f x)^(-1)
@@ -132,26 +135,39 @@ class RsGenerator(NamedTuple):
     word: Word
 
 
-@functools.cache
-def transversal(g: int) -> tuple[TransversalElement, ...]:
-    """Every subset of the basis pairs in lex order, built depth-first."""
-    g = genus(g)
-    basis = quotient_basis(g)
+def _lex_walk(g: int) -> Iterator[tuple[Pair, ...]]:
+    """The subsets of ``quotient_basis(g)`` in lex order: after each, append
+    the next basis pair if there is one, else drop the last pair and advance
+    the new last one.  Past the cap it raises at the call."""
+    basis = quotient_basis(genus(g))
     if len(basis) > TRANSVERSAL_DIM_CAP:
         raise CapExceededError(
             f"transversal has 2^{len(basis)} elements, past the"
             f" dimension cap {TRANSVERSAL_DIM_CAP}"
         )
-    out: list[TransversalElement] = []
+    pos = {p: n for n, p in enumerate(basis)}
 
-    def extend(pairs: tuple[Pair, ...], start: int) -> None:
-        # pairs increase by construction: skip TransversalElement.__new__
-        out.append(tuple.__new__(TransversalElement, (pairs,)))
-        for n in range(start, len(basis)):
-            extend(pairs + (basis[n],), n + 1)
+    def walk() -> Iterator[tuple[Pair, ...]]:
+        pairs, last = (), -1  # last: the basis position of pairs[-1]
+        while True:
+            yield pairs
+            if last + 1 < len(basis):
+                last += 1
+                pairs += (basis[last],)
+            elif len(pairs) < 2:
+                return
+            else:
+                last = pos[pairs[-2]] + 1
+                pairs = pairs[:-2] + (basis[last],)
 
-    extend((), 0)
-    return tuple(out)
+    return walk()
+
+
+@functools.cache
+def transversal(g: int) -> tuple[TransversalElement, ...]:
+    """Every subset of the basis pairs in lex order, from ``_lex_walk``."""
+    # pairs increase by construction: skip TransversalElement.__new__
+    return tuple(tuple.__new__(TransversalElement, (p,)) for p in _lex_walk(g))
 
 
 def uses_subset_twist_generators(g: int) -> bool:
@@ -322,37 +338,52 @@ def construction_counts(g: int) -> dict:
     }
 
 
-def _prefix_images(qmap: fpres.QuotientMap, elems: tuple[TransversalElement, ...]):
-    """Yield (pairs, quotient image, whether the prefix came earlier) per
-    element.  Images are XOR-linear: an element's is its prefix's plus its
-    last slide's, one letter folded (the prefix's word, if it is missing)."""
-    images: dict[tuple[Pair, ...], int] = {}
-    for t in elems:
-        pairs = t.pairs
-        head = images.get(pairs[:-1]) if pairs else 0
-        listed = head is not None
-        if not listed:
-            head = qmap.word_image(t.word()[:-1])
-        last = ((yslide(*pairs[-1]), 1),) if pairs else ()
-        images[pairs] = image = head ^ qmap.word_image(last)
-        yield pairs, image, listed
+def _walk_images(qmap: fpres.QuotientMap, walk: Iterator[tuple[Pair, ...]]):
+    """(pairs, quotient image, whether its prefix came earlier) per subset
+    the walk lists.  In lex order the latest subset one shorter is the
+    prefix: one ``word_image`` call folds the last slide onto its image,
+    else the whole word."""
+    step = {p: (1 << n, ((yslide(*p), 1),)) for n, p in enumerate(qmap.basis)}
+    listed = bytearray(1 << len(step))
+    latest = [(None, 0, 0)] * (len(step) + 1)  # per length: (pairs, mask, image)
+    for pairs in walk:
+        mask, image, found = 0, 0, True
+        if pairs:
+            head, mask, image = latest[len(pairs) - 1]
+            bit, letter = step[pairs[-1]]
+            if head != pairs[:-1]:
+                mask, image = sum(step[p][0] for p in pairs[:-1]), 0
+                letter = TransversalElement(pairs).word()
+            found = listed[mask] == 1
+            image ^= qmap.word_image(letter)
+            mask |= bit
+        listed[mask] = 1
+        latest[len(pairs)] = pairs, mask, image
+        yield pairs, image, found
 
 
 def verify_transversal(g: int) -> CheckReport:
-    """Size 2^rank, prefix closure, and bijection onto the quotient."""
+    """Size 2^rank, prefix closure, and bijection onto the quotient.  The
+    labels of missing prefixes wait, so the size line comes first."""
     g = genus(g)
-    rb = ReportBuilder("transversal", g=g)
-    elems = transversal(g)
+    walk = _lex_walk(g)  # past the cap this raises before any table exists
     rank = fpres.quotient_rank(g)
-    rb.record(len(elems) == 1 << rank, f"size {len(elems)} != 2^{rank}")
-    images = set()
-    for pairs, image, listed in _prefix_images(build_quotient_map(g), elems):
-        images.add(image)
-        if pairs and listed:
-            rb.passed += 1
+    rb, prefixes = ReportBuilder("transversal", g=g), ReportBuilder("prefixes")
+    seen, size, stray, clash = bytearray(1 << rank), 0, 0, 0
+    for pairs, image, found in _walk_images(build_quotient_map(g), walk):
+        size += 1
+        if not found:
+            prefixes.record(False, f"prefix of {pairs} missing")
         elif pairs:
-            rb.record(False, f"prefix of {pairs} missing")
-    rb.record(len(images) == len(elems), "quotient images are not distinct")
+            prefixes.passed += 1
+        stray |= image >> rank
+        if not stray:
+            clash |= seen[image]
+            seen[image] = 1
+    rb.record(size == 1 << rank, f"size {size} != 2^{rank}")
+    rb.tally(prefixes.passed, prefixes.failed, prefixes.failures)
+    distinct = "quotient images are not distinct"
+    rb.record(not (stray or clash), distinct if clash else f"quotient images past 2^{rank}")
     return rb.build()
 
 

@@ -161,7 +161,7 @@ class TestRun:
         assert report["overall_pass"] is False
 
     def test_library_cap_becomes_a_cap_entry(self, capsys, monkeypatch):
-        # past the CLI gate, rschreier.transversal raises CapExceededError
+        # past the CLI gate, the transversal walk raises CapExceededError
         monkeypatch.setenv(cli.CAP_ENV_VAR, "transversal=30")
         code, report = run_json(capsys, "verify", "transversal", "--g", "8..9")
         assert code == 1

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -63,6 +64,13 @@ def count_word_images(monkeypatch):
 
     monkeypatch.setattr(fpres.QuotientMap, "word_image", counting)
     return calls
+
+
+def moved_ahead_of_prefix(g):
+    """The lex walk with ((2, 3), (2, 4)) moved ahead of its prefix ((2, 3),)."""
+    walk = list(rschreier._lex_walk(g))
+    walk.insert(1, walk.pop(walk.index(((2, 3), (2, 4)))))
+    return walk
 
 
 def count_draws(monkeypatch):
@@ -154,19 +162,19 @@ class TestTransversal:
             assert rep.ok, rep.failures[:3]
 
     def test_check_fails_when_an_element_is_missing(self, monkeypatch):
-        # without ((2, 3),) the transversal is one short, and the two
-        # elements extending it lose their prefix
-        full = transversal(4)
+        # without ((2, 3),) the walk is one short, and the two elements
+        # extending it lose their prefix
+        walk = rschreier._lex_walk
         monkeypatch.setattr(
-            rschreier,
-            "transversal",
-            lambda g: tuple(t for t in full if t.pairs != ((2, 3),)),
+            rschreier, "_lex_walk", lambda g: (p for p in walk(g) if p != ((2, 3),))
         )
-        assert verify_transversal(4).failures == (
+        rep = verify_transversal(4)
+        assert rep.failures == (
             "size 15 != 2^4",
             "prefix of ((2, 3), (2, 4)) missing",
             "prefix of ((2, 3), (3, 4)) missing",
         )
+        assert (rep.passed, rep.failed) == (13, 3)
 
     def test_check_fails_when_images_collide(self, monkeypatch):
         # clearing the first basis bit merges the cosets it separates
@@ -175,6 +183,15 @@ class TestTransversal:
             fpres.QuotientMap, "word_image", lambda self, w: word_image(self, w) & ~1
         )
         assert verify_transversal(4).failures == ("quotient images are not distinct",)
+
+    def test_an_image_past_the_quotient_fails_without_index_error(self, monkeypatch):
+        word_image = fpres.QuotientMap.word_image
+        monkeypatch.setattr(
+            fpres.QuotientMap, "word_image", lambda self, w: word_image(self, w) | 1 << 4
+        )
+        rep = verify_transversal(4)
+        assert rep.failures == ("quotient images past 2^4",)
+        assert (rep.passed, rep.failed) == (16, 1)
 
     def test_element_validation(self):
         TransversalElement(((2, 3), (2, 4)))  # strictly increasing: fine
@@ -247,30 +264,66 @@ class TestTransversal:
         got = transversal(g)
         assert list(got) == expected
         assert all(type(t) is TransversalElement for t in got)
+        assert list(rschreier._lex_walk(g)) == [t.pairs for t in expected]
 
     @pytest.mark.parametrize("g", [3, 4, 5, 6])
-    def test_prefix_images_equal_a_per_element_fold(self, g):
+    def test_streamed_images_equal_a_per_element_fold(self, g):
         qmap = build_quotient_map(g)
         elems = transversal(g)
-        rows = list(rschreier._prefix_images(qmap, elems))
-        assert [pairs for pairs, _image, _listed in rows] == [t.pairs for t in elems]
-        assert all(listed for _pairs, _image, listed in rows)
-        assert [image for _pairs, image, _listed in rows] == [
+        rows = list(rschreier._walk_images(qmap, rschreier._lex_walk(g)))
+        assert [pairs for pairs, _image, _found in rows] == [t.pairs for t in elems]
+        assert all(found for _pairs, _image, found in rows)
+        assert [image for _pairs, image, _found in rows] == [
             qmap.word_image(t.word()) for t in elems
         ]
 
-    def test_prefix_images_fold_one_letter_each(self, monkeypatch):
+    def test_streamed_images_survive_a_reordered_walk(self):
+        # off the lex order the latest shorter subset is not the prefix, so
+        # whole words are folded; the images must not change
+        qmap = build_quotient_map(4)
+        walk = moved_ahead_of_prefix(4)
+        rows = list(rschreier._walk_images(qmap, iter(walk)))
+        assert [image for _pairs, image, _found in rows] == [
+            qmap.word_image(TransversalElement(pairs).word()) for pairs in walk
+        ]
+
+    def test_streamed_check_folds_once_per_nonempty_element(self, monkeypatch):
+        build_quotient_map(6)  # built outside the count
         calls = count_word_images(monkeypatch)
         assert verify_transversal(6).ok
-        assert calls[0] == len(transversal(6))
+        # one fold per nonempty element; the empty one has image 0 for free
+        assert calls[0] == (1 << quotient_rank(6)) - 1
 
     def test_an_element_before_its_prefix_counts_as_missing(self, monkeypatch):
-        # same elements, ((2, 3), (2, 4)) moved ahead of ((2, 3),)
-        full = list(transversal(4))
-        moved = full.pop(full.index(TransversalElement(((2, 3), (2, 4)))))
-        full.insert(1, moved)
-        monkeypatch.setattr(rschreier, "transversal", lambda g: tuple(full))
-        assert verify_transversal(4).failures == ("prefix of ((2, 3), (2, 4)) missing",)
+        walk = moved_ahead_of_prefix(4)
+        monkeypatch.setattr(rschreier, "_lex_walk", lambda g: iter(walk))
+        rep = verify_transversal(4)
+        assert rep.failures == ("prefix of ((2, 3), (2, 4)) missing",)
+        assert (rep.passed, rep.failed) == (16, 1)
+
+    def test_check_streams_without_building_the_transversal(self):
+        # building and caching all 2^15 elements would peak near 10 MiB
+        build_quotient_map(7)
+        quotient_rank(7)
+        transversal.cache_clear()
+        tracemalloc.start()
+        try:
+            rep = verify_transversal(7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+        assert transversal.cache_info().currsize == 0
+        assert (rep.passed, rep.failed) == (32769, 0)
+
+    def test_check_refuses_past_the_cap_before_folding(self, monkeypatch):
+        calls = count_word_images(monkeypatch)
+        with pytest.raises(
+            rschreier.CapExceededError,
+            match=r"^transversal has 2\^22 elements, past the dimension cap 16$",
+        ):
+            verify_transversal(8)
+        assert calls[0] == 0
 
 
 class TestGeneratingSet:
