@@ -6,14 +6,17 @@ anything fails.  ``crosscap-calc golden REPORT GOLDEN`` compares a report
 against a frozen one, ignoring timings.
 
 ``CHECKS`` is the one table of what each check is: runner, scope flag,
-default range and a hard cap, so a mistyped range cannot start a
-week-long enumeration.  Cost rises with the scope, so the first value
-past a cap ends the range as one failing ``<check>:cap`` entry rather
-than an exception, and batch runs continue.  Caps can be raised or
-lowered via the ``CROSSCAP_CAP_OVERRIDE`` environment variable, e.g.
-``CROSSCAP_CAP_OVERRIDE=chain=8,o2=6``; the ``transversal``, ``rs`` and
-``stabilizer`` caps are the library's own limits, so raising those still
-ends in a ``:cap`` entry.
+default range and the check's one limit, so a mistyped range cannot
+start a week-long enumeration.  A check's limit lives where its cost is
+paid: a scope cap here, or, for ``o2``, ``stabilizer``, ``transversal``
+and ``rs``, the library's own (``gf2.ENUMERATION_CAP``,
+``rschreier.TRANSVERSAL_DIM_CAP``), which raises ``CapExceededError``
+before anything large is built.  Cost rises with the scope, so the first
+value past either limit ends the range as one failing ``<check>:cap``
+entry rather than an exception, and batch runs continue.  The scope caps
+can be raised or lowered via the ``CROSSCAP_CAP_OVERRIDE`` environment
+variable, e.g. ``CROSSCAP_CAP_OVERRIDE=chain=8,commutation=20``; naming
+a check without a scope cap there is an error.
 """
 
 from __future__ import annotations
@@ -42,10 +45,8 @@ STABILIZER_SAMPLE = 100
 
 
 def quotient_dim_bound(g: int) -> int:
-    """Closed form for the quotient rank: the expected value in
-    ``quotient-rank`` and ``main-theorem``, and the dimension that the
-    ``transversal`` and ``rs`` caps gate, so the gate never runs the
-    computation it protects."""
+    """Closed form for the quotient rank: the expected value that
+    ``quotient-rank`` and ``main-theorem`` check the solved rank against."""
     return math.comb(g - 1, 2) + (1 if g % 2 == 0 else 0)
 
 
@@ -199,13 +200,12 @@ class Check:
 
     run: Runner
     default_range: tuple[int, int]
-    #: upper bound on the scope value, or on the quotient dimension at g
-    #: when ``caps_dimension`` (the transversal has 2^dim elements)
-    cap: int
+    #: upper bound on the scope value; None when the library bounds the
+    #: check itself and raises ``CapExceededError`` past its limit
+    cap: int | None
     #: the flag that scopes the check: genus ``g``, chain length ``k`` or
     #: factor count ``n``
     scope: str = "g"
-    caps_dimension: bool = False
 
     @property
     def floor(self) -> int:
@@ -217,19 +217,19 @@ CHECKS: dict[str, Check] = {
     "commutation": Check(_run_commutation, (3, 8), 16),
     "quotient-rank": Check(_run_quotient_rank, (3, 12), 64),
     "main-theorem": Check(_run_main_theorem, (3, 12), 64),
-    # its own cap: gf2.enumerate_o2 goes one genus further
-    "o2": Check(_run_o2, (3, 5), 5),
-    "stabilizer": Check(_run_stabilizer, (3, 5), gf2.ENUMERATION_CAP - 1),
+    "o2": Check(_run_o2, (3, 5), None),
+    "stabilizer": Check(_run_stabilizer, (3, 5), None),
     "chain": Check(_run_chain, (1, 6), 6, scope="k"),
     "commutator-lemma": Check(_run_commutator_lemma, (1, 8), 16, scope="n"),
-    "transversal": Check(
-        _run_transversal, (3, 7), rschreier.TRANSVERSAL_DIM_CAP, caps_dimension=True
-    ),
-    "rs": Check(_run_rs, (3, 5), rschreier.TRANSVERSAL_DIM_CAP, caps_dimension=True),
+    "transversal": Check(_run_transversal, (3, 7), None),
+    "rs": Check(_run_rs, (3, 5), None),
     "case-identities": Check(_run_case_identities, (5, 6), 8),
 }
 
 CHECK_NAMES = tuple(CHECKS)
+
+#: the checks with a scope cap, the only names ``CROSSCAP_CAP_OVERRIDE`` takes
+CAPPED_NAMES = tuple(name for name, check in CHECKS.items() if check.cap is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +262,8 @@ def parse_range(text: str) -> tuple[int, int]:
 
 
 def parse_cap_overrides(raw: str) -> dict[str, int]:
-    """``"chain=8,o2=6"``, as ``CROSSCAP_CAP_OVERRIDE`` holds it."""
+    """``"chain=8,commutation=20"``, as ``CROSSCAP_CAP_OVERRIDE`` holds it;
+    only the checks with a scope cap can be named."""
     out: dict[str, int] = {}
     for part in raw.split(","):
         part = part.strip()
@@ -270,10 +271,10 @@ def parse_cap_overrides(raw: str) -> dict[str, int]:
             continue
         name, sep, num = part.partition("=")
         name = name.strip()
-        if not sep or name not in CHECKS:
+        if not sep or name not in CAPPED_NAMES:
             raise ValueError(
                 f"bad cap override {part!r}: expected NAME=INT with NAME one of"
-                f" {', '.join(CHECKS)}"
+                f" {', '.join(CAPPED_NAMES)}"
             )
         try:
             out[name] = int(num)
@@ -283,23 +284,17 @@ def parse_cap_overrides(raw: str) -> dict[str, int]:
 
 
 def effective_caps() -> dict[str, int]:
-    caps = {name: check.cap for name, check in CHECKS.items()}
+    """The scope caps, overrides applied: what ``config.caps`` records."""
+    caps = {name: CHECKS[name].cap for name in CAPPED_NAMES}
     caps.update(parse_cap_overrides(os.environ.get(CAP_ENV_VAR, "")))
     return caps
 
 
-def _cap_violation(name: str, value: int, cap: int) -> str | None:
-    check = CHECKS[name]
-    raise_it = f"raise it via {CAP_ENV_VAR}={name}=N"
-    if not check.caps_dimension:
-        return f"{check.scope}={value} exceeds cap {cap}; {raise_it}" if value > cap else None
-    dim = quotient_dim_bound(value)
-    if dim <= cap:
+def _cap_violation(name: str, value: int, cap: int | None) -> str | None:
+    if cap is None or value <= cap:
         return None
-    return (
-        f"quotient dimension {dim} at g={value} exceeds cap {cap}"
-        f" (the transversal would have 2^{dim} elements); {raise_it}"
-    )
+    scope = CHECKS[name].scope
+    return f"{scope}={value} exceeds cap {cap}; raise it via {CAP_ENV_VAR}={name}=N"
 
 
 def _cap_report(name: str, value: int, hi: int, message: str) -> CheckReport:
@@ -337,7 +332,7 @@ def run(config: RunConfig) -> dict:
         )
         lo, hi = config.value_range if range_applies else check.default_range
         for value in range(max(lo, check.floor), hi + 1):
-            message = _cap_violation(name, value, caps[name])
+            message = _cap_violation(name, value, caps.get(name))
             start = time.perf_counter()
             if message is None:
                 try:

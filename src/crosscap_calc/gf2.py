@@ -17,8 +17,7 @@ the stabilizer checks' re-multiplication, which multiply many matrices by
 the same M, fold each distinct row once.  Where a whole list of matrices
 is multiplied by one M (the closure's coset fill, a level of the word
 table), its rows are grouped by row position (``_row_columns``) and each
-group goes through the span in one ``map`` (``_RowSpan.left_all``); the
-stabilizer checks test "A fixes v" over the same grouping (``_fixing``).
+group goes through the span in one ``map`` (``_RowSpan.left_all``).
 The frame enumeration reads the last row of each frame instead of
 searching for it, since the rows of an orthogonal matrix sum to the
 all-ones vector, and narrows the candidates for the next row by set
@@ -154,23 +153,8 @@ class _RowSpan(dict):
 
 def _row_columns(mats: Iterable[F2Matrix]) -> tuple[tuple[int, ...], ...]:
     """Row r of every matrix, in order, for each row position r: the
-    layout that ``_RowSpan.left_all`` and ``_fixing`` read."""
+    layout that ``_RowSpan.left_all`` reads."""
     return tuple(zip(*map(operator.attrgetter("rows"), mats)))
-
-
-def _fixing(g: int, mats: list[F2Matrix], v: int) -> list[F2Matrix]:
-    """The matrices A of ``mats`` with A v = v, in order, read from their
-    row columns: entry r of A v is the parity of row r and v, and it must
-    equal bit r of v.  One ``map`` per row position looks each row up in
-    a table of that test over all 2^g masks.
-    """
-    columns = _row_columns(mats)
-    meets = [(m & v).bit_count() & 1 for m in range(1 << g)]
-    tables = [[p == bit for p in meets] for bit in (0, 1)]
-    keeps = [
-        map(tables[v >> r & 1].__getitem__, column) for r, column in enumerate(columns)
-    ]
-    return list(itertools.compress(mats, map(all, zip(*keeps))))
 
 
 def is_orthogonal(m: F2Matrix) -> bool:
@@ -481,21 +465,16 @@ def stabilizer_case_check(
     ``sample_count`` set, that many elements are drawn from the
     stabilizer with replacement using the seed; otherwise the check is
     exhaustive.  A ``sample_count`` below 1 raises ``ValueError``: it
-    would check no element.  The stabilizer is read off O_2(g) in one
-    pass over its row columns (``_fixing``).
+    would check no element.  The stabilizer is read off O_2(g), so past
+    ``ENUMERATION_CAP`` the enumeration raises ``CapExceededError``
+    before any word table is built.
     """
     if g < 3:
         raise ValueError("stabilizer cases need g >= 3")
-    if g > ENUMERATION_CAP - 1:
-        raise CapExceededError(
-            f"stabilizer checks enumerate O_2(g) and O_2(g-1); capped at"
-            f" g <= {ENUMERATION_CAP - 1}"
-        )
     if sample_count is not None and sample_count < 1:
         raise ValueError(f"sample_count must be at least 1, got {sample_count}")
     v = _case_vector(g, case)
-    group = sorted(enumerate_o2(g))
-    stab = _fixing(g, group, v)
+    stab = sorted(a for a in enumerate_o2(g) if a.apply(v) == v)
     gens = _case_generators(g, case)
     table = word_table(g, gens)
     # spans of its own, not the table's: the certificate is re-multiplied

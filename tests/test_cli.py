@@ -12,10 +12,10 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import crosscap_calc
-from crosscap_calc import SCHEMA_VERSION, __version__, cli, exactmat, fpres, rschreier
+from crosscap_calc import SCHEMA_VERSION, __version__, cli, exactmat, fpres, gf2, rschreier
 from crosscap_calc.cli import (
     CHECK_NAMES,
     RunConfig,
@@ -47,7 +47,9 @@ class TestParsing:
                 parse_range(bad)
 
     def test_parse_cap_overrides(self):
-        assert parse_cap_overrides("chain=8,o2=6") == {"chain": 8, "o2": 6}
+        assert parse_cap_overrides("chain=8,commutation=20") == {
+            "chain": 8, "commutation": 20,
+        }
         assert parse_cap_overrides("") == {}
 
     def test_parse_cap_overrides_rejects_junk(self):
@@ -55,15 +57,24 @@ class TestParsing:
             with pytest.raises(ValueError):
                 parse_cap_overrides(bad)
 
+    @pytest.mark.parametrize("name", ["o2", "stabilizer", "transversal", "rs"])
+    def test_library_bounded_checks_take_no_override(self, name):
+        # their one limit is the library's; an override could not raise it
+        with pytest.raises(ValueError, match="bad cap override") as exc:
+            parse_cap_overrides(f"{name}=30")
+        assert str(exc.value).endswith(
+            "NAME one of presentation, commutation, quotient-rank,"
+            " main-theorem, chain, commutator-lemma, case-identities"
+        )
+
     def test_effective_caps_read_the_environment(self, monkeypatch):
-        monkeypatch.setenv(cli.CAP_ENV_VAR, "o2=6")
-        assert effective_caps()["o2"] == 6
+        monkeypatch.setenv(cli.CAP_ENV_VAR, "chain=8")
+        assert effective_caps()["chain"] == 8
         monkeypatch.delenv(cli.CAP_ENV_VAR)
         # the caps every report records under config.caps
         assert effective_caps() == {
             "presentation": 8, "commutation": 16, "quotient-rank": 64,
-            "main-theorem": 64, "o2": 5, "stabilizer": 5, "chain": 6,
-            "commutator-lemma": 16, "transversal": 16, "rs": 16,
+            "main-theorem": 64, "chain": 6, "commutator-lemma": 16,
             "case-identities": 8,
         }
 
@@ -81,7 +92,7 @@ class TestParsing:
             caps = parse_cap_overrides(text)
         except ValueError:
             return
-        assert set(caps) <= set(CHECK_NAMES)
+        assert set(caps) <= set(cli.CAPPED_NAMES)
         assert all(isinstance(cap, int) for cap in caps.values())
 
 
@@ -98,6 +109,7 @@ env_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_charact
 
 
 @given(env_text.filter(_junk_override))
+@example("o2=6")  # a check the library bounds has no cap to override
 def test_junk_cap_override_exits_two(text):
     err = io.StringIO()
     with mock.patch.dict(os.environ, {cli.CAP_ENV_VAR: text}):
@@ -139,14 +151,13 @@ class TestRun:
         report = run(RunConfig(check="chain", value_range=(7, 7)))
         assert report["overall_pass"] is True
 
-    def test_dimension_capped_check_uses_rank_not_genus(self, monkeypatch):
-        # transversal cap bounds the quotient dimension 2^rank, not g itself
-        report = run(RunConfig(check="transversal", value_range=(3, 7)))
-        assert report["overall_pass"] is True
+    def test_transversal_override_is_rejected(self, capsys, monkeypatch):
+        # the transversal's one limit is the library's dimension cap
         monkeypatch.setenv(cli.CAP_ENV_VAR, "transversal=16")
-        report = run(RunConfig(check="transversal", value_range=(9, 9)))
-        assert report["overall_pass"] is False
-        assert report["checks"][0]["check"] == "transversal:cap"
+        assert main(["verify", "transversal", "--g", "9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad cap override 'transversal=16'")
 
     def test_a_range_stops_at_its_first_capped_value(self):
         # one entry for the rest of the range, however long it is
@@ -160,9 +171,8 @@ class TestRun:
         ]
         assert report["overall_pass"] is False
 
-    def test_library_cap_becomes_a_cap_entry(self, capsys, monkeypatch):
-        # past the CLI gate, the transversal walk raises CapExceededError
-        monkeypatch.setenv(cli.CAP_ENV_VAR, "transversal=30")
+    def test_library_cap_becomes_a_cap_entry(self, capsys):
+        # the transversal walk raises CapExceededError before listing anything
         code, report = run_json(capsys, "verify", "transversal", "--g", "8..9")
         assert code == 1
         [entry] = report["checks"]
@@ -170,6 +180,33 @@ class TestRun:
         assert entry["failures"] == [
             "transversal has 2^22 elements, past the dimension cap 16;"
             " the range to g=9 stops here"
+        ]
+
+    @pytest.mark.parametrize("name", ["o2", "stabilizer"])
+    def test_enumeration_cap_fires_before_any_closure(self, name, capsys, monkeypatch):
+        # g=7 is past gf2.ENUMERATION_CAP: one cap entry, and neither the
+        # coset closure nor a word table is started
+        calls = []
+        for fn in ("generate_group", "word_table"):
+            monkeypatch.setattr(gf2, fn, lambda *args, fn=fn: calls.append(fn))
+        code, report = run_json(capsys, "verify", name, "--g", "7")
+        assert code == 1
+        [entry] = report["checks"]
+        assert (entry["check"], entry["g"], entry["failed"]) == (f"{name}:cap", 7, 1)
+        assert entry["failures"] == ["frame enumeration capped at g <= 6, got 7"]
+        assert calls == []
+
+    def test_rs_past_the_dimension_cap_builds_no_generators(self, capsys, monkeypatch):
+        def forbidden(g):
+            raise AssertionError("the generating set is built past the cap")
+
+        monkeypatch.setattr(rschreier, "level2_generating_set", forbidden)
+        code, report = run_json(capsys, "verify", "rs", "--g", "8")
+        assert code == 1
+        [entry] = report["checks"]
+        assert (entry["check"], entry["g"]) == ("rs:cap", 8)
+        assert entry["failures"] == [
+            "transversal has 2^22 elements, past the dimension cap 16"
         ]
 
     def test_commutation_multiplies_no_matrices(self, monkeypatch):
@@ -361,6 +398,23 @@ class TestModuleEntryPoint:
         proc = self.run_module("verify", "quotient-rank", "--g", "2", module="crosscap_calc")
         assert proc.returncode == 2
         assert proc.stdout == ""
+
+
+    def test_o2_runs_at_genus_6(self):
+        proc = self.run_module("verify", "o2", "--g", "6")
+        assert proc.returncode == 0, proc.stderr
+        [entry] = json.loads(proc.stdout)["checks"]
+        assert entry["details"] == ["group order 23040"]
+
+    def test_stabilizer_runs_at_genus_6(self):
+        proc = self.run_module("verify", "stabilizer", "--g", "6")
+        assert proc.returncode == 0, proc.stderr
+        entries = json.loads(proc.stdout)["checks"]
+        # Stab(e1) is O(5); every element of O(6) fixes the all-ones class
+        assert [(e["check"], e["failed"], e["details"]) for e in entries] == [
+            (f"stabilizer:{case}", 0, [f"stabilizer order {order}, elements checked 100"])
+            for case, order in (("alpha1", 720), ("alpha12", 768), ("alpha_all", 23_040))
+        ]
 
 
 class TestGolden:

@@ -185,12 +185,6 @@ class TestF2Matrix:
         # the span holds the rows the products used and nothing more
         assert set(span) == {r for a in mats for r in a.rows}
 
-    @given(matrix_lists(), st.data())
-    def test_bulk_fixing_matches_apply(self, drawn, data):
-        g, mats, _ = drawn
-        v = data.draw(st.integers(0, (1 << g) - 1))
-        assert gf2._fixing(g, mats, v) == [a for a in mats if a.apply(v) == v]
-
     def test_every_product_is_counted(self, monkeypatch):
         calls = count_products(monkeypatch)
         a, b = twist_transvection(4, (1, 2)), twist_transvection(4, (1, 2, 3, 4))
@@ -560,8 +554,9 @@ class TestStabilizerCases:
             stabilizer_case_check(4, "alpha99")
 
     def test_capped_genus(self):
-        with pytest.raises(CapExceededError):
-            stabilizer_case_check(6, CASE_ALPHA1)
+        # the one limit is the frame enumeration's
+        with pytest.raises(CapExceededError, match="capped at g <= 6, got 7"):
+            stabilizer_case_check(7, CASE_ALPHA1)
 
     def test_report_carries_scale_caveat(self):
         rep = stabilizer_case_check(3, CASE_ALPHA1)
