@@ -417,8 +417,9 @@ def verify_rs_zero_images(g: int, seed: int = 0) -> CheckReport:
     an emitted count other than ``construction_counts``' is a failure.
     """
     g = genus(g)
-    qmap = build_quotient_map(g)
+    # past the cap the count raises before the quotient reduction runs
     total = construction_counts(g)["rs_generator_count"]
+    qmap = build_quotient_map(g)
     positions, fold_all = _refold_positions(total, seed)
     rb = ReportBuilder("rs-zero-image", g=g)
     if not uses_subset_twist_generators(g):
@@ -470,9 +471,10 @@ def verify_family_zero_images(
     ``construction_counts``' is a failure.
     """
     g = genus(g)
+    # past the cap the count raises before the quotient reduction runs
+    counts = construction_counts(g)["families"]
     qmap = build_quotient_map(g)
     rb = ReportBuilder("family-zero-image", g=g)
-    counts = construction_counts(g)["families"]
     total = sum(counts[family] for family in families)
     positions, fold_all = _refold_positions(total, seed)
     elems = transversal(g)

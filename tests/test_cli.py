@@ -12,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 import crosscap_calc
 from crosscap_calc import SCHEMA_VERSION, __version__, cli, exactmat, fpres, gf2, rschreier
@@ -53,15 +53,11 @@ class TestParsing:
         assert parse_cap_overrides("") == {}
 
     def test_parse_cap_overrides_rejects_junk(self):
-        for bad in ("chain", "chain=x", "nope=4"):
-            with pytest.raises(ValueError):
+        # o2, stabilizer, transversal and rs have only the library's limit
+        library_bounded = ("o2=6", "stabilizer=30", "transversal=16", "rs=30")
+        for bad in ("chain", "chain=x", "nope=4", *library_bounded):
+            with pytest.raises(ValueError, match="bad cap override") as exc:
                 parse_cap_overrides(bad)
-
-    @pytest.mark.parametrize("name", ["o2", "stabilizer", "transversal", "rs"])
-    def test_library_bounded_checks_take_no_override(self, name):
-        # their one limit is the library's; an override could not raise it
-        with pytest.raises(ValueError, match="bad cap override") as exc:
-            parse_cap_overrides(f"{name}=30")
         assert str(exc.value).endswith(
             "NAME one of presentation, commutation, quotient-rank,"
             " main-theorem, chain, commutator-lemma, case-identities"
@@ -109,7 +105,6 @@ env_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_charact
 
 
 @given(env_text.filter(_junk_override))
-@example("o2=6")  # a check the library bounds has no cap to override
 def test_junk_cap_override_exits_two(text):
     err = io.StringIO()
     with mock.patch.dict(os.environ, {cli.CAP_ENV_VAR: text}):
@@ -196,11 +191,14 @@ class TestRun:
         assert entry["failures"] == ["frame enumeration capped at g <= 6, got 7"]
         assert calls == []
 
-    def test_rs_past_the_dimension_cap_builds_no_generators(self, capsys, monkeypatch):
+    def test_rs_past_the_dimension_cap_builds_nothing(self, capsys, monkeypatch):
         def forbidden(g):
-            raise AssertionError("the generating set is built past the cap")
+            raise AssertionError("rs builds a table past the cap")
 
+        # neither the generating set nor the quotient reduction is started
         monkeypatch.setattr(rschreier, "level2_generating_set", forbidden)
+        monkeypatch.setattr(rschreier, "build_quotient_map", forbidden)
+        monkeypatch.setattr(fpres, "_quotient_pivots", forbidden)
         code, report = run_json(capsys, "verify", "rs", "--g", "8")
         assert code == 1
         [entry] = report["checks"]
@@ -398,7 +396,6 @@ class TestModuleEntryPoint:
         proc = self.run_module("verify", "quotient-rank", "--g", "2", module="crosscap_calc")
         assert proc.returncode == 2
         assert proc.stdout == ""
-
 
     def test_o2_runs_at_genus_6(self):
         proc = self.run_module("verify", "o2", "--g", "6")

@@ -325,6 +325,18 @@ class TestTransversal:
             verify_transversal(8)
         assert calls[0] == 0
 
+    @pytest.mark.parametrize(
+        "check", [verify_rs_zero_images, verify_family_zero_images]
+    )
+    def test_zero_image_checks_refuse_before_the_reduction(self, check, monkeypatch):
+        def forbidden(g):
+            raise AssertionError("the quotient reduction runs past the cap")
+
+        monkeypatch.setattr(rschreier, "build_quotient_map", forbidden)
+        monkeypatch.setattr(fpres, "_quotient_pivots", forbidden)
+        with pytest.raises(rschreier.CapExceededError, match=r"2\^22 elements"):
+            check(8)
+
 
 class TestGeneratingSet:
     def test_sizes_frozen(self):
