@@ -1,8 +1,6 @@
 """Command line driver: runners, caps, report schema, golden comparison."""
 
-import contextlib
 import functools
-import io
 import json
 import os
 import subprocess
@@ -12,7 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 import crosscap_calc
 from crosscap_calc import SCHEMA_VERSION, __version__, cli, exactmat, fpres, gf2, rschreier
@@ -20,10 +18,8 @@ from crosscap_calc.cli import (
     CHECK_NAMES,
     RunConfig,
     SchemaMismatchError,
-    effective_caps,
     golden_compare,
     main,
-    parse_cap_overrides,
     parse_range,
     run,
 )
@@ -36,6 +32,15 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+@pytest.fixture()
+def chain_capped_at_6(monkeypatch):
+    """``chain`` with its old cap k=6, so a range past the cap runs k <= 6."""
+    monkeypatch.setitem(cli.CHECKS, "chain", replace(cli.CHECKS["chain"], cap=6))
+
+
+CAPPED = [name for name, check in cli.CHECKS.items() if check.cap is not None]
+
+
 class TestParsing:
     def test_parse_range(self):
         assert parse_range("5") == (5, 5)
@@ -46,32 +51,13 @@ class TestParsing:
             with pytest.raises(ValueError):
                 parse_range(bad)
 
-    def test_parse_cap_overrides(self):
-        assert parse_cap_overrides("chain=8,commutation=20") == {
-            "chain": 8, "commutation": 20,
-        }
-        assert parse_cap_overrides("") == {}
-
-    def test_parse_cap_overrides_rejects_junk(self):
-        # o2, stabilizer, transversal and rs have only the library's limit
-        library_bounded = ("o2=6", "stabilizer=30", "transversal=16", "rs=30")
-        for bad in ("chain", "chain=x", "nope=4", *library_bounded):
-            with pytest.raises(ValueError, match="bad cap override") as exc:
-                parse_cap_overrides(bad)
-        assert str(exc.value).endswith(
-            "NAME one of presentation, commutation, quotient-rank,"
-            " main-theorem, chain, commutator-lemma, case-identities"
-        )
-
-    def test_effective_caps_read_the_environment(self, monkeypatch):
-        monkeypatch.setenv(cli.CAP_ENV_VAR, "chain=8")
-        assert effective_caps()["chain"] == 8
-        monkeypatch.delenv(cli.CAP_ENV_VAR)
+    def test_config_caps_is_the_table_of_scope_caps(self):
         # the caps every report records under config.caps
-        assert effective_caps() == {
-            "presentation": 8, "commutation": 16, "quotient-rank": 64,
-            "main-theorem": 64, "chain": 6, "commutator-lemma": 16,
-            "case-identities": 8,
+        report = run(RunConfig(check="chain", value_range=(1, 1)))
+        assert report["config"]["caps"] == {
+            "presentation": 16, "commutation": 32, "quotient-rank": 64,
+            "main-theorem": 64, "chain": 24, "commutator-lemma": 128,
+            "case-identities": 16,
         }
 
     @given(st.text())
@@ -82,35 +68,24 @@ class TestParsing:
             return
         assert lo <= hi
 
-    @given(st.text())
-    def test_parse_cap_overrides_parses_or_raises_value_error(self, text):
-        try:
-            caps = parse_cap_overrides(text)
-        except ValueError:
-            return
-        assert set(caps) <= set(cli.CAPPED_NAMES)
-        assert all(isinstance(cap, int) for cap in caps.values())
-
-
-def _junk_override(text):
-    try:
-        parse_cap_overrides(text)
-    except ValueError:
-        return True
-    return False
-
 
 # environment values cannot hold NUL or unpaired surrogates
 env_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"))
 
 
-@given(env_text.filter(_junk_override))
-def test_junk_cap_override_exits_two(text):
-    err = io.StringIO()
-    with mock.patch.dict(os.environ, {cli.CAP_ENV_VAR: text}):
-        with contextlib.redirect_stderr(err):
-            assert main(["verify", "chain", "--k", "1"]) == 2
-    assert err.getvalue().startswith("error: bad cap override")
+@settings(phases=[Phase.explicit])
+@given(env_text)
+@example("chain=1")
+@example("chain=25,commutation=99")
+@example("o2=x")
+def test_the_old_override_variable_changes_nothing(text):
+    # the variable once raised or lowered a cap; now k=2 passes and k=25
+    # is refused whatever it holds, with the same config.caps and entries
+    expected = [run(RunConfig("chain", (k, k), "k")) for k in (2, 25)]
+    with mock.patch.dict(os.environ, {"CROSSCAP_CAP_OVERRIDE": text}):
+        got = [run(RunConfig("chain", (k, k), "k")) for k in (2, 25)]
+    assert [r["overall_pass"] for r in got] == [True, False]
+    assert [golden_compare(r, want) for r, want in zip(got, expected)] == [[], []]
 
 
 class TestRun:
@@ -133,6 +108,7 @@ class TestRun:
             report = run(RunConfig(check=name, value_range=(lo, lo)))
             assert report["overall_pass"] is True, name
 
+    @pytest.mark.usefixtures("chain_capped_at_6")
     def test_cap_violation_is_reported_not_raised(self):
         report = run(RunConfig(check="chain", value_range=(1, 7)))
         assert report["overall_pass"] is False
@@ -141,19 +117,7 @@ class TestRun:
         cap_entry = next(e for e in report["checks"] if e["check"] == "chain:cap")
         assert cap_entry["failed"] == 1
 
-    def test_cap_override_unlocks_scope(self, monkeypatch):
-        monkeypatch.setenv(cli.CAP_ENV_VAR, "chain=7")
-        report = run(RunConfig(check="chain", value_range=(7, 7)))
-        assert report["overall_pass"] is True
-
-    def test_transversal_override_is_rejected(self, capsys, monkeypatch):
-        # the transversal's one limit is the library's dimension cap
-        monkeypatch.setenv(cli.CAP_ENV_VAR, "transversal=16")
-        assert main(["verify", "transversal", "--g", "9"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: bad cap override 'transversal=16'")
-
+    @pytest.mark.usefixtures("chain_capped_at_6")
     def test_a_range_stops_at_its_first_capped_value(self):
         # one entry for the rest of the range, however long it is
         report = run(RunConfig(check="chain", value_range=(1, 10**12), range_param="k"))
@@ -161,10 +125,33 @@ class TestRun:
             ("chain-relation", k) for k in range(1, 7)
         ] + [("chain:cap", 7)]
         assert report["checks"][-1]["failures"] == [
-            f"k=7 exceeds cap 6; raise it via {cli.CAP_ENV_VAR}=chain=N;"
-            f" the range to k={10**12} stops here"
+            f"k=7 exceeds cap 6; the range to k={10**12} stops here"
         ]
         assert report["overall_pass"] is False
+
+    @pytest.mark.parametrize("name", CAPPED)
+    def test_one_past_a_scope_cap_runs_nothing(self, name, capsys, monkeypatch):
+        def forbidden(value, seed):
+            raise AssertionError(f"{name} ran past its cap")
+
+        check = cli.CHECKS[name]
+        monkeypatch.setitem(cli.CHECKS, name, replace(check, run=forbidden))
+        past = check.cap + 1
+        code, report = run_json(capsys, "verify", name, f"--{check.scope}", str(past))
+        assert code == 1
+        [entry] = report["checks"]
+        assert (entry["check"], entry[check.scope]) == (f"{name}:cap", past)
+        assert entry["failures"] == [f"{check.scope}={past} exceeds cap {check.cap}"]
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("chain", 7), ("presentation", 9), ("commutation", 17),
+         ("commutator-lemma", 17), ("case-identities", 9)],
+    )
+    def test_one_past_each_old_cap_passes(self, name, value):
+        report = run(RunConfig(check=name, value_range=(value, value)))
+        assert report["overall_pass"] is True
+        assert all(e["passed"] > 0 for e in report["checks"])
 
     def test_library_cap_becomes_a_cap_entry(self, capsys):
         # the transversal walk raises CapExceededError before listing anything
@@ -327,21 +314,34 @@ class TestMainVerify:
         assert captured.err.startswith("error:")
         assert not path.parent.exists()
 
+    @pytest.mark.usefixtures("chain_capped_at_6")
     def test_cap_violation_exit_code(self, capsys):
         code, report = run_json(capsys, "verify", "chain", "--k", "7")
         assert code == 1
         assert report["checks"][0]["check"] == "chain:cap"
 
-    def test_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.CAP_ENV_VAR, "chain=7")
-        code, report = run_json(capsys, "verify", "chain", "--k", "7")
-        assert code == 0
-        assert report["overall_pass"] is True
-
     def test_wrong_scope_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "chain", "--g", "4"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["quotient-rank", "--g", ""], "bad range ''"),
+            (["chain", "--k", ""], "bad range ''"),
+            (["commutator-lemma", "--n", ""], "bad range ''"),
+            (["all", "--g", ""], "bad range ''"),
+            (["chain", "--g", ""], "is scoped by --k, not --g"),
+        ],
+    )
+    def test_an_empty_scope_flag_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_conflicting_scope_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:
