@@ -51,18 +51,6 @@ def quotient_dim_bound(g: int) -> int:
 # check runners: one generator of CheckReports per selector
 
 
-def _fold(rb: ReportBuilder, rep: CheckReport) -> None:
-    """Merge one sub-report's counts into an aggregating builder."""
-    rb.passed += rep.passed
-    rb.failed += rep.failed
-    for line in rep.failures:
-        if len(rb.failures) >= CheckReport.MAX_FAILURES:
-            break
-        rb.failures.append(line)
-    for text in rep.caveats:
-        rb.caveat(text)
-
-
 def _run_presentation(g: int, seed: int) -> Iterator[CheckReport]:
     del seed
     prop = fpres.build_presentation(g, fpres.VARIANT_PROP)
@@ -71,8 +59,10 @@ def _run_presentation(g: int, seed: int) -> Iterator[CheckReport]:
     # COR_WITH_5 is PROP then family (5): fold PROP's report with family (5)'s
     family5 = replace(prop, variant=fpres.VARIANT_COR, relators=fpres.family5_relators(g))
     rb = ReportBuilder(f"relators:{family5.variant}", g=g)
-    _fold(rb, prop_report)
-    _fold(rb, fpres.verify_relators(family5))
+    for rep in (prop_report, fpres.verify_relators(family5)):
+        rb.tally(rep.passed, rep.failed, rep.failures)
+        for text in rep.caveats:
+            rb.caveat(text)
     yield rb.build()
     rb = ReportBuilder("representation-control", g=g)
     rb.record(
@@ -218,7 +208,7 @@ CHECKS: dict[str, Check] = {
     "o2": Check(_run_o2, (3, 5), None),
     "stabilizer": Check(_run_stabilizer, (3, 5), None),
     "chain": Check(_run_chain, (1, 6), 24, scope="k"),
-    "commutator-lemma": Check(_run_commutator_lemma, (1, 8), 128, scope="n"),
+    "commutator-lemma": Check(_run_commutator_lemma, (1, 8), 2048, scope="n"),
     "transversal": Check(_run_transversal, (3, 7), None),
     "rs": Check(_run_rs, (3, 5), None),
     "case-identities": Check(_run_case_identities, (5, 6), 16),

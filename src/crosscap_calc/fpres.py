@@ -594,14 +594,15 @@ def phi_word_matrix(g: int, w: Word) -> IntMatrix:
 def symbol_kernel_report(g: int) -> CheckReport:
     """Every squared twist and two-sided twist image is level-2 and dies
     in the quotient: the symbolic kernel elements really live in the
-    subgroup being quotiented away."""
+    subgroup being quotiented away.  Each image is used once, so it is
+    evaluated uncached, never stored in ``phi_image``'s cache."""
     g = genus(g)
     rb = ReportBuilder("symbol-kernel", g=g)
     qmap = build_quotient_map(g)
     for i in range(1, g + 1):
         for j in range(i + 1, g + 1):
             for sym in (twist_sq(i, j), beta_twist(i, j)):
-                m = phi_image(g, sym)
+                m = phi_word_matrix(g, word(sym))
                 rb.record(exactmat.is_level2(m), f"{sym.label()} not level-2")
                 rb.record(qmap.image(sym) == 0, f"{sym.label()} image nonzero")
     return rb.build()

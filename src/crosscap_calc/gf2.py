@@ -12,9 +12,10 @@ element as a canonical shortest word in a labelled generating set.
 Vectors are ints with bit ``i - 1`` holding coordinate ``i``; matrices
 are tuples of row bitmasks.  Row r of a product A M is the XOR of the
 rows of M that r selects; a product reads each such row from a lazily
-filled span of M (``_RowSpan``), so the coset closure, the word table and
-the stabilizer checks' re-multiplication, which multiply many matrices by
-the same M, fold each distinct row once.  Where a whole list of matrices
+filled span of M (``_RowSpan``), so the coset closure and the word
+table, which multiply many matrices by the same M, fold each distinct
+row once; a stabilizer certificate is re-multiplied by plain products,
+each with a one-shot span of its own.  Where a whole list of matrices
 is multiplied by one M (the closure's coset fill, a level of the word
 table), its rows are grouped by row position (``_row_columns``) and each
 group goes through the span in one ``map`` (``_RowSpan.left_all``).
@@ -316,16 +317,6 @@ def generate_group(g: int, gens: Iterable[F2Matrix]) -> frozenset[F2Matrix]:
     return frozenset(seen)
 
 
-def _right_multipliers(
-    g: int, gens: Mapping[Subset, F2Matrix]
-) -> dict[Subset, _RowSpan]:
-    """A new row span of each generator, for right multiplication by it;
-    a generator that is not g x g raises ``ValueError``."""
-    if any(b.g != g for b in gens.values()):
-        raise ValueError("size mismatch")
-    return {label: _RowSpan(b.rows) for label, b in gens.items()}
-
-
 def word_table(
     g: int, gens: Mapping[Subset, F2Matrix]
 ) -> dict[F2Matrix, tuple[Subset, ...]]:
@@ -341,7 +332,9 @@ def word_table(
     label order, which is the order of a one-at-a-time search.  A
     generator that is not g x g raises ``ValueError``.
     """
-    times = sorted(_right_multipliers(g, gens).items())
+    if any(b.g != g for b in gens.values()):
+        raise ValueError("size mismatch")
+    times = sorted((label, _RowSpan(b.rows)) for label, b in gens.items())
     labels = [label for label, _ in times]
     identity = F2Matrix.identity(g)
     table: dict[F2Matrix, tuple[Subset, ...]] = {identity: ()}
@@ -358,27 +351,6 @@ def word_table(
                     new.append(c)
         frontier = new
     return table
-
-
-def word_evaluator(
-    g: int, gens: Mapping[Subset, F2Matrix]
-) -> Callable[[Iterable[Subset]], F2Matrix]:
-    """The product of a word in the generators' labels, left to right.
-
-    Each generator gets one row span, built here and read by every word
-    the evaluator is given; a generator that is not g x g raises
-    ``ValueError``.
-    """
-    spans = _right_multipliers(g, gens)
-    identity = F2Matrix.identity(g)
-
-    def evaluate(w: Iterable[Subset]) -> F2Matrix:
-        acc = identity
-        for label in w:
-            acc = spans[label].left(acc)
-        return acc
-
-    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +449,6 @@ def stabilizer_case_check(
     stab = sorted(a for a in enumerate_o2(g) if a.apply(v) == v)
     gens = _case_generators(g, case)
     table = word_table(g, gens)
-    # spans of its own, not the table's: the certificate is re-multiplied
-    # independently of the search that found it
-    evaluate = word_evaluator(g, gens)
 
     rb = ReportBuilder(f"stabilizer:{case}", g=g)
     rb.caveat(CAVEAT_O2_SCALE)
@@ -524,6 +493,9 @@ def stabilizer_case_check(
         if inv not in table:
             rb.record(False, f"{label}: not expressible over permitted twists")
             continue
-        product = evaluate(table[inv])
+        # re-multiplied from the identity by plain products, whose one-shot
+        # spans are independent of the search that found the word
+        word = (gens[sub] for sub in table[inv])
+        product = functools.reduce(operator.mul, word, F2Matrix.identity(g))
         rb.record(product == inv, f"{label}: word does not re-multiply to the inverse")
     return rb.build()

@@ -7,7 +7,8 @@ slide per pair, pairs strictly increasing) form a Schreier transversal:
 dropping the last factor of a transversal word gives another one.  One
 lex (depth-first) walk lists them with O(dim) state: ``transversal``
 caches its elements for the sweeps, and ``verify_transversal`` checks
-them as they stream past, in tables of 2^dim bytes.  The
+them as they stream past, in tables of 2^dim bytes, reading each
+element's image as the XOR of its basis slides' images.  The
 Reidemeister-Schreier generators of the subgroup are then
 
     f x^(+-1) rep(f x)^(-1)
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from typing import Iterator, NamedTuple
 
@@ -135,16 +137,22 @@ class RsGenerator(NamedTuple):
     word: Word
 
 
-def _lex_walk(g: int) -> Iterator[tuple[Pair, ...]]:
-    """The subsets of ``quotient_basis(g)`` in lex order: after each, append
-    the next basis pair if there is one, else drop the last pair and advance
-    the new last one.  Past the cap it raises at the call."""
+def _capped_basis(g: int) -> tuple[Pair, ...]:
+    """``quotient_basis(g)``, refused past the dimension cap."""
     basis = quotient_basis(genus(g))
     if len(basis) > TRANSVERSAL_DIM_CAP:
         raise CapExceededError(
             f"transversal has 2^{len(basis)} elements, past the"
             f" dimension cap {TRANSVERSAL_DIM_CAP}"
         )
+    return basis
+
+
+def _lex_walk(g: int) -> Iterator[tuple[Pair, ...]]:
+    """The subsets of ``quotient_basis(g)`` in lex order: after each, append
+    the next basis pair if there is one, else drop the last pair and advance
+    the new last one.  Past the cap it raises at the call."""
+    basis = _capped_basis(g)
     pos = {p: n for n, p in enumerate(basis)}
 
     def walk() -> Iterator[tuple[Pair, ...]]:
@@ -320,11 +328,13 @@ def iter_family_words(
 def construction_counts(g: int) -> dict:
     """Sizes of the transversal, the RS generator set, and the families."""
     g = genus(g)
-    n_trans = len(transversal(g))
+    # in closed form, not read off the walk: a walk that loses an element
+    # must fail the sweeps' count checks
+    n_trans = 1 << len(_capped_basis(g))
     # of the 2 |T| |X| words, one per nonempty t in T is skipped: f x = t
     n_rs = 2 * n_trans * len(level2_generating_set(g)) - (n_trans - 1)
     n_pairs = len(fpres.pair_set(g))
-    n_subsets = len(list(itertools.combinations(range(2, g + 1), 3)))
+    n_subsets = math.comb(g - 1, 3)
     return {
         "g": g,
         "transversal_size": n_trans,
@@ -338,44 +348,40 @@ def construction_counts(g: int) -> dict:
     }
 
 
-def _walk_images(qmap: fpres.QuotientMap, walk: Iterator[tuple[Pair, ...]]):
-    """(pairs, quotient image, whether its prefix came earlier) per subset
-    the walk lists.  In lex order the latest subset one shorter is the
-    prefix: one ``word_image`` call folds the last slide onto its image,
-    else the whole word."""
-    step = {p: (1 << n, ((yslide(*p), 1),)) for n, p in enumerate(qmap.basis)}
-    listed = bytearray(1 << len(step))
-    latest = [(None, 0, 0)] * (len(step) + 1)  # per length: (pairs, mask, image)
-    for pairs in walk:
-        mask, image, found = 0, 0, True
-        if pairs:
-            head, mask, image = latest[len(pairs) - 1]
-            bit, letter = step[pairs[-1]]
-            if head != pairs[:-1]:
-                mask, image = sum(step[p][0] for p in pairs[:-1]), 0
-                letter = TransversalElement(pairs).word()
-            found = listed[mask] == 1
-            image ^= qmap.word_image(letter)
-            mask |= bit
-        listed[mask] = 1
-        latest[len(pairs)] = pairs, mask, image
-        yield pairs, image, found
-
-
 def verify_transversal(g: int) -> CheckReport:
-    """Size 2^rank, prefix closure, and bijection onto the quotient.  The
-    labels of missing prefixes wait, so the size line comes first."""
+    """Size 2^rank, prefix closure, and bijection onto the quotient.
+
+    Images are XOR-linear over letters, so an element's image is the XOR
+    of its pairs' slide images, each basis slide folded once, and its
+    position mask the OR of their bits; its prefix is listed exactly when
+    the mask without the last pair's bit is.  The labels of missing
+    prefixes wait, so the size line comes first.
+    """
     g = genus(g)
     walk = _lex_walk(g)  # past the cap this raises before any table exists
     rank = fpres.quotient_rank(g)
+    qmap = build_quotient_map(g)
+    # per basis pair: (its position bit, its slide's quotient image)
+    step = {
+        p: (1 << n, qmap.word_image(((yslide(*p), 1),)))
+        for n, p in enumerate(qmap.basis)
+    }
+    listed = bytearray(1 << len(step))
     rb, prefixes = ReportBuilder("transversal", g=g), ReportBuilder("prefixes")
     seen, size, stray, clash = bytearray(1 << rank), 0, 0, 0
-    for pairs, image, found in _walk_images(build_quotient_map(g), walk):
+    for pairs in walk:
         size += 1
-        if not found:
-            prefixes.record(False, f"prefix of {pairs} missing")
-        elif pairs:
-            prefixes.passed += 1
+        mask = image = 0
+        for p in pairs:
+            bit, slide_image = step[p]
+            mask |= bit
+            image ^= slide_image
+        if pairs:
+            if listed[mask ^ step[pairs[-1]][0]]:
+                prefixes.passed += 1
+            else:
+                prefixes.record(False, f"prefix of {pairs} missing")
+        listed[mask] = 1
         stray |= image >> rank
         if not stray:
             clash |= seen[image]

@@ -46,10 +46,6 @@ class FreeWord:
     def gen(cls, name: str, exp: int = 1) -> "FreeWord":
         return cls(((name, exp),))
 
-    @classmethod
-    def empty(cls) -> "FreeWord":
-        return cls(())
-
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         return FreeWord(self.letters + other.letters)
 
@@ -75,22 +71,18 @@ def commutator(a: FreeWord, b: FreeWord) -> FreeWord:
 def verify_commutator_lemma(n: int) -> bool:
     """[a, b1 ... bn] equals the product of conjugated single commutators
     (b1 ... b(m-1)) [a, bm] (b1 ... b(m-1))^-1 for m = 1..n, as reduced
-    free words on n + 1 letters."""
+    free words on n + 1 letters.  Each side's letters are listed once and
+    made into one word, so the check takes O(n^2) letters."""
     if n < 0:
         raise ValueError("need n >= 0")
-    a = FreeWord.gen("a")
-    bs = [FreeWord.gen(f"b{m}") for m in range(1, n + 1)]
-    product = FreeWord.empty()
-    for b in bs:
-        product = product * b
-    lhs = commutator(a, product)
-    rhs = FreeWord.empty()
-    for m, b in enumerate(bs):
-        prefix = FreeWord.empty()
-        for earlier in bs[:m]:
-            prefix = prefix * earlier
-        rhs = rhs * prefix * commutator(a, b) * prefix.inv()
-    return free_reduce(lhs) == free_reduce(rhs)
+    bs = [(f"b{m}", 1) for m in range(1, n + 1)]
+    b_invs = [(name, -1) for name, _exp in bs]
+    rhs: list[FreeLetter] = []
+    for m in range(n):
+        # (b1 ... b(m-1)) [a, bm] (b1 ... b(m-1))^-1
+        rhs += (*bs[:m], ("a", 1), bs[m], ("a", -1), b_invs[m], *reversed(b_invs[:m]))
+    lhs = commutator(FreeWord.gen("a"), FreeWord(tuple(bs)))
+    return free_reduce(lhs) == free_reduce(FreeWord(tuple(rhs)))
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ class TestParsing:
         report = run(RunConfig(check="chain", value_range=(1, 1)))
         assert report["config"]["caps"] == {
             "presentation": 16, "commutation": 32, "quotient-rank": 64,
-            "main-theorem": 64, "chain": 24, "commutator-lemma": 128,
+            "main-theorem": 64, "chain": 24, "commutator-lemma": 2048,
             "case-identities": 16,
         }
 

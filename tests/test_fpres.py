@@ -736,6 +736,13 @@ class TestPhiImages:
             # two symbol kinds per pair, two records each
             assert rep.passed == 4 * len(pair_set(g))
 
+    def test_symbol_kernel_report_leaves_the_image_cache_empty(self):
+        # each image is used once: a cached one is a dense matrix kept for nothing
+        phi_image.cache_clear()
+        rep = symbol_kernel_report(6)
+        assert phi_image.cache_info().currsize == 0
+        assert (rep.passed, rep.failed) == (60, 0)
+
 
 def oracle_phi(g, sym):
     """Symbol images by their defining formulas, through mat_mul/mat_inv."""

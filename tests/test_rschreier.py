@@ -267,32 +267,32 @@ class TestTransversal:
         assert list(rschreier._lex_walk(g)) == [t.pairs for t in expected]
 
     @pytest.mark.parametrize("g", [3, 4, 5, 6])
-    def test_streamed_images_equal_a_per_element_fold(self, g):
+    def test_element_image_is_the_xor_of_its_slide_images(self, g):
+        # the lemma the streamed check reads images by
         qmap = build_quotient_map(g)
-        elems = transversal(g)
-        rows = list(rschreier._walk_images(qmap, rschreier._lex_walk(g)))
-        assert [pairs for pairs, _image, _found in rows] == [t.pairs for t in elems]
-        assert all(found for _pairs, _image, found in rows)
-        assert [image for _pairs, image, _found in rows] == [
-            qmap.word_image(t.word()) for t in elems
-        ]
+        slide = {p: qmap.word_image(((yslide(*p), 1),)) for p in qmap.basis}
+        for t in transversal(g):
+            xor = 0
+            for p in t.pairs:
+                xor ^= slide[p]
+            assert qmap.word_image(t.word()) == xor, t.pairs
 
-    def test_streamed_images_survive_a_reordered_walk(self):
-        # off the lex order the latest shorter subset is not the prefix, so
-        # whole words are folded; the images must not change
-        qmap = build_quotient_map(4)
-        walk = moved_ahead_of_prefix(4)
-        rows = list(rschreier._walk_images(qmap, iter(walk)))
-        assert [image for _pairs, image, _found in rows] == [
-            qmap.word_image(TransversalElement(pairs).word()) for pairs in walk
-        ]
-
-    def test_streamed_check_folds_once_per_nonempty_element(self, monkeypatch):
+    def test_streamed_check_folds_once_per_basis_pair(self, monkeypatch):
         build_quotient_map(6)  # built outside the count
         calls = count_word_images(monkeypatch)
         assert verify_transversal(6).ok
-        # one fold per nonempty element; the empty one has image 0 for free
-        assert calls[0] == (1 << quotient_rank(6)) - 1
+        # one one-letter fold per basis slide, none per element
+        assert calls[0] == len(fpres.quotient_basis(6)) == 11
+
+    def test_a_walk_listed_by_size_passes_with_the_same_counts(self, monkeypatch):
+        # every prefix is shorter, so it still comes earlier
+        walk = sorted(rschreier._lex_walk(5), key=len)
+        assert walk != list(rschreier._lex_walk(5))
+        lex = verify_transversal(5)
+        monkeypatch.setattr(rschreier, "_lex_walk", lambda g: iter(walk))
+        rep = verify_transversal(5)
+        assert rep.ok
+        assert (rep.passed, rep.failed) == (lex.passed, lex.failed) == (65, 0)
 
     def test_an_element_before_its_prefix_counts_as_missing(self, monkeypatch):
         walk = moved_ahead_of_prefix(4)
@@ -754,6 +754,17 @@ class TestClosedFormCounts:
         else:
             assert rep.failures == ("walked 784 words, closed form 785",)
             assert rep.passed == 784
+
+    def test_a_transversal_that_lost_an_element_fails_the_family_count(
+        self, monkeypatch
+    ):
+        # the closed form counts 2^dim elements, not what the walk listed
+        short = transversal(4)[:-1]
+        monkeypatch.setattr(rschreier, "transversal", lambda g: short)
+        assert construction_counts(4)["transversal_size"] == 16
+        rep = verify_family_zero_images(4, FAMILIES)
+        assert rep.failures == ("walked 735 words, closed form 784",)
+        assert (rep.passed, rep.failed) == (735, 1)
 
 
 class TestRefoldSample:

@@ -33,7 +33,7 @@ def artin_action(w: BraidWord) -> list[FreeWord]:
     images = [FreeWord.gen(f"x{i}") for i in range(1, n + 1)]
 
     def substitute(target: FreeWord, table: dict[str, FreeWord]) -> FreeWord:
-        acc = FreeWord.empty()
+        acc = FreeWord(())
         for name, exp in target.letters:
             img = table[name]
             acc = acc * (img if exp == 1 else img.inv())
@@ -67,7 +67,7 @@ class TestFreeWords:
         assert free_reduce(w) == a
 
     def test_reduce_of_empty(self):
-        assert free_reduce(FreeWord.empty()) == FreeWord.empty()
+        assert free_reduce(FreeWord(())) == FreeWord(())
 
     def test_inv_reverses(self):
         a, b = FreeWord.gen("a"), FreeWord.gen("b")
@@ -75,11 +75,42 @@ class TestFreeWords:
 
     def test_commutator_of_commuting_is_trivial(self):
         a = FreeWord.gen("a")
-        assert free_reduce(commutator(a, a)) == FreeWord.empty()
+        assert free_reduce(commutator(a, a)) == FreeWord(())
 
     def test_commutator_lemma_range(self):
         for n in range(1, 9):
             assert verify_commutator_lemma(n)
+
+    @staticmethod
+    def rebuilt_commutator_sides(n):
+        """Both sides of the lemma as the check built them before: every
+        prefix rebuilt from scratch, one ``FreeWord`` product at a time."""
+        a = FreeWord.gen("a")
+        bs = [FreeWord.gen(f"b{m}") for m in range(1, n + 1)]
+        product = FreeWord(())
+        for b in bs:
+            product = product * b
+        rhs = FreeWord(())
+        for m, b in enumerate(bs):
+            prefix = FreeWord(())
+            for earlier in bs[:m]:
+                prefix = prefix * earlier
+            rhs = rhs * prefix * commutator(a, b) * prefix.inv()
+        return commutator(a, product), rhs
+
+    @pytest.mark.parametrize("n", range(17))
+    def test_commutator_lemma_reduces_the_rebuilt_sides(self, n, monkeypatch):
+        # the words the check reduces are, letter for letter, the old loop's
+        reduced = []
+        reduce = words.free_reduce
+
+        def capturing(w):
+            reduced.append(w)
+            return reduce(w)
+
+        monkeypatch.setattr(words, "free_reduce", capturing)
+        assert verify_commutator_lemma(n)
+        assert reduced == list(self.rebuilt_commutator_sides(n))
 
 
 class TestBraidWordBasics:
