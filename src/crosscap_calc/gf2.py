@@ -9,24 +9,25 @@ group by extending orthonormal frames row by row, generates it from
 chosen transvections by Dimino's coset closure, and can express any
 element as a canonical shortest word in a labelled generating set.
 
-Vectors are ints with bit ``i - 1`` holding coordinate ``i``; matrices
-are tuples of row bitmasks.  Row r of a product A M is the XOR of the
-rows of M that r selects; a product reads each such row from a lazily
-filled span of M (``_RowSpan``), so the coset closure and the word
-table, which multiply many matrices by the same M, fold each distinct
-row once; a stabilizer certificate is re-multiplied by plain products,
-each with a one-shot span of its own.  Where a whole list of matrices
-is multiplied by one M (the closure's coset fill, a level of the word
-table), its rows are grouped by row position (``_row_columns``) and each
-group goes through the span in one ``map`` (``_RowSpan.left_all``).
-The frame enumeration reads the last row of each frame instead of
-searching for it, since the rows of an orthogonal matrix sum to the
-all-ones vector, and narrows the candidates for the next row by set
-intersection with precomputed orthogonal complements.  Everything is
-immutable and deterministic: the word table's BFS visits parents in
-discovery order and generators in sorted label order, so the word
-assigned to each element is the lexicographically least among the
-shortest ones.
+Vectors are ints with bit ``i - 1`` holding coordinate ``i``; a matrix
+(``F2Matrix``) is the tuple of its g row bitmasks itself, so a group
+element is one tuple, hashed and compared one level deep.  Row r of a
+product A M is the XOR of the rows of M that r selects; a product reads
+each such row from a lazily filled span of M (``_RowSpan``), so the
+coset closure and the word table, which multiply many matrices by the
+same M, fold each distinct row once; a stabilizer certificate is
+re-multiplied by plain products, each with a one-shot span of its own.
+Where a whole list of matrices is multiplied by one M (the closure's
+coset fill, a level of the word table), its rows are grouped by row
+position (``_row_columns``) and each group goes through the span in one
+``map`` (``_RowSpan.left_all``).  The frame enumeration reads the last
+row of each frame instead of searching for it, since the rows of an
+orthogonal matrix sum to the all-ones vector, and narrows the candidates
+for the next row by set intersection with precomputed orthogonal
+complements.  Everything is immutable and deterministic: the word
+table's BFS visits parents in discovery order and generators in sorted
+label order, so the word assigned to each element is the
+lexicographically least among the shortest ones.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import itertools
 import math
 import operator
 import random
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping
 
 from .reports import CheckReport, ReportBuilder
 
@@ -58,24 +59,37 @@ def _identity_rows(g: int) -> tuple[int, ...]:
     return tuple(1 << i for i in range(g))
 
 
-class _F2MatrixFields(NamedTuple):
-    g: int
-    rows: tuple[int, ...]
-
-
-class F2Matrix(_F2MatrixFields):
-    """A g x g matrix over GF(2) as row bitmasks: a tuple ``(g, rows)``,
+class F2Matrix(tuple):
+    """A g x g matrix over GF(2): the tuple of its g row bitmasks,
     validated on construction, with the tuple's hashing and ordering."""
 
     __slots__ = ()
 
-    def __new__(cls, g: int, rows: tuple[int, ...]) -> "F2Matrix":
+    def __new__(cls, g: int, rows: Iterable[int]) -> "F2Matrix":
+        rows = tuple(rows)
         if len(rows) != g:
             raise ValueError("row count must equal g")
         for r in rows:
+            if not isinstance(r, int):
+                raise TypeError(f"non-integer row {r!r}")
             if not 0 <= r < 1 << g:
                 raise ValueError("row out of range")
-        return super().__new__(cls, g, rows)
+        return super().__new__(cls, rows)
+
+    def __getnewargs__(self) -> tuple[int, tuple[int, ...]]:
+        return len(self), tuple(self)
+
+    def __repr__(self) -> str:
+        return f"F2Matrix(g={len(self)}, rows={tuple(self)})"
+
+    @property
+    def g(self) -> int:
+        return len(self)
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """The rows as a plain tuple."""
+        return tuple(self)
 
     @classmethod
     def identity(cls, g: int) -> "F2Matrix":
@@ -90,25 +104,25 @@ class F2Matrix(_F2MatrixFields):
         return cls(g, rows)
 
     def transpose(self) -> "F2Matrix":
-        return F2Matrix.from_columns(self.g, self.rows)
+        return F2Matrix.from_columns(len(self), self)
 
     def __mul__(self, other: "F2Matrix") -> "F2Matrix":
-        if self.g != other.g:
+        if len(self) != len(other):
             raise ValueError("size mismatch")
-        return _RowSpan(other.rows).left(self)
+        return _RowSpan(other).left(self)
 
     def apply(self, v: int) -> int:
         """The image M v of a vector bitmask."""
         bits = 0
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(self):
             bits |= ((row & v).bit_count() & 1) << i
         return bits
 
     def is_identity(self) -> bool:
-        return self.rows == _identity_rows(self.g)
+        return self == _identity_rows(len(self))
 
 
-#: ``(g, rows) -> F2Matrix`` unvalidated, for products and enumerated frames
+#: ``rows -> F2Matrix`` unvalidated, for products and enumerated frames
 _trusted_f2 = functools.partial(tuple.__new__, F2Matrix)
 
 
@@ -123,7 +137,7 @@ class _RowSpan(dict):
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows: tuple[int, ...]) -> None:
+    def __init__(self, rows: F2Matrix) -> None:
         self.rows = rows
 
     def __missing__(self, mask: int) -> int:
@@ -138,7 +152,7 @@ class _RowSpan(dict):
 
     def left(self, a: F2Matrix) -> F2Matrix:
         """The product A M, with no size check."""
-        return _trusted_f2((a.g, tuple(map(self.__getitem__, a.rows))))
+        return _trusted_f2(map(self.__getitem__, a))
 
     def left_all(self, columns: tuple[tuple[int, ...], ...]) -> list[F2Matrix]:
         """The products A M for every A of a list, in order, given as its
@@ -148,14 +162,13 @@ class _RowSpan(dict):
         images back gives the products' rows.
         """
         get = self.__getitem__
-        images = zip(*[map(get, column) for column in columns])
-        return list(map(_trusted_f2, zip(itertools.repeat(len(self.rows)), images)))
+        return list(map(_trusted_f2, zip(*[map(get, column) for column in columns])))
 
 
 def _row_columns(mats: Iterable[F2Matrix]) -> tuple[tuple[int, ...], ...]:
     """Row r of every matrix, in order, for each row position r: the
     layout that ``_RowSpan.left_all`` reads."""
-    return tuple(zip(*map(operator.attrgetter("rows"), mats)))
+    return tuple(zip(*mats))
 
 
 def is_orthogonal(m: F2Matrix) -> bool:
@@ -210,7 +223,7 @@ def enumerate_o2(g: int) -> frozenset[F2Matrix]:
     ones = (1 << g) - 1
     if g == 1:
         # the one row is the all-ones vector, with nothing chosen above it
-        return frozenset({_trusted_f2((1, (ones,)))})
+        return frozenset({_trusted_f2((ones,))})
     perp = _odd_complements(g)
     found: list[F2Matrix] = []
     rows: list[int] = []
@@ -221,7 +234,7 @@ def enumerate_o2(g: int) -> frozenset[F2Matrix]:
             for v in candidates:
                 last = ones ^ acc ^ v
                 if last in candidates and (last & v).bit_count() % 2 == 0:
-                    found.append(_trusted_f2((g, (*rows, v, last))))
+                    found.append(_trusted_f2((*rows, v, last)))
             return
         for v in candidates:
             rows.append(v)
@@ -290,7 +303,7 @@ def generate_group(g: int, gens: Iterable[F2Matrix]) -> frozenset[F2Matrix]:
     for s in gens:
         if not is_orthogonal(s):
             raise ValueError(f"generator rows={s.rows} is not orthogonal")
-    if any(s.g != g for s in gens):
+    if any(len(s) != g for s in gens):
         raise ValueError("size mismatch")
     identity = F2Matrix.identity(g)
     seen = {identity}
@@ -299,7 +312,7 @@ def generate_group(g: int, gens: Iterable[F2Matrix]) -> frozenset[F2Matrix]:
     for s in gens:
         if s in seen:
             continue
-        used.append(_RowSpan(s.rows).left)
+        used.append(_RowSpan(s).left)
         subgroup = _row_columns(seen)
         max_cosets = o2_order(g) // len(seen)
         # H itself is the first coset: its representative I times s opens H s
@@ -309,7 +322,7 @@ def generate_group(g: int, gens: Iterable[F2Matrix]) -> frozenset[F2Matrix]:
                 c = by_t(r)
                 if c not in seen:
                     reps.append(c)
-                    seen.update(_RowSpan(c.rows).left_all(subgroup))
+                    seen.update(_RowSpan(c).left_all(subgroup))
                     if len(reps) > max_cosets:
                         raise ArithmeticError(
                             f"more than |O({g}, F2)| / |H| cosets: a product is wrong"
@@ -332,9 +345,9 @@ def word_table(
     label order, which is the order of a one-at-a-time search.  A
     generator that is not g x g raises ``ValueError``.
     """
-    if any(b.g != g for b in gens.values()):
+    if any(len(b) != g for b in gens.values()):
         raise ValueError("size mismatch")
-    times = sorted((label, _RowSpan(b.rows)) for label, b in gens.items())
+    times = sorted((label, _RowSpan(b)) for label, b in gens.items())
     labels = [label for label, _ in times]
     identity = F2Matrix.identity(g)
     table: dict[F2Matrix, tuple[Subset, ...]] = {identity: ()}
@@ -477,8 +490,8 @@ def stabilizer_case_check(
                 rb.record(False, f"{label}: corrected matrix does not fix {{e1,e2}}")
                 continue
             blocks_ok = all(
-                not (b.rows[i] & 0b11) for i in range(2, g)
-            ) and all(b.rows[i] >> 2 == 0 for i in range(2))
+                not (b[i] & 0b11) for i in range(2, g)
+            ) and all(b[i] >> 2 == 0 for i in range(2))
             if not blocks_ok:
                 rb.record(False, f"{label}: corrected matrix is not block diagonal")
                 continue

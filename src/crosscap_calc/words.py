@@ -20,8 +20,9 @@ or normal-form approximation involved.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 #: a free-group letter: (generator name, +1 or -1)
 FreeLetter = tuple[str, int]
@@ -55,13 +56,19 @@ class FreeWord:
 
 def free_reduce(w: FreeWord) -> FreeWord:
     """Cancel adjacent mutually inverse letters until none remain."""
+    return FreeWord(_reduced(w.letters))
+
+
+def _reduced(letters: Iterable[FreeLetter]) -> tuple[FreeLetter, ...]:
+    """The free reduction of a stream of letters, in one pass over a
+    stack that holds only the reduced prefix read so far."""
     stack: list[FreeLetter] = []
-    for letter in w.letters:
+    for letter in letters:
         if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
             stack.pop()
         else:
             stack.append(letter)
-    return FreeWord(tuple(stack))
+    return tuple(stack)
 
 
 def commutator(a: FreeWord, b: FreeWord) -> FreeWord:
@@ -71,18 +78,25 @@ def commutator(a: FreeWord, b: FreeWord) -> FreeWord:
 def verify_commutator_lemma(n: int) -> bool:
     """[a, b1 ... bn] equals the product of conjugated single commutators
     (b1 ... b(m-1)) [a, bm] (b1 ... b(m-1))^-1 for m = 1..n, as reduced
-    free words on n + 1 letters.  Each side's letters are listed once and
-    made into one word, so the check takes O(n^2) letters."""
+    free words on n + 1 letters.  The right side's n^2 + 3n letters are
+    streamed through the reduction, never listed: its reduced prefix
+    after m factors is [a, b1 ... bm], so the check takes O(n^2) time
+    and O(n) memory."""
     if n < 0:
         raise ValueError("need n >= 0")
     bs = [(f"b{m}", 1) for m in range(1, n + 1)]
     b_invs = [(name, -1) for name, _exp in bs]
-    rhs: list[FreeLetter] = []
-    for m in range(n):
-        # (b1 ... b(m-1)) [a, bm] (b1 ... b(m-1))^-1
-        rhs += (*bs[:m], ("a", 1), bs[m], ("a", -1), b_invs[m], *reversed(b_invs[:m]))
+
+    def rhs_pieces() -> Iterator[Iterable[FreeLetter]]:
+        for m in range(n):
+            # (b1 ... b(m-1)) [a, bm] (b1 ... b(m-1))^-1
+            yield bs[:m]
+            yield ("a", 1), bs[m], ("a", -1), b_invs[m]
+            yield reversed(b_invs[:m])
+
     lhs = commutator(FreeWord.gen("a"), FreeWord(tuple(bs)))
-    return free_reduce(lhs) == free_reduce(FreeWord(tuple(rhs)))
+    rhs = itertools.chain.from_iterable(rhs_pieces())
+    return free_reduce(lhs) == FreeWord(_reduced(rhs))
 
 
 # ---------------------------------------------------------------------------

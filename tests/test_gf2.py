@@ -1,10 +1,13 @@
 """Bit-packed GF(2) linear algebra, orthogonal group, stabilizer cases."""
 
+import copy
 import functools
 import itertools
 import math
 import operator
+import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -196,18 +199,45 @@ class TestF2Matrix:
 
 class TestF2MatrixTuple:
     def test_hash_equality_and_repr(self):
-        # hash of the frozen dataclass it replaced: hash((g, rows))
+        # the matrix is the tuple of its rows: hashed and compared as that tuple
         m = twist_transvection(4, (1, 2))
-        assert m == F2Matrix(4, m.rows) == (4, m.rows)
-        assert hash(m) == hash((4, m.rows))
+        assert type(m.rows) is tuple and m.rows == (2, 1, 4, 8)
+        assert m == F2Matrix(4, m.rows) == m.rows
+        assert hash(m) == hash(m.rows)
+        assert m.g == len(m) == 4
         assert repr(F2Matrix.identity(3)) == "F2Matrix(g=3, rows=(1, 2, 4))"
+        assert pickle.loads(pickle.dumps(m)) == m and copy.copy(m) == m
 
-    def test_order_is_by_genus_then_rows(self):
+    def test_order_within_a_genus_is_by_rows(self):
         a = F2Matrix(3, (1, 2, 4))
         b = F2Matrix(3, (2, 1, 4))
-        c = F2Matrix(4, (1, 2, 4, 8))
+        c = F2Matrix(3, (2, 4, 1))
         assert sorted([c, b, a]) == [a, b, c]
         assert sorted(enumerate_o2(3))[0].rows == (1, 2, 4)
+
+    def test_elements_are_one_flat_tuple(self):
+        for m in enumerate_o2(5):
+            assert type(m) is F2Matrix and len(m) == 5
+            assert all(type(r) is int for r in m)
+
+    def test_o2_enumeration_memory(self):
+        # one tuple of 6 rows per element; the (g, rows) pair it replaced
+        # held 5,680 KiB here
+        tracemalloc.start()
+        try:
+            group = enumerate_o2.__wrapped__(6)
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(group) == O2_ORDERS[6]
+        assert held < 5000 * 1024
+
+    def test_rows_are_validated_and_stored_as_a_tuple(self):
+        with pytest.raises(TypeError, match="^non-integer row 1.0$"):
+            F2Matrix(3, (1.0, 2, 4))
+        m = F2Matrix(3, [1, 2, 4])
+        assert type(m.rows) is tuple and hash(m) == hash(F2Matrix.identity(3))
+        assert F2Matrix(3, iter((1, 2, 4))) == m == F2Matrix.identity(3)
 
     def test_constructor_error_texts(self):
         with pytest.raises(ValueError, match="^row count must equal g$"):
