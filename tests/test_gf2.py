@@ -222,7 +222,7 @@ class TestF2MatrixTuple:
 
     def test_o2_enumeration_memory(self):
         # one tuple of 6 rows per element; the (g, rows) pair it replaced
-        # held 5,680 KiB here
+        # held 5,682 KiB here
         tracemalloc.start()
         try:
             group = enumerate_o2.__wrapped__(6)

@@ -117,7 +117,7 @@ class TestFreeWords:
 
     def test_commutator_lemma_memory_is_linear(self):
         # the right side's n^2 + 3n letters are streamed, never listed: a
-        # listed side peaked at 4,344 KiB here
+        # listed side peaked at 4,361 KiB here
         tracemalloc.start()
         try:
             assert verify_commutator_lemma(512)
