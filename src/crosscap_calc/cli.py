@@ -207,8 +207,8 @@ CHECKS: dict[str, Check] = {
     "main-theorem": Check(_run_main_theorem, (3, 12), 64),
     "o2": Check(_run_o2, (3, 5), None),
     "stabilizer": Check(_run_stabilizer, (3, 5), None),
-    "chain": Check(_run_chain, (1, 6), 24, scope="k"),
-    "commutator-lemma": Check(_run_commutator_lemma, (1, 8), 2048, scope="n"),
+    "chain": Check(_run_chain, (1, 6), 48, scope="k"),
+    "commutator-lemma": Check(_run_commutator_lemma, (1, 8), 3072, scope="n"),
     "transversal": Check(_run_transversal, (3, 7), None),
     "rs": Check(_run_rs, (3, 5), None),
     "case-identities": Check(_run_case_identities, (5, 6), 16),

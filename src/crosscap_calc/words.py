@@ -10,12 +10,14 @@ recursion
     (s1 ... sk)^(k+1) = (s1 ... s(k-1))^k * prod_{b=k..1} w_b^-1 sb^2 w_b,
     w_b = s(b+1) s(b+2) ... sk  (empty for b = k).
 
-Braid equality goes through Dehornoy handle reduction: a word reduces
-to the empty word iff it represents the identity, and a reduced word
-whose lowest-index generator appears with only one sign is never the
-identity.  Handles are reduced innermost first, which is what makes the
-procedure terminate.  This decides the word problem exactly, no matrix
-or normal-form approximation involved.
+Braid equality goes through Artin's action of the braid group on the
+free group F_n = <x1, ..., xn>: s_i sends x_i to x_i x_(i+1) x_i^-1 and
+x_(i+1) to x_i, and fixes the other generators.  The action is faithful
+(Artin 1925; Birman, *Braids, Links, and Mapping Class Groups*, 1974,
+Cor. 1.8.3), so two braid words are equal exactly when every generator
+has the same freely reduced image under both.  The images are reduced
+on the same stack as every other free word here; the word problem is
+decided exactly, no matrix or normal-form approximation involved.
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ from typing import Iterable, Iterator, Sequence
 #: a free-group letter: (generator name, +1 or -1)
 FreeLetter = tuple[str, int]
 
-#: guards against a nonterminating reduction loop; generous, never hit
-#: by the desk-scale words this package produces
-HANDLE_STEP_CAP = 2_000_000
-
 
 @dataclass(frozen=True)
 class FreeWord:
@@ -41,7 +39,9 @@ class FreeWord:
             if exp not in (1, -1):
                 raise ValueError(f"exponent must be +1 or -1, got {exp}")
             if not isinstance(name, str) or not name:
-                raise ValueError(f"generator name must be a nonempty string")
+                raise ValueError(
+                    f"generator name must be a nonempty string, got {name!r}"
+                )
 
     @classmethod
     def gen(cls, name: str, exp: int = 1) -> "FreeWord":
@@ -51,12 +51,17 @@ class FreeWord:
         return FreeWord(self.letters + other.letters)
 
     def inv(self) -> "FreeWord":
-        return FreeWord(tuple((n, -e) for n, e in reversed(self.letters)))
+        return FreeWord(_inverse(self.letters))
 
 
 def free_reduce(w: FreeWord) -> FreeWord:
     """Cancel adjacent mutually inverse letters until none remain."""
     return FreeWord(_reduced(w.letters))
+
+
+def _inverse(letters: Sequence[FreeLetter]) -> tuple[FreeLetter, ...]:
+    """The inverse word: the letters reversed, each exponent negated."""
+    return tuple((name, -exp) for name, exp in reversed(letters))
 
 
 def _reduced(letters: Iterable[FreeLetter]) -> tuple[FreeLetter, ...]:
@@ -129,79 +134,33 @@ class BraidWord:
         return BraidWord(self.strands, tuple(-x for x in reversed(self.letters)))
 
 
-def _cancel(letters: Sequence[int]) -> list[int]:
-    stack: list[int] = []
-    for x in letters:
-        if stack and stack[-1] == -x:
-            stack.pop()
+def _artin_images(w: BraidWord) -> list[tuple[FreeLetter, ...]]:
+    """The freely reduced image of each free generator x1 ... xn under
+    ``w``, read letter by letter: the action so far is composed on the
+    right with the next letter's automorphism, which only moves the
+    images of x_i and x_(i+1)."""
+    images = [((f"x{j}", 1),) for j in range(1, w.strands + 1)]
+    for letter in w.letters:
+        i = abs(letter) - 1
+        a, b = images[i], images[i + 1]
+        if letter > 0:
+            # s_i: x_i -> x_i x_(i+1) x_i^-1, x_(i+1) -> x_i
+            images[i], images[i + 1] = _reduced(a + b + _inverse(a)), a
         else:
-            stack.append(x)
-    return stack
-
-
-def _first_flip(letters: Sequence[int], positions: Sequence[int]) -> tuple[int, int] | None:
-    for p, q in zip(positions, positions[1:]):
-        if letters[p] * letters[q] < 0:
-            return p, q
-    return None
-
-
-def _reduce_one_handle(letters: list[int], p: int, q: int, t: int) -> list[int]:
-    """Replace the handle letters[p..q] for generator t by its image.
-
-    The segment strictly inside contains only generators above t; each
-    occurrence of t + 1 is rewritten around the removed pair, everything
-    else passes through unchanged.
-    """
-    e = 1 if letters[p] > 0 else -1
-    mid: list[int] = []
-    for x in letters[p + 1 : q]:
-        if abs(x) == t + 1:
-            d = 1 if x > 0 else -1
-            mid += [-(t + 1) * e, t * d, (t + 1) * e]
-        else:
-            mid.append(x)
-    return letters[:p] + mid + letters[q + 1 :]
-
-
-def braid_is_identity(w: BraidWord) -> bool:
-    """Dehornoy handle reduction: exact decision of triviality.
-
-    Loop invariant: the current word equals the input in the braid
-    group.  Each pass reduces one innermost permitted handle of the
-    lowest-index generator present.  A free-reduced word whose lowest
-    generator occurs with a single sign is sigma-positive (or negative)
-    and therefore nontrivial, which is the early exit.
-    """
-    letters = _cancel(w.letters)
-    for _ in range(HANDLE_STEP_CAP):
-        if not letters:
-            return True
-        m = min(abs(x) for x in letters)
-        occ = [p for p, x in enumerate(letters) if abs(x) == m]
-        flip = _first_flip(letters, occ)
-        if flip is None:
-            return False
-        p, q = flip
-        t = m
-        # descend while the segment still contains a handle of the next
-        # generator up; between consecutive occurrences all letters are
-        # strictly higher, so the inner pair is again a handle
-        while True:
-            inner = [r for r in range(p + 1, q) if abs(letters[r]) == t + 1]
-            inner_flip = _first_flip(letters, inner)
-            if inner_flip is None:
-                break
-            p, q = inner_flip
-            t += 1
-        letters = _cancel(_reduce_one_handle(letters, p, q, t))
-    raise RuntimeError("handle reduction exceeded the step cap")
+            # s_i^-1: x_i -> x_(i+1), x_(i+1) -> x_(i+1)^-1 x_i x_(i+1)
+            images[i], images[i + 1] = b, _reduced(_inverse(b) + a + b)
+    return images
 
 
 def braid_equal(u: BraidWord, v: BraidWord) -> bool:
+    """Whether ``u`` and ``v`` are the same braid: Artin's action is
+    faithful, so they are exactly when every generator has the same
+    reduced image under both.  The inverses are compared, which decides
+    the same thing: read from its inverse, the chain product's running
+    images carry half the letters."""
     if u.strands != v.strands:
         raise ValueError("cannot compare words on different strand counts")
-    return braid_is_identity(u * v.inv())
+    return _artin_images(u.inv()) == _artin_images(v.inv())
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +216,8 @@ def decomposition_product(factors: Iterable[ChainFactor]) -> BraidWord:
     factors = tuple(factors)
     if not factors:
         raise ValueError("empty decomposition")
-    acc = BraidWord(factors[0].strands, ())
-    for f in factors:
-        acc = acc * f.word()
-    return acc
+    strands = factors[0].strands
+    if any(f.strands != strands for f in factors):
+        raise ValueError("strand count mismatch")
+    letters = itertools.chain.from_iterable(f.word().letters for f in factors)
+    return BraidWord(strands, tuple(letters))

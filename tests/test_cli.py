@@ -56,7 +56,7 @@ class TestParsing:
         report = run(RunConfig(check="chain", value_range=(1, 1)))
         assert report["config"]["caps"] == {
             "presentation": 16, "commutation": 32, "quotient-rank": 64,
-            "main-theorem": 64, "chain": 24, "commutator-lemma": 2048,
+            "main-theorem": 64, "chain": 48, "commutator-lemma": 3072,
             "case-identities": 16,
         }
 
@@ -79,11 +79,13 @@ env_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_charact
 @example("chain=25,commutation=99")
 @example("o2=x")
 def test_the_old_override_variable_changes_nothing(text):
-    # the variable once raised or lowered a cap; now k=2 passes and k=25
-    # is refused whatever it holds, with the same config.caps and entries
-    expected = [run(RunConfig("chain", (k, k), "k")) for k in (2, 25)]
+    # the variable once raised or lowered a cap; now k=2 passes and one
+    # past the cap is refused whatever it holds, with the same
+    # config.caps and entries
+    scopes = (2, cli.CHECKS["chain"].cap + 1)
+    expected = [run(RunConfig("chain", (k, k), "k")) for k in scopes]
     with mock.patch.dict(os.environ, {"CROSSCAP_CAP_OVERRIDE": text}):
-        got = [run(RunConfig("chain", (k, k), "k")) for k in (2, 25)]
+        got = [run(RunConfig("chain", (k, k), "k")) for k in scopes]
     assert [r["overall_pass"] for r in got] == [True, False]
     assert [golden_compare(r, want) for r, want in zip(got, expected)] == [[], []]
 

@@ -1,0 +1,78 @@
+"""Measure which scope values of a check fit the 2 s cap budget.
+
+    python tools/cap_budget.py CHECK VALUE...
+
+For each value, runs ``cli.CHECKS[CHECK].run(value, 0)`` in three fresh
+interpreters, one after another, and prints each run's wall time
+(interpreter start included).  A run passes when every report it yields
+is ok and it finishes inside the budget; a run past ``TIMEOUT_S`` is
+killed.  The last line names the largest value whose three runs all
+passed, the one ``cli.CHECKS`` may take as the check's cap.  Exits 1
+when no value fits.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+BUDGET_S = 2.0
+TIMEOUT_S = 30.0
+RUNS = 3
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+CHILD = """
+import sys
+from crosscap_calc import cli
+reports = list(cli.CHECKS[sys.argv[1]].run(int(sys.argv[2]), 0))
+sys.exit(0 if all(r.ok for r in reports) else 1)
+"""
+
+
+def time_run(check: str, value: int) -> float | str:
+    """Wall seconds of one fresh-process run, or why it did not pass."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD, check, str(value)],
+            env=env, capture_output=True, timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    elapsed = time.perf_counter() - start
+    return elapsed if proc.returncode == 0 else "failed"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("check")
+    parser.add_argument("values", nargs="+", type=int)
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(SRC))
+    from crosscap_calc import cli
+
+    if args.check not in cli.CHECKS:
+        parser.error(f"unknown check {args.check!r}; choose from {', '.join(cli.CHECKS)}")
+    fits = []
+    for value in args.values:
+        times = [time_run(args.check, value) for _ in range(RUNS)]
+        shown = " ".join(t if isinstance(t, str) else f"{t:.2f}" for t in times)
+        ok = all(not isinstance(t, str) and t <= BUDGET_S for t in times)
+        print(f"{args.check} {value}: {shown} s {'fits' if ok else 'over'}")
+        if ok:
+            fits.append(value)
+    if not fits:
+        print(f"no value fits {BUDGET_S:g} s")
+        return 1
+    print(f"largest within {BUDGET_S:g} s: {max(fits)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
