@@ -202,7 +202,7 @@ class Check:
 
 CHECKS: dict[str, Check] = {
     "presentation": Check(_run_presentation, (3, 8), 16),
-    "commutation": Check(_run_commutation, (3, 8), 32),
+    "commutation": Check(_run_commutation, (3, 8), 48),
     "quotient-rank": Check(_run_quotient_rank, (3, 12), 64),
     "main-theorem": Check(_run_main_theorem, (3, 12), 64),
     "o2": Check(_run_o2, (3, 5), None),

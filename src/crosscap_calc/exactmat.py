@@ -30,6 +30,14 @@ new slide squares it by the same column step.  All arithmetic is exact
 on Python ints; ``mat_mul`` and ``mat_inv`` (Gauss-Jordan over
 ``Fraction``) are on no evaluation path and are kept as the oracles that
 tests compare against.
+
+A cached slide ``make_y(g, i, j)`` differs from I only in row i, so it
+holds one new row and shares every other row, as the same tuple object,
+with ``identity(g - 1)``: at g = 64 the 3,969 slides take one row each
+instead of 63.  Validation, ``is_level2`` and ``_updates`` test a whole
+row or column at a time in C (``map``, a tuple compare); ``is_level2``
+and ``_updates`` step through entries in Python only in the rows or
+columns that differ from I's.
 """
 
 from __future__ import annotations
@@ -37,7 +45,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from itertools import compress, repeat
+from operator import ne
+from typing import Iterable, Sequence
 
 Pair = tuple[int, int]
 #: one letter of a word in the Y generators: ((i, j), exponent), exponent +-1
@@ -72,15 +82,20 @@ class IntMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        n = len(self.rows)
+        rows = self.rows
+        if not isinstance(rows, tuple):
+            raise TypeError(f"rows must be a tuple, got {type(rows).__name__}")
+        n = len(rows)
         if n == 0:
             raise ValueError("empty matrix")
-        for row in self.rows:
+        for row in rows:
+            if not isinstance(row, tuple):
+                raise TypeError(f"each row must be a tuple, got {type(row).__name__}")
             if len(row) != n:
                 raise ValueError("matrix must be square")
-            for x in row:
-                if not isinstance(x, int):
-                    raise TypeError(f"non-integer entry {x!r}")
+            if not all(map(isinstance, row, repeat(int))):
+                bad = next(x for x in row if not isinstance(x, int))
+                raise TypeError(f"non-integer entry {bad!r}")
 
     @property
     def n(self) -> int:
@@ -91,7 +106,8 @@ class IntMatrix:
 
 
 def _trusted_matrix(rows: tuple[tuple[int, ...], ...]) -> IntMatrix:
-    """An unvalidated ``IntMatrix``, for products of validated ones."""
+    """An unvalidated ``IntMatrix``, for products of validated ones and for
+    slides, which are I's (validated) rows with one row rewritten."""
     m = object.__new__(IntMatrix)
     object.__setattr__(m, "rows", rows)
     return m
@@ -169,12 +185,13 @@ def mat_inv(a: IntMatrix) -> IntMatrix:
 
 
 def is_level2(a: IntMatrix) -> bool:
-    """True iff the matrix is congruent to the identity mod 2."""
-    return all(
-        (x - int(i == j)) % 2 == 0
-        for i, row in enumerate(a.rows)
-        for j, x in enumerate(row)
-    )
+    """True iff the matrix is congruent to the identity mod 2: each row
+    that differs from the identity's has its parities, ``1 & x`` per
+    entry."""
+    rows, irows = a.rows, identity(a.n).rows
+    parity = (1).__and__
+    changed = compress(range(a.n), map(ne, rows, irows))
+    return all(tuple(map(parity, rows[r])) == irows[r] for r in changed)
 
 
 def _check_group_element(m: IntMatrix, label: str) -> IntMatrix:
@@ -183,9 +200,9 @@ def _check_group_element(m: IntMatrix, label: str) -> IntMatrix:
     # not on _column_update, whose cache is being filled by this call.
     if not is_level2(m):
         raise ArithmeticError(f"{label} is not congruent to I mod 2")
-    cols = [list(col) for col in zip(*m.rows)]
+    cols = list(zip(*m.rows))
     _right_multiply(cols, _updates(m))
-    if cols != [list(row) for row in identity(m.n).rows]:  # I is symmetric
+    if tuple(map(tuple, cols)) != identity(m.n).rows:  # I is symmetric
         raise ArithmeticError(f"{label} is not an involution")
     return m
 
@@ -204,13 +221,13 @@ def make_y(g: int, i: int, j: int) -> IntMatrix:
         raise IndexRangeError(f"second index {j} outside 1..{g}")
     if i == j:
         raise IndexRangeError("slide indices must differ")
-    rows = [list(row) for row in identity(g - 1).rows]
-    rows[i - 1][i - 1] = -1
+    rows = list(identity(g - 1).rows)
+    row = list(rows[i - 1])
+    row[i - 1] = -1
     if j <= g - 1:
-        rows[i - 1][j - 1] = 2
-    return _check_group_element(
-        IntMatrix(tuple(tuple(row) for row in rows)), f"Y[{i},{j}] at g={g}"
-    )
+        row[j - 1] = 2
+    rows[i - 1] = tuple(row)
+    return _check_group_element(_trusted_matrix(tuple(rows)), f"Y[{i},{j}] at g={g}")
 
 
 def gi_product(g: int, i: int) -> tuple[YLetter, ...]:
@@ -258,17 +275,20 @@ ColumnUpdates = tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
 def _updates(m: IntMatrix) -> ColumnUpdates:
     """``(c, ((r, entry), ...))`` for each column c where ``m`` differs
-    from I: right-multiplying by ``m`` sets column c to sum entry * column r."""
+    from I: right-multiplying by ``m`` sets column c to sum entry * column r.
+    A column equal to I's (I is symmetric: its rows are its columns) is
+    skipped by one tuple compare."""
+    cols = tuple(zip(*m.rows))
+    changed = compress(range(m.n), map(ne, cols, identity(m.n).rows))
     return tuple(
-        (c, terms)
-        for c, col in enumerate(zip(*m.rows))
-        if (terms := tuple((r, x) for r, x in enumerate(col) if x)) != ((c, 1),)
+        (c, tuple((r, x) for r, x in enumerate(cols[c]) if x)) for c in changed
     )
 
 
-def _right_multiply(cols: list[list[int]], updates: ColumnUpdates) -> None:
+def _right_multiply(cols: list[Sequence[int]], updates: ColumnUpdates) -> None:
     """Replace the columns ``cols`` of a matrix A by those of A * M, where
-    ``updates`` are M's; every column of M must have a nonzero entry."""
+    ``updates`` are M's; every column of M must have a nonzero entry.
+    Columns are read, never written: each changed one becomes a new list."""
     new = []
     for c, ((k, x), *rest) in updates:
         col = [x * v for v in cols[k]]
@@ -292,7 +312,7 @@ def eval_word(g: int, letters: Iterable[YLetter]) -> IntMatrix:
     empty word evaluates to the identity.
     """
     g = genus(g)
-    cols = [list(row) for row in identity(g - 1).rows]  # I is symmetric
+    cols: list[Sequence[int]] = list(identity(g - 1).rows)  # I is symmetric
     for (i, j), exp in letters:
         if exp not in (1, -1):
             raise ValueError(f"exponent must be +1 or -1, got {exp}")

@@ -191,8 +191,11 @@ def commutator_word(a: Word, b: Word) -> Word:
     return a + b + winv(a) + winv(b)
 
 
-@dataclass(frozen=True)
-class Relator:
+class Relator(NamedTuple):
+    """One relator: its family label, the index tuple it is taken at, and
+    its word.  A plain tuple underneath, so its hash is the one a frozen
+    dataclass of the same fields has."""
+
     family: str
     indices: tuple[int, ...]
     word: Word
@@ -206,8 +209,14 @@ class Presentation:
     relators: tuple[Relator, ...]
 
 
+@_interned
+def _slide_letter(i: int, j: int) -> tuple[GenSymbol, int]:
+    """The letter (Y[i, j], +1), one shared tuple per pair."""
+    return yslide(i, j), 1
+
+
 def _sq(*pairs: Pair) -> Word:
-    w = word(*(yslide(i, j) for i, j in pairs))
+    w = tuple(itertools.starmap(_slide_letter, pairs))
     return w + w
 
 
@@ -392,7 +401,7 @@ def verify_relators(p: Presentation) -> CheckReport:
             ok = eval_symbol_word(p.g, rel.word) == ident
             if shape is not None:
                 verdicts[shape] = ok
-        rb.record(ok, f"{rel.family}{rel.indices}")
+        rb.record(ok, "" if ok else f"{rel.family}{rel.indices}")
     return rb.build()
 
 

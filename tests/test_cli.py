@@ -55,7 +55,7 @@ class TestParsing:
         # the caps every report records under config.caps
         report = run(RunConfig(check="chain", value_range=(1, 1)))
         assert report["config"]["caps"] == {
-            "presentation": 16, "commutation": 32, "quotient-rank": 64,
+            "presentation": 16, "commutation": 48, "quotient-rank": 64,
             "main-theorem": 64, "chain": 48, "commutator-lemma": 3072,
             "case-identities": 16,
         }

@@ -1,8 +1,10 @@
 """Exact integer matrix layer: constructors, arithmetic, slide matrices."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from crosscap_calc import exactmat, fpres
 from crosscap_calc.exactmat import (
@@ -74,6 +76,18 @@ class TestIntMatrix:
         with pytest.raises(TypeError, match=r"non-integer entry 1\.0"):
             IntMatrix(((1.0, 0), (0, 1)))
 
+    @pytest.mark.parametrize("rows", [
+        [[1, 0], [0, 1]],
+        ([1, 0], [0, 1]),
+        [(1, 0), (0, 1)],
+        ((1, 0), [0, 1]),
+    ], ids=["lists", "tuple-of-lists", "list-of-tuples", "one-list-row"])
+    def test_rejects_rows_that_are_not_tuples(self, rows):
+        # accepted, such a matrix compared unequal to identity(2), could not
+        # be hashed and stayed mutable
+        with pytest.raises(TypeError, match="must be a tuple, got list"):
+            IntMatrix(rows)
+
     def test_products_and_words_skip_validation(self, monkeypatch):
         # results built from validated matrices are square and integral by
         # construction: neither path may run the validating constructor
@@ -140,6 +154,77 @@ class TestDeterminantAndInverse:
             mat_inv(IntMatrix(((0, 0), (0, 0))))
 
 
+def ref_is_level2(rows):
+    """Per-entry reference: every entry congruent to I's mod 2."""
+    return all(
+        (x - int(i == j)) % 2 == 0
+        for i, row in enumerate(rows)
+        for j, x in enumerate(row)
+    )
+
+
+def ref_updates(rows):
+    """Per-entry reference: each column's nonzero entries, for every
+    column other than I's."""
+    return tuple(
+        (c, terms)
+        for c, col in enumerate(zip(*rows))
+        if (terms := tuple((r, x) for r, x in enumerate(col) if x)) != ((c, 1),)
+    )
+
+
+@st.composite
+def near_level2_rows(draw):
+    """Square rows of size 1..5 near the level-2 group: I plus even
+    offsets, up to two entries of the other parity, and entries 0 and 1
+    sometimes drawn as ``bool``."""
+    n = draw(st.integers(1, 5))
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    odd = draw(st.sets(cell, max_size=2))
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            x = int(i == j) + 2 * draw(st.integers(-3, 3)) + ((i, j) in odd)
+            if x in (0, 1) and draw(st.booleans()):
+                x = bool(x)
+            row.append(x)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+class TestRowKernels:
+    """The row-at-a-time kernels agree with per-entry references."""
+
+    @given(near_level2_rows())
+    def test_is_level2_matches_the_entry_reference(self, rows):
+        assert is_level2(IntMatrix(rows)) == ref_is_level2(rows)
+
+    @given(near_level2_rows())
+    def test_updates_match_the_entry_reference(self, rows):
+        assert exactmat._updates(IntMatrix(rows)) == ref_updates(rows)
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(
+            st.one_of(
+                st.integers(-3, 3), st.booleans(),
+                st.sampled_from([1.0, -0.5, "1", None, Fraction(1), 2j]),
+            ),
+            min_size=n, max_size=n,
+        ),
+        min_size=n, max_size=n,
+    )))
+    def test_validation_names_the_first_bad_entry(self, rows):
+        rows = tuple(map(tuple, rows))
+        bad = [x for row in rows for x in row if not isinstance(x, int)]
+        if not bad:
+            assert IntMatrix(rows).rows == rows
+            return
+        with pytest.raises(TypeError) as info:
+            IntMatrix(rows)
+        assert str(info.value) == f"non-integer entry {bad[0]!r}"
+
+
 class TestLevelTwo:
     def test_identity_is_level2(self):
         assert is_level2(identity(5))
@@ -171,6 +256,17 @@ class TestSlideMatrices:
             for j in range(1, 6):
                 if (i, j) not in ((2, 2), (2, 4)):
                     assert m.rows[i - 1][j - 1] == (1 if i == j else 0)
+
+    @pytest.mark.parametrize("g", [3, 7, 12])
+    def test_slides_share_the_identity_rows(self, g):
+        # Y[i, j] differs from I only in row i; every other row is I's own
+        irows = identity(g - 1).rows
+        for i, j in slide_pairs(g):
+            if i == g:
+                continue
+            rows = make_y(g, i, j).rows
+            for k in range(g - 1):
+                assert (rows[k] is irows[k]) == (k != i - 1), (i, j, k)
 
     def test_index_validation(self):
         with pytest.raises(IndexRangeError):
@@ -354,6 +450,28 @@ class TestGroupElementCheck:
         assert det(m) == 1 and is_level2(m)
         with pytest.raises(ArithmeticError, match="involution"):
             exactmat._check_group_element(m, "shear")
+
+    @pytest.mark.parametrize("g", [3, 12])
+    def test_a_slide_with_one_wrong_entry_is_rejected(self, g):
+        # an odd change anywhere breaks level 2; 1 -> 3 on a diagonal entry
+        # of a shared row keeps level 2 but breaks the involution
+        rng = random.Random(g)
+        n = g - 1
+        pairs = [(i, j) for i, j in slide_pairs(g) if i < g]
+        for i, j in rng.sample(pairs, min(len(pairs), 6)):
+            rows = make_y(g, i, j).rows
+            cells = [(r, c) for r in range(n) for c in range(n)]
+            for r, c in rng.sample(cells, min(len(cells), 12)):
+                for delta, match in ((1, "mod 2"), (-1, "mod 2")):
+                    bad = list(rows)
+                    bad[r] = rows[r][:c] + (rows[r][c] + delta,) + rows[r][c + 1:]
+                    with pytest.raises(ArithmeticError, match=match):
+                        exactmat._check_group_element(IntMatrix(tuple(bad)), "bad")
+            k = next(k for k in range(n) if k != i - 1)
+            bad = list(rows)
+            bad[k] = rows[k][:k] + (3,) + rows[k][k + 1:]
+            with pytest.raises(ArithmeticError, match="involution"):
+                exactmat._check_group_element(IntMatrix(tuple(bad)), "bad")
 
     def test_rejects_non_unimodular_and_non_level2(self):
         # level-2 but det 3: an involution has det +-1, so this one fails

@@ -287,6 +287,33 @@ class TestRelatorFamilies:
         ]
 
 
+class TestRelator:
+    """A relator is a tuple (family, indices, word) underneath."""
+
+    def test_hash_is_the_frozen_dataclass_hash(self):
+        # a frozen dataclass hashes the tuple of its fields
+        w = word(yslide(1, 2), yslide(3, 2))
+        rel = Relator("2a", (1, 2, 3), w)
+        assert hash(rel) == hash(("2a", (1, 2, 3), w))
+        assert rel == Relator("2a", (1, 2, 3), w)
+        assert rel != Relator("2a", (1, 2, 4), w)
+        assert (rel.family, rel.indices, rel.word) == ("2a", (1, 2, 3), w)
+        assert Relator(family="2a", indices=(1, 2, 3), word=w) == rel
+
+    def test_squares_share_one_letter_per_pair(self):
+        # every (Y[i, j], +1) letter of the PROP relators is one object
+        rels = _prop_relators(6)
+        letters = [letter for rel in rels for letter in rel.word]
+        assert len({id(letter) for letter in letters}) == len(set(letters))
+        assert all(letter[1] == 1 for letter in letters)
+
+    def test_failing_relator_keeps_its_label(self):
+        rel = Relator("3b", (2, 1, 4, 5), word(yslide(2, 1)))
+        rep = verify_relators(fpres.Presentation(5, VARIANT_PROP, (), (rel,)))
+        assert (rep.passed, rep.failed) == (0, 1)
+        assert rep.failures == ("3b(2, 1, 4, 5)",)
+
+
 @functools.cache
 def _prop_relators(g):
     return build_presentation(g, VARIANT_PROP).relators

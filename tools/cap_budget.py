@@ -4,9 +4,10 @@
 
 For each value, runs ``cli.CHECKS[CHECK].run(value, 0)`` in three fresh
 interpreters, one after another, and prints each run's wall time
-(interpreter start included).  A run passes when every report it yields
-is ok and it finishes inside the budget; a run past ``TIMEOUT_S`` is
-killed.  The last line names the largest value whose three runs all
+(interpreter start included) and peak resident set size, which the
+child reads from its own ``ru_maxrss``.  A run passes when every report
+it yields is ok and it finishes inside the budget; a run past
+``TIMEOUT_S`` is killed.  The last line names the largest value whose three runs all
 passed, the one ``cli.CHECKS`` may take as the check's cap.  Exits 1
 when no value fits.
 """
@@ -26,15 +27,17 @@ RUNS = 3
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 CHILD = """
-import sys
+import resource, sys
 from crosscap_calc import cli
 reports = list(cli.CHECKS[sys.argv[1]].run(int(sys.argv[2]), 0))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 sys.exit(0 if all(r.ok for r in reports) else 1)
 """
 
 
-def time_run(check: str, value: int) -> float | str:
-    """Wall seconds of one fresh-process run, or why it did not pass."""
+def time_run(check: str, value: int) -> tuple[float, float] | str:
+    """Wall seconds and peak MiB of one fresh-process run, or why it did
+    not pass."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     start = time.perf_counter()
@@ -46,7 +49,9 @@ def time_run(check: str, value: int) -> float | str:
     except subprocess.TimeoutExpired:
         return "timeout"
     elapsed = time.perf_counter() - start
-    return elapsed if proc.returncode == 0 else "failed"
+    if proc.returncode != 0:
+        return "failed"
+    return elapsed, int(proc.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -61,10 +66,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown check {args.check!r}; choose from {', '.join(cli.CHECKS)}")
     fits = []
     for value in args.values:
-        times = [time_run(args.check, value) for _ in range(RUNS)]
-        shown = " ".join(t if isinstance(t, str) else f"{t:.2f}" for t in times)
-        ok = all(not isinstance(t, str) and t <= BUDGET_S for t in times)
-        print(f"{args.check} {value}: {shown} s {'fits' if ok else 'over'}")
+        runs = [time_run(args.check, value) for _ in range(RUNS)]
+        shown = ", ".join(
+            r if isinstance(r, str) else f"{r[0]:.2f} s {r[1]:.1f} MiB" for r in runs
+        )
+        ok = all(not isinstance(r, str) and r[0] <= BUDGET_S for r in runs)
+        print(f"{args.check} {value}: {shown}; {'fits' if ok else 'over'}")
         if ok:
             fits.append(value)
     if not fits:
