@@ -22,14 +22,15 @@ relator (5) and the quotient form bar-(5) from the same letters.
 ``make_y_gi`` computes both, the product through ``eval_word`` like any
 other word, and refuses to answer if they disagree.
 
-Words never invert: every slide is an involution (relator family (1),
-checked once per cached slide), so ``eval_word`` reads an exponent of -1
-as +1.  It right-multiplies by a slide by rewriting only the at most two
-columns where the slide differs from I; the involution check of each
-new slide squares it by the same column step.  All arithmetic is exact
-on Python ints; ``mat_mul`` and ``mat_inv`` (Gauss-Jordan over
-``Fraction``) are on no evaluation path and are kept as the oracles that
-tests compare against.
+Words never invert: every slide is an involution (relator family (1)),
+so ``eval_word`` reads an exponent of -1 as +1.  It right-multiplies by
+a slide by rewriting only the at most two columns where the slide
+differs from I.  Each slide's column updates are computed once, in
+``_column_update``, by the check that squares the slide with them and
+refuses anything but a level-2 involution, so no word uses an unchecked
+slide.  All arithmetic is exact on Python ints; ``mat_mul`` and
+``mat_inv`` (Gauss-Jordan over ``Fraction``) are on no evaluation path
+and are kept as the oracles that tests compare against.
 
 A cached slide ``make_y(g, i, j)`` differs from I only in row i, so it
 holds one new row and shares every other row, as the same tuple object,
@@ -194,17 +195,17 @@ def is_level2(a: IntMatrix) -> bool:
     return all(tuple(map(parity, rows[r])) == irows[r] for r in changed)
 
 
-def _check_group_element(m: IntMatrix, label: str) -> IntMatrix:
-    # constructed generators must be level-2 involutions (so unimodular:
-    # det(m)^2 = det(m * m) = 1).  m * m runs on m's own column updates,
-    # not on _column_update, whose cache is being filled by this call.
+def _check_group_element(m: IntMatrix, label: str) -> ColumnUpdates:
+    """``m``'s column updates, once ``m`` is a level-2 involution (so
+    unimodular: det(m)^2 = det(m * m) = 1); m * m runs on those updates."""
     if not is_level2(m):
         raise ArithmeticError(f"{label} is not congruent to I mod 2")
+    updates = _updates(m)
     cols = list(zip(*m.rows))
-    _right_multiply(cols, _updates(m))
+    _right_multiply(cols, updates)
     if tuple(map(tuple, cols)) != identity(m.n).rows:  # I is symmetric
         raise ArithmeticError(f"{label} is not an involution")
-    return m
+    return updates
 
 
 @functools.cache
@@ -227,7 +228,7 @@ def make_y(g: int, i: int, j: int) -> IntMatrix:
     if j <= g - 1:
         row[j - 1] = 2
     rows[i - 1] = tuple(row)
-    return _check_group_element(_trusted_matrix(tuple(rows)), f"Y[{i},{j}] at g={g}")
+    return _trusted_matrix(tuple(rows))
 
 
 def gi_product(g: int, i: int) -> tuple[YLetter, ...]:
@@ -259,7 +260,7 @@ def make_y_gi(g: int, i: int) -> IntMatrix:
         raise ArithmeticError(
             f"Y[{g},{i}] closed form disagrees with its defining product"
         )
-    return _check_group_element(closed, f"Y[{g},{i}] at g={g}")
+    return closed
 
 
 def y_matrix(g: int, i: int, j: int) -> IntMatrix:
@@ -301,7 +302,9 @@ def _right_multiply(cols: list[Sequence[int]], updates: ColumnUpdates) -> None:
 
 @functools.cache
 def _column_update(g: int, i: int, j: int) -> ColumnUpdates:
-    return _updates(y_matrix(g, i, j))
+    """Y[i, j]'s column updates, computed once, in the check that the
+    slide is a level-2 involution, before any word uses them."""
+    return _check_group_element(y_matrix(g, i, j), f"Y[{i},{j}] at g={g}")
 
 
 def eval_word(g: int, letters: Iterable[YLetter]) -> IntMatrix:

@@ -498,17 +498,12 @@ def stabilizer_case_check(
             target = b
         else:
             target = a
-        # orthogonal matrices invert by transposition
-        inv = target.transpose()
-        if not (target * inv).is_identity():
-            rb.record(False, f"{label}: transpose is not an inverse")
-            continue
-        if inv not in table:
+        if target not in table:
             rb.record(False, f"{label}: not expressible over permitted twists")
             continue
         # re-multiplied from the identity by plain products, whose one-shot
         # spans are independent of the search that found the word
-        word = (gens[sub] for sub in table[inv])
+        word = (gens[sub] for sub in table[target])
         product = functools.reduce(operator.mul, word, F2Matrix.identity(g))
-        rb.record(product == inv, f"{label}: word does not re-multiply to the inverse")
+        rb.record(product == target, f"{label}: word does not re-multiply to the element")
     return rb.build()

@@ -5,22 +5,24 @@ subgroup is elementary abelian with basis the pair classes of
 ``fpres.quotient_basis``.  The ordered products of basis slides (one
 slide per pair, pairs strictly increasing) form a Schreier transversal:
 dropping the last factor of a transversal word gives another one.  One
-lex (depth-first) walk lists them with O(dim) state: ``transversal``
-caches its elements for the sweeps, and ``verify_transversal`` checks
-them as they stream past, in tables of 2^dim bytes, reading each
-element's image as the XOR of its basis slides' images.  The
+walk lists them in binary counting order with O(dim) state: element n
+holds the basis pairs at the set bits of n.  ``build_quotient_map``
+gives each basis slide its own bit as image, so element n has image n,
+and the representative of the coset of f x, for f = element n, is
+element n XOR image(x): an index, not a table lookup.  ``transversal``
+caches the elements for the sweeps, and ``verify_transversal`` checks
+each one's image against its index as the walk streams past.  The
 Reidemeister-Schreier generators of the subgroup are then
 
     f x^(+-1) rep(f x)^(-1)
 
 for ``f`` in the transversal and ``x`` in the finite generating set of
-the level-2 group, where ``rep`` is the transversal element in the same
-coset; the generator is skipped only when the word literally equals its
-representative.  These rewrite into four families: conjugated squared
-twists about pair loops, conjugated twists about the two-sided pair
-curves, conjugated squared twists about the 4-subset curves containing
-crosscap 1, and conjugated slide commutators, the last reducible under
-the constraint last(f) < (i, j) < (k, l).
+the level-2 group; the generator is skipped only when the word literally
+equals its representative.  These rewrite into four families: conjugated
+squared twists about pair loops, conjugated twists about the two-sided
+pair curves, conjugated squared twists about the 4-subset curves
+containing crosscap 1, and conjugated slide commutators, the last
+reducible under the constraint last(f) < (i, j) < (k, l).
 
 The slide-commutator reduction rests on four displayed identities, one
 per overlap shape of the two pairs.  ``verify_case_identities`` checks
@@ -31,22 +33,21 @@ report says so.
 
 The two zero-image sweeps give every word a verdict without building it.
 Quotient images are XOR-linear over letters, so a family word
-f core f^-1 has its core's image, and an RS word has the XOR of its three
-parts' images; a core is folded once and a part image is read from
-tables built once per transversal element, and the counts of passing
-words follow in closed form.  A word is assembled only to be refolded
-letter by letter, which checks that the assembly matches its parts: every
-word up to LETTER_FOLD_LIMIT words, and past it a stratified sample.  The
-exact word count N (from ``construction_counts``) is cut into
-k = LETTER_FOLD_SAMPLE contiguous blocks of floor(N/k) or ceil(N/k)
-positions, and one position is drawn from each.  This is at least as
-strong as one independent draw per word with probability k/N: every word
-still gets its core or part-level verdict, each word is drawn with
-probability 1/floor(N/k) or 1/ceil(N/k), about k/N, the number
-drawn is k exactly rather than k on average, and any run of
-2 ceil(N/k) - 1 consecutive words holds a whole block, so it always has a
-word drawn.  The draws are integers streamed in increasing order and
-never stored.
+f core f^-1 has its core's image, folded once per core, and an RS word
+f x rep(f x)^-1 for f = element n has image n XOR image(x) XOR
+image(rep), which is zero once each element's image is its index; the
+counts of passing words follow in closed form.  A word is assembled
+only to be refolded letter by letter, which checks the assembly and the
+transversal together: every word up to LETTER_FOLD_LIMIT words, and past
+it a stratified sample.  The exact word count N (from
+``construction_counts``) is cut into k = LETTER_FOLD_SAMPLE contiguous
+blocks of floor(N/k) or ceil(N/k) positions, and one position is drawn
+from each.  This is at least as strong as one independent draw per word
+with probability k/N: each word is drawn with probability 1/floor(N/k)
+or 1/ceil(N/k), about k/N, the number drawn is k exactly rather than k
+on average, and any run of 2 ceil(N/k) - 1 consecutive words holds a
+whole block, so it always has a word drawn.  The draws are integers
+streamed in increasing order and never stored.
 """
 
 from __future__ import annotations
@@ -148,34 +149,30 @@ def _capped_basis(g: int) -> tuple[Pair, ...]:
     return basis
 
 
-def _lex_walk(g: int) -> Iterator[tuple[Pair, ...]]:
-    """The subsets of ``quotient_basis(g)`` in lex order: after each, append
-    the next basis pair if there is one, else drop the last pair and advance
-    the new last one.  Past the cap it raises at the call."""
+def _walk(g: int) -> Iterator[tuple[Pair, ...]]:
+    """The subsets of ``quotient_basis(g)`` in binary counting order:
+    element n holds the basis pairs at the set bits of n.  From n - 1 to
+    n the ``low`` lowest pairs drop out and ``basis[low]`` comes in
+    first, where ``low`` counts the trailing zeros of n.  Past the cap it
+    raises at the call."""
     basis = _capped_basis(g)
-    pos = {p: n for n, p in enumerate(basis)}
 
     def walk() -> Iterator[tuple[Pair, ...]]:
-        pairs, last = (), -1  # last: the basis position of pairs[-1]
-        while True:
+        pairs: tuple[Pair, ...] = ()
+        yield pairs
+        for n in range(1, 1 << len(basis)):
+            low = (n & -n).bit_length() - 1
+            pairs = (basis[low],) + pairs[low:]
             yield pairs
-            if last + 1 < len(basis):
-                last += 1
-                pairs += (basis[last],)
-            elif len(pairs) < 2:
-                return
-            else:
-                last = pos[pairs[-2]] + 1
-                pairs = pairs[:-2] + (basis[last],)
 
     return walk()
 
 
 @functools.cache
 def transversal(g: int) -> tuple[TransversalElement, ...]:
-    """Every subset of the basis pairs in lex order, from ``_lex_walk``."""
+    """Every subset of the basis pairs in counting order, from ``_walk``."""
     # pairs increase by construction: skip TransversalElement.__new__
-    return tuple(tuple.__new__(TransversalElement, (p,)) for p in _lex_walk(g))
+    return tuple(tuple.__new__(TransversalElement, (p,)) for p in _walk(g))
 
 
 def uses_subset_twist_generators(g: int) -> bool:
@@ -206,66 +203,49 @@ def level2_generating_set(g: int) -> tuple[GenSymbol, ...]:
     return tuple(slides + back_slides + subsets)
 
 
-def _pairs_mask(bit: dict[Pair, int], pairs: tuple[Pair, ...]) -> int:
-    mask = 0
-    for p in pairs:
-        mask ^= bit[p]
-    return mask
-
-
-def _basis_masks(g: int) -> tuple[dict[Pair, int], tuple[int, ...], dict[int, int]]:
-    """(image of each basis pair, each transversal element's image in
-    transversal order, the index of the element with each image)."""
-    qmap = build_quotient_map(g)
-    bit = {p: qmap.image(yslide(*p)) for p in qmap.basis}
-    masks = tuple(_pairs_mask(bit, t.pairs) for t in transversal(g))
-    return bit, masks, {m: n for n, m in enumerate(masks)}
-
-
 #: the signs emitted for one (f, x): both, or -1 alone when f x^+1 is skipped
 _BOTH_SIGNS = (1, -1)
 _MINUS_ONLY = (-1,)
 
 
 def _rs_pairs(g: int) -> Iterator[tuple]:
-    """(f, its word, x, rep(f x), its inverse word, part image, emitted
-    signs) for every (f, x), in emission order.
+    """(f, its word, x, rep(f x), its inverse word, emitted signs) for
+    every (f, x), in emission order.
 
-    The part image is the XOR of the images of f, x and rep(f x), the
-    representative's read from the per-element table rather than from the
-    mask it was looked up by.  Each inverse word is built the first time
-    it is needed.  The skip rule is stated here and only here.
+    Element n of the transversal has image n, so rep(f x) for f = element
+    n is element n XOR image(x).  Each inverse word is built the first
+    time it is needed.  The skip rule is stated here and only here.
     """
     g = genus(g)
     qmap = build_quotient_map(g)
-    bit, masks, by_mask = _basis_masks(g)
+    basis = set(qmap.basis)
     elems = transversal(g)
     inverses: list[Word | None] = [None] * len(elems)
     # (symbol, image, its pair when it is a basis slide)
     xs = [
-        (x, qmap.image(x), x.indices if x.kind == KIND_YSLIDE and x.indices in bit else None)
+        (x, qmap.image(x), x.indices if x.kind == KIND_YSLIDE and x.indices in basis else None)
         for x in level2_generating_set(g)
     ]
-    for f, fmask in zip(elems, masks):
+    for n, f in enumerate(elems):
         fword = f.word()
-        for x, xmask, pair in xs:
-            r = by_mask[fmask ^ xmask]
+        for x, ximage, pair in xs:
+            r = n ^ ximage
             rep = elems[r]
             # skipped: f x^+1 when it literally is its own representative
             skip = pair is not None and rep.pairs == f.pairs + (pair,)
             signs = _MINUS_ONLY if skip else _BOTH_SIGNS
             if inverses[r] is None:
                 inverses[r] = winv(rep.word())
-            yield f, fword, x, rep, inverses[r], fmask ^ xmask ^ masks[r], signs
+            yield f, fword, x, rep, inverses[r], signs
 
 
 def iter_rs_generators(g: int) -> Iterator[RsGenerator]:
     """All f x^(+-1) rep^(-1) words, skipping literal representatives.
 
-    Deterministic order: transversal elements lexicographically, then
+    Deterministic order: transversal elements in counting order, then
     generating symbols in listed order, then sign +1 before -1.
     """
-    for f, fword, x, rep, rep_inv, _image, signs in _rs_pairs(g):
+    for f, fword, x, rep, rep_inv, signs in _rs_pairs(g):
         for sign in signs:
             yield RsGenerator(f, x, sign, rep, fword + ((x, sign),) + rep_inv)
 
@@ -349,47 +329,32 @@ def construction_counts(g: int) -> dict:
 
 
 def verify_transversal(g: int) -> CheckReport:
-    """Size 2^rank, prefix closure, and bijection onto the quotient.
+    """Element n has quotient image n, for each n, and the size is 2^rank.
 
     Images are XOR-linear over letters, so an element's image is the XOR
-    of its pairs' slide images, each basis slide folded once, and its
-    position mask the OR of their bits; its prefix is listed exactly when
-    the mask without the last pair's bit is.  The labels of missing
-    prefixes wait, so the size line comes first.
+    of its pairs' slide images, each basis slide folded once.  Image n at
+    position n for all 2^rank positions is a bijection onto the quotient.
+    It also gives prefix closure: the basis slides' images are their own
+    bits (``build_quotient_map`` refuses any other map), so element n
+    holds the pairs at n's set bits, and less its last pair it is the
+    element at n less its top bit.
     """
     g = genus(g)
-    walk = _lex_walk(g)  # past the cap this raises before any table exists
+    walk = _walk(g)  # past the cap this raises before any fold
     rank = fpres.quotient_rank(g)
     qmap = build_quotient_map(g)
-    # per basis pair: (its position bit, its slide's quotient image)
-    step = {
-        p: (1 << n, qmap.word_image(((yslide(*p), 1),)))
-        for n, p in enumerate(qmap.basis)
-    }
-    listed = bytearray(1 << len(step))
-    rb, prefixes = ReportBuilder("transversal", g=g), ReportBuilder("prefixes")
-    seen, size, stray, clash = bytearray(1 << rank), 0, 0, 0
-    for pairs in walk:
-        size += 1
-        mask = image = 0
+    slide_image = {p: qmap.word_image(((yslide(*p), 1),)) for p in qmap.basis}
+    rb = ReportBuilder("transversal", g=g)
+    n = -1
+    for n, pairs in enumerate(walk):
+        image = 0
         for p in pairs:
-            bit, slide_image = step[p]
-            mask |= bit
-            image ^= slide_image
-        if pairs:
-            if listed[mask ^ step[pairs[-1]][0]]:
-                prefixes.passed += 1
-            else:
-                prefixes.record(False, f"prefix of {pairs} missing")
-        listed[mask] = 1
-        stray |= image >> rank
-        if not stray:
-            clash |= seen[image]
-            seen[image] = 1
+            image ^= slide_image[p]
+        if image != n:
+            rb.record(False, f"element {n} {pairs} has image {image}")
+    size = n + 1
+    rb.passed += size - rb.failed
     rb.record(size == 1 << rank, f"size {size} != 2^{rank}")
-    rb.tally(prefixes.passed, prefixes.failed, prefixes.failures)
-    distinct = "quotient images are not distinct"
-    rb.record(not (stray or clash), distinct if clash else f"quotient images past 2^{rank}")
     return rb.build()
 
 
@@ -415,12 +380,12 @@ def _refold_positions(n: int, seed: int) -> tuple[Iterator[int], bool]:
 def verify_rs_zero_images(g: int, seed: int = 0) -> CheckReport:
     """Every RS generator word has quotient image zero.
 
-    Images are linear over letters, so each word's image is the exact
-    XOR of its three parts (transversal word, symbol, representative),
-    each read from a table built once; the check runs once per (f, x)
-    and covers both signs.  Words are refolded letter by letter at the
-    positions of ``_refold_positions`` (see the module docstring), and
-    an emitted count other than ``construction_counts``' is a failure.
+    A word's image is image(f) XOR image(x) XOR image(rep(f x)), which is
+    zero once element n of the transversal has image n (the check of
+    ``verify_transversal``), since rep(f x) is element n XOR image(x).
+    Words are refolded letter by letter at the positions of
+    ``_refold_positions`` (see the module docstring), and an emitted
+    count other than ``construction_counts``' is a failure.
     """
     g = genus(g)
     # past the cap the count raises before the quotient reduction runs
@@ -432,22 +397,17 @@ def verify_rs_zero_images(g: int, seed: int = 0) -> CheckReport:
         rb.caveat(CAVEAT_G3_GENERATORS)
     pos = next(positions, None)
     emitted = folded = 0
-    for f, fword, x, _rep, rep_inv, part_image, signs in _rs_pairs(g):
-        ok = part_image == 0
+    for f, fword, x, _rep, rep_inv, signs in _rs_pairs(g):
         end = emitted + len(signs)
-        if ok and (pos is None or pos >= end):
+        if pos is None or pos >= end:
             emitted = end
             continue
         for sign in signs:
-            word_ok = ok
-            # only a word still passing is refolded and counted
             if emitted == pos:
                 pos = next(positions, None)
-                if ok:
-                    word_ok = qmap.word_image(fword + ((x, sign),) + rep_inv) == 0
-                    folded += 1
-            if not word_ok:
-                rb.record(False, f"f={f.pairs} x={x.label()} sign={sign}")
+                folded += 1
+                if qmap.word_image(fword + ((x, sign),) + rep_inv) != 0:
+                    rb.record(False, f"f={f.pairs} x={x.label()} sign={sign}")
             emitted += 1
     rb.passed += emitted - rb.failed
     if emitted != total:
@@ -455,8 +415,8 @@ def verify_rs_zero_images(g: int, seed: int = 0) -> CheckReport:
     rb.detail(f"emitted {emitted} generators, letter-folded {folded}")
     if not fold_all:
         rb.detail(
-            f"letter-level refolds sampled with seed {seed}; part-level"
-            " images checked for all words"
+            f"letter-level refolds sampled with seed {seed}; the other words"
+            " rest on the transversal check (element n has image n)"
         )
     return rb.build()
 

@@ -189,9 +189,9 @@ class ChainFactor:
     conjugator: tuple[int, ...]
 
     def word(self) -> BraidWord:
-        w = BraidWord(self.strands, self.conjugator)
-        sq = BraidWord(self.strands, (self.base, self.base))
-        return w.inv() * sq * w
+        w = self.conjugator
+        letters = tuple(-x for x in reversed(w)) + (self.base, self.base) + w
+        return BraidWord(self.strands, letters)
 
 
 def chain_square_decomposition(k: int) -> tuple[ChainFactor, ...]:

@@ -440,9 +440,46 @@ class TestEvalWord:
 
 
 class TestGroupElementCheck:
-    def test_accepts_a_slide(self):
+    def test_accepts_a_slide_and_returns_its_updates(self):
         m = make_y(4, 1, 2)
-        assert exactmat._check_group_element(m, "Y[1,2]") is m
+        assert exactmat._check_group_element(m, "Y[1,2]") == exactmat._updates(m)
+        assert exactmat._column_update(4, 1, 2) == exactmat._updates(m)
+
+    def test_updates_are_computed_once_per_slide(self, monkeypatch):
+        # the involution check's updates are the ones words run on
+        g = 6
+        calls = []
+        real = exactmat._updates
+        caches = (make_y, make_y_gi, exactmat._column_update)
+        for c in caches:
+            c.cache_clear()
+        try:
+            monkeypatch.setattr(exactmat, "_updates", lambda m: calls.append(m) or real(m))
+            w = [(p, 1) for p in slide_pairs(g)]
+            assert eval_word(g, w) == oracle_fold(g, w)
+            assert len(calls) == len(slide_pairs(g))
+        finally:
+            for c in caches:
+                c.cache_clear()
+
+    def test_a_non_involution_slide_is_refused_before_a_word_uses_it(self, monkeypatch):
+        real = make_y
+        shear = IntMatrix(((1, 2, 0), (0, 1, 0), (0, 0, 1)))
+
+        def sheared(g, i, j):
+            return shear if (g, i, j) == (4, 1, 2) else real(g, i, j)
+
+        caches = (make_y, make_y_gi, exactmat._column_update)
+        for c in caches:
+            c.cache_clear()
+        try:
+            monkeypatch.setattr(exactmat, "make_y", sheared)
+            assert eval_word(4, [((2, 1), 1)]) == real(4, 2, 1)
+            with pytest.raises(ArithmeticError, match=r"Y\[1,2\] at g=4 is not an involution"):
+                eval_word(4, [((2, 1), 1), ((1, 2), 1)])
+        finally:
+            for c in caches:
+                c.cache_clear()
 
     def test_rejects_a_non_involution(self):
         # unimodular and level-2, but squares to [[1, 4], [0, 1]]

@@ -66,11 +66,16 @@ def count_word_images(monkeypatch):
     return calls
 
 
-def moved_ahead_of_prefix(g):
-    """The lex walk with ((2, 3), (2, 4)) moved ahead of its prefix ((2, 3),)."""
-    walk = list(rschreier._lex_walk(g))
-    walk.insert(1, walk.pop(walk.index(((2, 3), (2, 4)))))
-    return walk
+def image_labels(walk, basis, start=0):
+    """The failure label of each listed element whose pairs, read as
+    basis bits, do not spell out its position."""
+    bit = {p: 1 << k for k, p in enumerate(basis)}
+    labels = []
+    for n, pairs in enumerate(walk, start):
+        image = sum(bit[p] for p in pairs)
+        if image != n:
+            labels.append(f"element {n} {pairs} has image {image}")
+    return labels
 
 
 def count_draws(monkeypatch):
@@ -93,25 +98,16 @@ def refold_sample(total, seed):
 
 
 def reference_rs_sweep(g, seed=0):
-    """The per-word RS loop the sweep replaced: one generator object, its
-    part-level check with the representative's mask folded from its pairs,
-    and a refold at each of the sweep's sample positions.  Returns the
-    report and the number of refolds."""
+    """The per-word RS loop the sweep replaced: one generator object and
+    a refold at each of the sweep's sample positions.  Returns the report
+    and the number of refolds."""
     qmap = build_quotient_map(g)
-    bit = {p: 1 << n for n, p in enumerate(qmap.basis)}
-
-    def mask(pairs):
-        acc = 0
-        for p in pairs:
-            acc ^= bit[p]
-        return acc
-
     sample = refold_sample(construction_counts(g)["rs_generator_count"], seed)
     rb = ReportBuilder("reference", g=g)
     folded = 0
     for n, gen in enumerate(iter_rs_generators(g)):
-        ok = mask(gen.f.pairs) ^ qmap.image(gen.x) ^ mask(gen.rep.pairs) == 0
-        if n in sample and ok:
+        ok = True
+        if n in sample:
             ok = qmap.word_image(gen.word) == 0
             folded += 1
         if ok:
@@ -162,36 +158,47 @@ class TestTransversal:
             assert rep.ok, rep.failures[:3]
 
     def test_check_fails_when_an_element_is_missing(self, monkeypatch):
-        # without ((2, 3),) the walk is one short, and the two elements
-        # extending it lose their prefix
-        walk = rschreier._lex_walk
-        monkeypatch.setattr(
-            rschreier, "_lex_walk", lambda g: (p for p in walk(g) if p != ((2, 3),))
-        )
+        # without element 2, ((2, 3),), every later element sits one place
+        # early, and the walk is one short
+        walk = [t.pairs for t in transversal(4)]
+        assert walk.pop(2) == ((2, 3),)
+        monkeypatch.setattr(rschreier, "_walk", lambda g: iter(walk))
         rep = verify_transversal(4)
+        assert rep.failures[0] == "element 2 ((1, 4), (2, 3)) has image 3"
         assert rep.failures == (
+            *(f"element {n} {walk[n]} has image {n + 1}" for n in range(2, 15)),
             "size 15 != 2^4",
-            "prefix of ((2, 3), (2, 4)) missing",
-            "prefix of ((2, 3), (3, 4)) missing",
         )
-        assert (rep.passed, rep.failed) == (13, 3)
+        assert (rep.passed, rep.failed) == (2, 14)
 
     def test_check_fails_when_images_collide(self, monkeypatch):
-        # clearing the first basis bit merges the cosets it separates
+        # clearing the first basis bit merges the cosets it separates: each
+        # odd element has the image of the even one before it
         word_image = fpres.QuotientMap.word_image
         monkeypatch.setattr(
             fpres.QuotientMap, "word_image", lambda self, w: word_image(self, w) & ~1
         )
-        assert verify_transversal(4).failures == ("quotient images are not distinct",)
+        rep = verify_transversal(4)
+        elems = transversal(4)
+        assert rep.failures == tuple(
+            f"element {n} {elems[n].pairs} has image {n - 1}" for n in range(1, 16, 2)
+        )
+        assert (rep.passed, rep.failed) == (9, 8)
 
-    def test_an_image_past_the_quotient_fails_without_index_error(self, monkeypatch):
+    def test_an_image_past_the_quotient_fails(self, monkeypatch):
+        # each basis slide gains bit 4: an element of odd size lands past
+        # the 2^4 images
         word_image = fpres.QuotientMap.word_image
         monkeypatch.setattr(
             fpres.QuotientMap, "word_image", lambda self, w: word_image(self, w) | 1 << 4
         )
         rep = verify_transversal(4)
-        assert rep.failures == ("quotient images past 2^4",)
-        assert (rep.passed, rep.failed) == (16, 1)
+        odd = [n for n in range(16) if bin(n).count("1") % 2]
+        elems = transversal(4)
+        assert rep.failures == tuple(
+            f"element {n} {elems[n].pairs} has image {n | 16}" for n in odd
+        )
+        assert (rep.passed, rep.failed) == (17 - len(odd), len(odd)) == (9, 8)
 
     def test_element_validation(self):
         TransversalElement(((2, 3), (2, 4)))  # strictly increasing: fine
@@ -211,15 +218,15 @@ class TestTransversal:
         assert repr(t) == "TransversalElement(pairs=((2, 3),))"
         assert TransversalElement(()) < t
 
-    def test_genus5_lex_order_pinned(self):
+    def test_genus5_counting_order_pinned(self):
         # each code lists an element's pairs as positions in the basis;
         # "-" is the empty element
         basis = ((2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5))
         order = (
-            "- 0 01 012 0123 01234 012345 01235 0124 01245 0125 013 0134 01345"
-            " 0135 014 0145 015 02 023 0234 02345 0235 024 0245 025 03 034 0345"
-            " 035 04 045 05 1 12 123 1234 12345 1235 124 1245 125 13 134 1345 135"
-            " 14 145 15 2 23 234 2345 235 24 245 25 3 34 345 35 4 45 5"
+            "- 0 1 01 2 02 12 012 3 03 13 013 23 023 123 0123 4 04 14 014 24 024"
+            " 124 0124 34 034 134 0134 234 0234 1234 01234 5 05 15 015 25 025 125"
+            " 0125 35 035 135 0135 235 0235 1235 01235 45 045 145 0145 245 0245"
+            " 1245 01245 345 0345 1345 01345 2345 02345 12345 012345"
         )
         expected = [
             tuple(basis[int(d)] for d in code.strip("-")) for code in order.split()
@@ -252,19 +259,21 @@ class TestTransversal:
             transversal.cache_clear()
 
     @pytest.mark.parametrize("g", [3, 4, 5, 6, 7])
-    def test_depth_first_order_is_sorted_combinations(self, g):
-        # the construction the depth-first one replaced
+    def test_element_n_holds_the_pairs_at_the_bits_of_n(self, g):
+        # an oracle independent of the walk: n's set bits pick the basis
+        # pairs, and the element's word folds to image n
         basis = fpres.quotient_basis(g)
-        subsets = [
-            TransversalElement(c)
-            for m in range(len(basis) + 1)
-            for c in itertools.combinations(basis, m)
-        ]
-        expected = sorted(subsets, key=lambda t: t.pairs)
+        qmap = build_quotient_map(g)
         got = transversal(g)
-        assert list(got) == expected
+        assert len(got) == 1 << len(basis)
+        sample = range(len(got)) if g < 7 else random.Random(7).sample(range(len(got)), 500)
+        for n in sample:
+            t = got[n]
+            assert t.pairs == tuple(p for k, p in enumerate(basis) if n >> k & 1), n
+            assert qmap.word_image(t.word()) == n
         assert all(type(t) is TransversalElement for t in got)
-        assert list(rschreier._lex_walk(g)) == [t.pairs for t in expected]
+        assert list(rschreier._walk(g)) == [t.pairs for t in got]
+
 
     @pytest.mark.parametrize("g", [3, 4, 5, 6])
     def test_element_image_is_the_xor_of_its_slide_images(self, g):
@@ -284,22 +293,68 @@ class TestTransversal:
         # one one-letter fold per basis slide, none per element
         assert calls[0] == len(fpres.quotient_basis(6)) == 11
 
-    def test_a_walk_listed_by_size_passes_with_the_same_counts(self, monkeypatch):
-        # every prefix is shorter, so it still comes earlier
-        walk = sorted(rschreier._lex_walk(5), key=len)
-        assert walk != list(rschreier._lex_walk(5))
-        lex = verify_transversal(5)
-        monkeypatch.setattr(rschreier, "_lex_walk", lambda g: iter(walk))
+    def test_a_walk_listed_by_size_fails_where_it_leaves_counting_order(
+        self, monkeypatch
+    ):
+        # prefix closed and complete, but element n no longer has image n
+        walk = sorted(rschreier._walk(5), key=len)
+        basis = fpres.quotient_basis(5)
+        wrong = image_labels(walk, basis)
+        assert 0 < len(wrong) < 64
+        monkeypatch.setattr(rschreier, "_walk", lambda g: iter(walk))
         rep = verify_transversal(5)
-        assert rep.ok
-        assert (rep.passed, rep.failed) == (lex.passed, lex.failed) == (65, 0)
+        assert rep.failures == tuple(wrong[: CheckReport.MAX_FAILURES])
+        assert (rep.passed, rep.failed) == (65 - len(wrong), len(wrong))
 
-    def test_an_element_before_its_prefix_counts_as_missing(self, monkeypatch):
-        walk = moved_ahead_of_prefix(4)
-        monkeypatch.setattr(rschreier, "_lex_walk", lambda g: iter(walk))
+    def test_an_element_ahead_of_its_prefix_fails_where_it_moved(self, monkeypatch):
+        # element 6, ((2, 3), (2, 4)), moved ahead of its prefix, element 2
+        walk = [t.pairs for t in transversal(4)]
+        walk.insert(2, walk.pop(6))
+        monkeypatch.setattr(rschreier, "_walk", lambda g: iter(walk))
         rep = verify_transversal(4)
-        assert rep.failures == ("prefix of ((2, 3), (2, 4)) missing",)
-        assert (rep.passed, rep.failed) == (16, 1)
+        assert rep.failures == (
+            "element 2 ((2, 3), (2, 4)) has image 6",
+            "element 3 ((2, 3),) has image 2",
+            "element 4 ((1, 4), (2, 3)) has image 3",
+            "element 5 ((2, 4),) has image 4",
+            "element 6 ((1, 4), (2, 4)) has image 5",
+        )
+        assert (rep.passed, rep.failed) == (12, 5)
+
+    def test_a_swapped_walk_fails_at_the_two_elements_and_in_the_rs_refolds(
+        self, monkeypatch
+    ):
+        g, a, b = 4, 2, 5
+        walk = [t.pairs for t in transversal(g)]
+        walk[a], walk[b] = walk[b], walk[a]
+        assert image_labels(walk, fpres.quotient_basis(g)) == [
+            f"element {a} {walk[a]} has image {b}",
+            f"element {b} {walk[b]} has image {a}",
+        ]
+        # the sweeps read the swapped walk through an uncached transversal
+        monkeypatch.setattr(rschreier, "_walk", lambda g: iter(walk))
+        monkeypatch.setattr(rschreier, "transversal", transversal.__wrapped__)
+        rep = verify_transversal(g)
+        assert rep.failures == tuple(image_labels(walk, fpres.quotient_basis(g)))
+        assert (rep.passed, rep.failed) == (15, 2)
+        # every RS word is refolded at g=4; a word fails exactly when its
+        # direct fold is nonzero
+        qmap = build_quotient_map(g)
+        gens = list(iter_rs_generators(g))
+        assert list(dict.fromkeys(gen.f.pairs for gen in gens)) == walk
+        wrong = [
+            f"f={gen.f.pairs} x={gen.x.label()} sign={gen.sign}"
+            for gen in gens if qmap.word_image(gen.word) != 0
+        ]
+        closed = construction_counts(g)["rs_generator_count"]
+        mismatch = [f"emitted {len(gens)} generators, closed form {closed}"]
+        rs = verify_rs_zero_images(g)
+        assert 0 < len(wrong) < len(gens)
+        assert rs.failures == tuple(
+            (wrong + mismatch * (len(gens) != closed))[: CheckReport.MAX_FAILURES]
+        )
+        assert rs.passed == len(gens) - len(wrong)
+        assert rs.failed == len(wrong) + (len(gens) != closed)
 
     def test_check_streams_without_building_the_transversal(self):
         # building and caching all 2^15 elements would peak near 10 MiB
@@ -388,6 +443,9 @@ class TestRsGenerators:
             for r in iter_rs_generators(g):
                 assert qmap.word_image(r.word) == 0
                 assert r.word == r.f.word() + ((r.x, r.sign),) + winv(r.rep.word())
+            for family in FAMILIES:
+                for f, indices, w in iter_family_words(g, family):
+                    assert qmap.word_image(w) == 0, (family, f, indices)
 
     def test_closed_form_count_matches_enumeration(self):
         for g in range(3, 7):
@@ -500,7 +558,7 @@ class TestFamilyWords:
         assert "letter-folded 50000 assembled words" in rep.details
         # one fold per index tuple (15 + 15 + 10 + 225) plus the refolds
         assert calls == 265 + 50_000
-        assert letters == 728_293
+        assert letters == 728_413
         assert qmap is build_quotient_map(6)
 
     def test_reduced4_constraint(self):
@@ -694,49 +752,6 @@ class TestSweepsAgainstReference:
             assert len(rep.failures) == CheckReport.MAX_FAILURES
 
 
-def swap_lookup(monkeypatch, a, b):
-    """Make the image -> transversal element lookup hand out element b for
-    a's image and a for b's."""
-    basis_masks = rschreier._basis_masks
-
-    def swapped(g):
-        bit, masks, by_mask = basis_masks(g)
-        by_mask = dict(by_mask)
-        by_mask[masks[a]], by_mask[masks[b]] = b, a
-        return bit, masks, by_mask
-
-    monkeypatch.setattr(rschreier, "_basis_masks", swapped)
-
-
-class TestRsPartLevelCheck:
-    # fold-all, then sampled: there only the part-level check sees every word
-    @pytest.mark.parametrize("g, limit", [(4, None), (6, 100_000)])
-    def test_a_swapped_lookup_fails_exactly_its_words(self, g, limit, monkeypatch):
-        if limit is not None:
-            monkeypatch.setattr(rschreier, "LETTER_FOLD_LIMIT", limit)
-        elems = transversal(g)
-        a, b = 2, 5
-        swap_lookup(monkeypatch, a, b)
-        gens = list(iter_rs_generators(g))
-        wrong = [
-            f"f={gen.f.pairs} x={gen.x.label()} sign={gen.sign}"
-            for gen in gens if gen.rep in (elems[a], elems[b])
-        ]
-        closed = construction_counts(g)["rs_generator_count"]
-        # each swapped element was the literal representative of one f x^+1,
-        # which is no longer skipped
-        assert len(gens) == closed + 2
-        mismatch = f"emitted {len(gens)} generators, closed form {closed}"
-        rep = verify_rs_zero_images(g)
-        assert 0 < len(wrong) < len(gens)
-        assert rep.passed == len(gens) - len(wrong)
-        assert rep.failed == len(wrong) + 1
-        assert rep.failures == tuple((wrong + [mismatch])[: CheckReport.MAX_FAILURES])
-        if limit is not None:
-            # fewer wrong words than refolds, yet every one of them fails
-            assert any(d.startswith("letter-level refolds sampled") for d in rep.details)
-
-
 class TestClosedFormCounts:
     @pytest.mark.parametrize("sweep", ["rs", "family"])
     def test_a_walk_off_the_closed_form_fails(self, sweep, monkeypatch):
@@ -806,8 +821,8 @@ class TestRefoldSample:
         assert draws[0] == calls[0] == sample
         assert rep.details == (
             f"emitted 3637249 generators, letter-folded {sample}",
-            "letter-level refolds sampled with seed 0; part-level images"
-            " checked for all words",
+            "letter-level refolds sampled with seed 0; the other words rest"
+            " on the transversal check (element n has image n)",
         )
 
     def test_fold_all_scopes_draw_nothing(self, monkeypatch):
