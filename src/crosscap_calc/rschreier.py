@@ -11,8 +11,9 @@ gives each basis slide its own bit as image, so element n has image n,
 and the representative of the coset of f x, for f = element n, is
 element n XOR image(x): an index, not a table lookup.  ``transversal``
 caches the elements for the sweeps, and ``verify_transversal`` checks
-each one's image against its index as the walk streams past.  The
-Reidemeister-Schreier generators of the subgroup are then
+each one's image against its index, and that its pairs increase, as the
+walk streams past.  The Reidemeister-Schreier generators of the
+subgroup are then
 
     f x^(+-1) rep(f x)^(-1)
 
@@ -31,23 +32,23 @@ The matrix representation kills the Torelli group, so a pass certifies
 each identity modulo that kernel: necessary, not sufficient, and every
 report says so.
 
-The two zero-image sweeps give every word a verdict without building it.
-Quotient images are XOR-linear over letters, so a family word
-f core f^-1 has its core's image, folded once per core, and an RS word
-f x rep(f x)^-1 for f = element n has image n XOR image(x) XOR
-image(rep), which is zero once each element's image is its index; the
-counts of passing words follow in closed form.  A word is assembled
-only to be refolded letter by letter, which checks the assembly and the
-transversal together: every word up to LETTER_FOLD_LIMIT words, and past
-it a stratified sample.  The exact word count N (from
-``construction_counts``) is cut into k = LETTER_FOLD_SAMPLE contiguous
-blocks of floor(N/k) or ceil(N/k) positions, and one position is drawn
-from each.  This is at least as strong as one independent draw per word
-with probability k/N: each word is drawn with probability 1/floor(N/k)
-or 1/ceil(N/k), about k/N, the number drawn is k exactly rather than k
-on average, and any run of 2 ceil(N/k) - 1 consecutive words holds a
-whole block, so it always has a word drawn.  The draws are integers
-streamed in increasing order and never stored.
+The two zero-image sweeps give every word a verdict without building
+it, since quotient images are XOR-linear over letters.  The RS word
+f x rep(f x)^-1, for f = element n and rep(f x) = element r, passes
+when images[n] ^ image(x) == images[r], each element's image folded
+once from its pairs' basis-slide images: the value a letter-by-letter
+fold of the word computes, for every word at every genus.  A family
+word f core f^-1 has its core's image, folded once per core, and the
+counts of passing words follow in closed form.  The family sweep also
+refolds assembled conjugates letter by letter, which checks the
+assembly and the transversal together: every word up to
+LETTER_FOLD_LIMIT words, and past it one position drawn from each of
+k = LETTER_FOLD_SAMPLE contiguous blocks of floor(N/k) or ceil(N/k) of
+the N words (``construction_counts``).  That is at least as strong as
+one independent draw per word with probability k/N: each word is drawn
+with probability 1/floor(N/k) or 1/ceil(N/k), exactly k are drawn, and
+any run of 2 ceil(N/k) - 1 consecutive words holds a whole block, so it
+has a word drawn.  The draws stream in increasing order, never stored.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import exactmat, fpres
 from .exactmat import genus
@@ -120,9 +122,8 @@ class TransversalElement(_TransversalFields):
     __slots__ = ()
 
     def __new__(cls, pairs: tuple[Pair, ...]) -> "TransversalElement":
-        for a, b in zip(pairs, pairs[1:]):
-            if not a < b:
-                raise ValueError(f"pairs must strictly increase, got {pairs}")
+        if not all(map(operator.lt, pairs, pairs[1:])):
+            raise ValueError(f"pairs must strictly increase, got {pairs}")
         return super().__new__(cls, pairs)
 
     def word(self) -> Word:
@@ -208,46 +209,42 @@ _BOTH_SIGNS = (1, -1)
 _MINUS_ONLY = (-1,)
 
 
-def _rs_pairs(g: int) -> Iterator[tuple]:
-    """(f, its word, x, rep(f x), its inverse word, emitted signs) for
-    every (f, x), in emission order.
-
-    Element n of the transversal has image n, so rep(f x) for f = element
-    n is element n XOR image(x).  Each inverse word is built the first
-    time it is needed.  The skip rule is stated here and only here.
-    """
+def _rs_pairs(g: int) -> Iterator[tuple[int, GenSymbol, int, int, tuple[int, ...]]]:
+    """(n, x, image(x), r, emitted signs) for every (f, x), in emission
+    order: f is element n, and rep(f x) is element r = n XOR image(x).
+    The skip rule is stated here and only here."""
     g = genus(g)
     qmap = build_quotient_map(g)
     basis = set(qmap.basis)
     elems = transversal(g)
-    inverses: list[Word | None] = [None] * len(elems)
     # (symbol, image, its pair when it is a basis slide)
     xs = [
         (x, qmap.image(x), x.indices if x.kind == KIND_YSLIDE and x.indices in basis else None)
         for x in level2_generating_set(g)
     ]
     for n, f in enumerate(elems):
-        fword = f.word()
         for x, ximage, pair in xs:
             r = n ^ ximage
-            rep = elems[r]
             # skipped: f x^+1 when it literally is its own representative
-            skip = pair is not None and rep.pairs == f.pairs + (pair,)
-            signs = _MINUS_ONLY if skip else _BOTH_SIGNS
-            if inverses[r] is None:
-                inverses[r] = winv(rep.word())
-            yield f, fword, x, rep, inverses[r], signs
+            skip = pair is not None and elems[r].pairs == f.pairs + (pair,)
+            yield n, x, ximage, r, _MINUS_ONLY if skip else _BOTH_SIGNS
 
 
 def iter_rs_generators(g: int) -> Iterator[RsGenerator]:
     """All f x^(+-1) rep^(-1) words, skipping literal representatives.
 
     Deterministic order: transversal elements in counting order, then
-    generating symbols in listed order, then sign +1 before -1.
+    generating symbols in listed order, then sign +1 before -1.  Each
+    inverse word is built the first time it is needed.
     """
-    for f, fword, x, rep, rep_inv, signs in _rs_pairs(g):
+    elems = transversal(genus(g))
+    inverses: list[Word | None] = [None] * len(elems)
+    for n, x, _ximage, r, signs in _rs_pairs(g):
+        f, rep = elems[n], elems[r]
+        if inverses[r] is None:
+            inverses[r] = winv(rep.word())
         for sign in signs:
-            yield RsGenerator(f, x, sign, rep, fword + ((x, sign),) + rep_inv)
+            yield RsGenerator(f, x, sign, rep, f.word() + ((x, sign),) + inverses[r])
 
 
 FAMILY_NAMES = ("1", "2", "3", "4")
@@ -328,30 +325,43 @@ def construction_counts(g: int) -> dict:
     }
 
 
+def _pairs_image(qmap: fpres.QuotientMap) -> Callable[[tuple[Pair, ...]], int]:
+    """An element's quotient image from its pairs: the XOR of their
+    basis-slide images, one ``word_image`` call per basis pair."""
+    slide = {p: qmap.word_image(((yslide(*p), 1),)) for p in qmap.basis}
+
+    def image_of(pairs: tuple[Pair, ...]) -> int:
+        image = 0
+        for p in pairs:
+            image ^= slide[p]
+        return image
+
+    return image_of
+
+
 def verify_transversal(g: int) -> CheckReport:
-    """Element n has quotient image n, for each n, and the size is 2^rank.
+    """Element n has image n and strictly increasing pairs; size 2^rank.
 
     Images are XOR-linear over letters, so an element's image is the XOR
     of its pairs' slide images, each basis slide folded once.  Image n at
     position n for all 2^rank positions is a bijection onto the quotient.
-    It also gives prefix closure: the basis slides' images are their own
-    bits (``build_quotient_map`` refuses any other map), so element n
-    holds the pairs at n's set bits, and less its last pair it is the
-    element at n less its top bit.
+    With increasing pairs it also gives prefix closure: the basis slides'
+    images are their own bits (``build_quotient_map`` refuses any other
+    map), so element n holds the pairs at n's set bits in basis order,
+    and less its last pair it is the element at n less its top bit.
     """
     g = genus(g)
     walk = _walk(g)  # past the cap this raises before any fold
     rank = fpres.quotient_rank(g)
-    qmap = build_quotient_map(g)
-    slide_image = {p: qmap.word_image(((yslide(*p), 1),)) for p in qmap.basis}
+    image_of = _pairs_image(build_quotient_map(g))
     rb = ReportBuilder("transversal", g=g)
     n = -1
     for n, pairs in enumerate(walk):
-        image = 0
-        for p in pairs:
-            image ^= slide_image[p]
+        image = image_of(pairs)
         if image != n:
             rb.record(False, f"element {n} {pairs} has image {image}")
+        elif not all(map(operator.lt, pairs, pairs[1:])):
+            rb.record(False, f"element {n} {pairs} has pairs out of order")
     size = n + 1
     rb.passed += size - rb.failed
     rb.record(size == 1 << rank, f"size {size} != 2^{rank}")
@@ -380,44 +390,33 @@ def _refold_positions(n: int, seed: int) -> tuple[Iterator[int], bool]:
 def verify_rs_zero_images(g: int, seed: int = 0) -> CheckReport:
     """Every RS generator word has quotient image zero.
 
-    A word's image is image(f) XOR image(x) XOR image(rep(f x)), which is
-    zero once element n of the transversal has image n (the check of
-    ``verify_transversal``), since rep(f x) is element n XOR image(x).
-    Words are refolded letter by letter at the positions of
-    ``_refold_positions`` (see the module docstring), and an emitted
-    count other than ``construction_counts``' is a failure.
+    The word f x^(+-1) rep(f x)^-1, for f = element n and rep(f x) =
+    element r, passes when images[n] ^ image(x) == images[r]: the value
+    its letter-by-letter fold computes (see the module docstring), read
+    with one ``word_image`` call per basis pair and no word built.  An
+    emitted count other than ``construction_counts``' is a failure.
+    Nothing is sampled, so ``seed`` is unused.
     """
+    del seed
     g = genus(g)
     # past the cap the count raises before the quotient reduction runs
     total = construction_counts(g)["rs_generator_count"]
-    qmap = build_quotient_map(g)
-    positions, fold_all = _refold_positions(total, seed)
+    image_of = _pairs_image(build_quotient_map(g))
+    elems = transversal(g)
+    images = [image_of(f.pairs) for f in elems]
     rb = ReportBuilder("rs-zero-image", g=g)
     if not uses_subset_twist_generators(g):
         rb.caveat(CAVEAT_G3_GENERATORS)
-    pos = next(positions, None)
-    emitted = folded = 0
-    for f, fword, x, _rep, rep_inv, signs in _rs_pairs(g):
-        end = emitted + len(signs)
-        if pos is None or pos >= end:
-            emitted = end
-            continue
-        for sign in signs:
-            if emitted == pos:
-                pos = next(positions, None)
-                folded += 1
-                if qmap.word_image(fword + ((x, sign),) + rep_inv) != 0:
-                    rb.record(False, f"f={f.pairs} x={x.label()} sign={sign}")
-            emitted += 1
+    emitted = 0
+    for n, x, ximage, r, signs in _rs_pairs(g):
+        emitted += len(signs)
+        if images[n] ^ ximage != images[r]:
+            for sign in signs:
+                rb.record(False, f"f={elems[n].pairs} x={x.label()} sign={sign}")
     rb.passed += emitted - rb.failed
     if emitted != total:
         rb.record(False, f"emitted {emitted} generators, closed form {total}")
-    rb.detail(f"emitted {emitted} generators, letter-folded {folded}")
-    if not fold_all:
-        rb.detail(
-            f"letter-level refolds sampled with seed {seed}; the other words"
-            " rest on the transversal check (element n has image n)"
-        )
+    rb.detail(f"emitted {emitted} generators; verdicts read from {len(images)} element images")
     return rb.build()
 
 

@@ -1,5 +1,6 @@
 """Schreier transversal, subgroup generators, family words, case identities."""
 
+import dataclasses
 import inspect
 import itertools
 import math
@@ -97,24 +98,39 @@ def refold_sample(total, seed):
     return set(positions)
 
 
-def reference_rs_sweep(g, seed=0):
-    """The per-word RS loop the sweep replaced: one generator object and
-    a refold at each of the sweep's sample positions.  Returns the report
-    and the number of refolds."""
-    qmap = build_quotient_map(g)
-    sample = refold_sample(construction_counts(g)["rs_generator_count"], seed)
+def reference_rs_sweep(g):
+    """The per-word RS oracle: every ``iter_rs_generators`` word folded
+    letter by letter through ``word_image``, no sample, then the count
+    against the closed form.  Reads the map through ``rschreier``, so a
+    substituted map reaches it as it reaches the sweep."""
+    qmap = rschreier.build_quotient_map(g)
     rb = ReportBuilder("reference", g=g)
-    folded = 0
-    for n, gen in enumerate(iter_rs_generators(g)):
-        ok = True
-        if n in sample:
-            ok = qmap.word_image(gen.word) == 0
-            folded += 1
-        if ok:
-            rb.passed += 1
-        else:
-            rb.record(False, f"f={gen.f.pairs} x={gen.x.label()} sign={gen.sign}")
-    return rb.build(), folded
+    emitted = 0
+    for gen in iter_rs_generators(g):
+        emitted += 1
+        ok = qmap.word_image(gen.word) == 0
+        rb.record(ok, f"f={gen.f.pairs} x={gen.x.label()} sign={gen.sign}")
+    closed = construction_counts(g)["rs_generator_count"]
+    if emitted != closed:
+        rb.record(False, f"emitted {emitted} generators, closed form {closed}")
+    return rb.build()
+
+
+def swapped_walk(g, a, b, monkeypatch):
+    """Serve the transversal with elements a and b swapped, through an
+    uncached ``transversal``; returns the swapped walk."""
+    walk = [t.pairs for t in transversal(g)]
+    walk[a], walk[b] = walk[b], walk[a]
+    monkeypatch.setattr(rschreier, "_walk", lambda g: iter(walk))
+    monkeypatch.setattr(rschreier, "transversal", transversal.__wrapped__)
+    return walk
+
+
+def flipped_map(g, sym, bit):
+    """``build_quotient_map(g)`` with bit ``bit`` of one slide's mask flipped."""
+    qmap = build_quotient_map(g)
+    masks = {**qmap.slide_masks, sym: qmap.slide_masks[sym] ^ 1 << bit}
+    return dataclasses.replace(qmap, slide_masks=masks)
 
 
 def reference_family_sweep(g, families, seed=0):
@@ -321,40 +337,37 @@ class TestTransversal:
         )
         assert (rep.passed, rep.failed) == (12, 5)
 
-    def test_a_swapped_walk_fails_at_the_two_elements_and_in_the_rs_refolds(
-        self, monkeypatch
-    ):
+    def test_a_swapped_walk_fails_at_the_two_elements(self, monkeypatch):
         g, a, b = 4, 2, 5
-        walk = [t.pairs for t in transversal(g)]
-        walk[a], walk[b] = walk[b], walk[a]
+        walk = swapped_walk(g, a, b, monkeypatch)
         assert image_labels(walk, fpres.quotient_basis(g)) == [
             f"element {a} {walk[a]} has image {b}",
             f"element {b} {walk[b]} has image {a}",
         ]
-        # the sweeps read the swapped walk through an uncached transversal
-        monkeypatch.setattr(rschreier, "_walk", lambda g: iter(walk))
-        monkeypatch.setattr(rschreier, "transversal", transversal.__wrapped__)
         rep = verify_transversal(g)
         assert rep.failures == tuple(image_labels(walk, fpres.quotient_basis(g)))
         assert (rep.passed, rep.failed) == (15, 2)
-        # every RS word is refolded at g=4; a word fails exactly when its
-        # direct fold is nonzero
-        qmap = build_quotient_map(g)
-        gens = list(iter_rs_generators(g))
-        assert list(dict.fromkeys(gen.f.pairs for gen in gens)) == walk
-        wrong = [
-            f"f={gen.f.pairs} x={gen.x.label()} sign={gen.sign}"
-            for gen in gens if qmap.word_image(gen.word) != 0
-        ]
-        closed = construction_counts(g)["rs_generator_count"]
-        mismatch = [f"emitted {len(gens)} generators, closed form {closed}"]
-        rs = verify_rs_zero_images(g)
-        assert 0 < len(wrong) < len(gens)
-        assert rs.failures == tuple(
-            (wrong + mismatch * (len(gens) != closed))[: CheckReport.MAX_FAILURES]
-        )
-        assert rs.passed == len(gens) - len(wrong)
-        assert rs.failed == len(wrong) + (len(gens) != closed)
+
+    def test_a_walk_out_of_basis_order_fails_at_that_element(self, monkeypatch):
+        # element 7 keeps its pairs and its image but lists them out of
+        # order, so its prefix ((2, 4), (1, 4)) is listed nowhere
+        walk = [t.pairs for t in transversal(4)]
+        assert walk[7] == ((1, 4), (2, 3), (2, 4))
+        walk[7] = ((2, 4), (1, 4), (2, 3))
+        monkeypatch.setattr(rschreier, "_walk", lambda g: iter(walk))
+        rep = verify_transversal(4)
+        assert rep.failures == ("element 7 ((2, 4), (1, 4), (2, 3)) has pairs out of order",)
+        assert (rep.passed, rep.failed) == (16, 1)
+
+    def test_a_repeated_pair_fails_though_the_image_matches(self, monkeypatch):
+        # ((2, 3), (2, 3), (2, 4)) folds to the image of ((2, 4),), element 4
+        walk = [t.pairs for t in transversal(4)]
+        assert walk[4] == ((2, 4),)
+        walk[4] = ((2, 3), (2, 3), (2, 4))
+        monkeypatch.setattr(rschreier, "_walk", lambda g: iter(walk))
+        rep = verify_transversal(4)
+        assert rep.failures == ("element 4 ((2, 3), (2, 3), (2, 4)) has pairs out of order",)
+        assert (rep.passed, rep.failed) == (16, 1)
 
     def test_check_streams_without_building_the_transversal(self):
         # building and caching all 2^15 elements would peak near 10 MiB
@@ -458,18 +471,55 @@ class TestRsGenerators:
             assert rep.ok, rep.failures[:3]
             assert rep.passed == RS_COUNTS[g]
 
-    # both fold-all: 305 and 141,313 words, under LETTER_FOLD_LIMIT; the
-    # sampled path is test_sampled_rs_sweep_genus7
     @pytest.mark.parametrize("g", [4, 6])
-    def test_rs_letter_folded_equals_refolds(self, g, monkeypatch):
+    def test_sweep_builds_no_word_and_folds_once_per_basis_pair(self, g, monkeypatch):
         build_quotient_map(g)  # built outside the count
         calls = count_word_images(monkeypatch)
+
+        def forbidden(*_args):
+            raise AssertionError("the RS sweep builds a word")
+
+        monkeypatch.setattr(TransversalElement, "word", forbidden)
+        monkeypatch.setattr(rschreier, "winv", forbidden)
         rep = verify_rs_zero_images(g)
-        assert rep.ok
         total = construction_counts(g)["rs_generator_count"]
-        assert total <= rschreier.LETTER_FOLD_LIMIT
-        assert calls[0] == total
-        assert rep.details == (f"emitted {total} generators, letter-folded {total}",)
+        assert (rep.passed, rep.failed) == (total, 0)
+        assert calls[0] == len(fpres.quotient_basis(g))
+        n_trans = len(transversal(g))
+        assert rep.details == (
+            f"emitted {total} generators; verdicts read from {n_trans} element images",
+        )
+
+    def test_sweep_genus7_is_exact_and_draws_nothing(self, monkeypatch):
+        build_quotient_map(7)  # built outside the count
+        draws = count_draws(monkeypatch)
+        calls = count_word_images(monkeypatch)
+        rep = verify_rs_zero_images(7)
+        assert (rep.passed, rep.failed) == (3_637_249, 0)
+        assert draws[0] == 0
+        assert calls[0] == len(fpres.quotient_basis(7)) == 15
+        assert rep.details == (
+            "emitted 3637249 generators; verdicts read from 32768 element images",
+        )
+
+    def test_sweep_genus7_fails_a_swapped_transversal(self, monkeypatch):
+        # past the old fold-all limit every word still gets its verdict:
+        # the failing words are those the per-word oracle finds, in order
+        g, a, b = 7, 2, 5
+        swapped_walk(g, a, b, monkeypatch)
+        rep = verify_rs_zero_images(g)
+        qmap = build_quotient_map(g)
+        wrong = (
+            f"f={gen.f.pairs} x={gen.x.label()} sign={gen.sign}"
+            for gen in iter_rs_generators(g) if qmap.word_image(gen.word) != 0
+        )
+        first = tuple(itertools.islice(wrong, CheckReport.MAX_FAILURES))
+        assert rep.failures == first
+        assert rep.failed > CheckReport.MAX_FAILURES
+        # only words whose f or rep(f x) moved can fail: both sides of
+        # element a's and element b's words, and no more
+        n_gens = len(level2_generating_set(g))
+        assert rep.failed <= 2 * 2 * 2 * n_gens + 1
 
     def test_each_inverse_word_is_built_once_when_first_needed(self, monkeypatch):
         # not for all 2^15 transversal elements before the first yield, and
@@ -661,16 +711,10 @@ class TestTstMembership:
 
 
 # ---------------------------------------------------------------------------
-# the zero-image sweeps against the per-word loops they replaced
+# the zero-image sweeps against per-word oracles
 
-#: (genus, LETTER_FOLD_LIMIT override) per sweep and scope; RS words stay
-#: under the real limit through g=6, so its sampled scope lowers the limit
-SWEEP_SCOPES = {
-    ("rs", "fold-all"): (4, None),
-    ("rs", "sampled"): (6, 100_000),
-    ("family", "fold-all"): (4, None),
-    ("family", "sampled"): (6, None),
-}
+#: genus per family-sweep scope: every word refolded, then a sample
+SWEEP_SCOPES = {("family", "fold-all"): 4, ("family", "sampled"): 6}
 
 
 def run_sweep(sweep, g):
@@ -679,22 +723,10 @@ def run_sweep(sweep, g):
     return verify_family_zero_images(g, FAMILIES)
 
 
-def run_reference(sweep, g):
-    if sweep == "rs":
-        return reference_rs_sweep(g)
-    return reference_family_sweep(g, FAMILIES)
-
-
-def sampled_word(sweep, g):
-    """The assembled word at the middle refold position of the sweep."""
-    if sweep == "rs":
-        total = construction_counts(g)["rs_generator_count"]
-        words = (gen.word for gen in iter_rs_generators(g))
-    else:
-        total = sum(construction_counts(g)["families"].values())
-        words = (
-            w for family in FAMILIES for _f, _indices, w in iter_family_words(g, family)
-        )
+def sampled_word(g):
+    """The assembled family word at the middle refold position."""
+    total = sum(construction_counts(g)["families"].values())
+    words = (w for family in FAMILIES for _f, _indices, w in iter_family_words(g, family))
     positions = sorted(refold_sample(total, 0))
     return next(itertools.islice(words, positions[len(positions) // 2], None))
 
@@ -703,18 +735,13 @@ class TestSweepsAgainstReference:
     @pytest.mark.parametrize("condition", ["none", "core", "refold", "many"])
     @pytest.mark.parametrize("sweep, scope", list(SWEEP_SCOPES))
     def test_same_verdicts_labels_and_refolds(self, sweep, scope, condition, monkeypatch):
-        g, limit = SWEEP_SCOPES[sweep, scope]
-        if limit is not None:
-            monkeypatch.setattr(rschreier, "LETTER_FOLD_LIMIT", limit)
+        g = SWEEP_SCOPES[sweep, scope]
         build_quotient_map(g)  # built before any patch
-        total = (
-            construction_counts(g)["rs_generator_count"] if sweep == "rs"
-            else sum(construction_counts(g)["families"].values())
-        )
+        total = sum(construction_counts(g)["families"].values())
         assert (total > rschreier.LETTER_FOLD_LIMIT) == (scope == "sampled")
         word_image = fpres.QuotientMap.word_image
         if condition == "core":
-            # a core of family 1 fails; no RS word holds the symbol
+            # a core of family 1 fails
             image = fpres.QuotientMap.image
             bad = twist_sq(2, 3)
             monkeypatch.setattr(
@@ -722,7 +749,7 @@ class TestSweepsAgainstReference:
                 lambda self, sym: 1 if sym == bad else image(self, sym),
             )
         elif condition == "refold":
-            w0 = sampled_word(sweep, g)
+            w0 = sampled_word(g)
             monkeypatch.setattr(
                 fpres.QuotientMap, "word_image",
                 lambda self, w: 1 if w == w0 else word_image(self, w),
@@ -737,19 +764,60 @@ class TestSweepsAgainstReference:
                 lambda self, w: word_image(self, w) if bad.isdisjoint(w) else 1,
             )
         rep = run_sweep(sweep, g)
-        expected, folded = run_reference(sweep, g)
+        expected, folded = reference_family_sweep(g, FAMILIES)
         assert (rep.passed, rep.failed) == (expected.passed, expected.failed)
         assert rep.failures == expected.failures
         assert any(re.search(rf"letter-folded {folded}\b", d) for d in rep.details)
         n_trans = len(transversal(g))
-        assert rep.failed == {
-            "none": 0,
-            "core": n_trans if sweep == "family" else 0,
-            "refold": 1,
-        }.get(condition, rep.failed)
+        assert rep.failed == {"none": 0, "core": n_trans, "refold": 1}.get(
+            condition, rep.failed
+        )
         if condition == "many":
             assert rep.failed > CheckReport.MAX_FAILURES
             assert len(rep.failures) == CheckReport.MAX_FAILURES
+
+
+class TestRsSweepAgainstOracle:
+    @pytest.mark.parametrize("condition", ["none", "core", "swapped", "flipped-mask"])
+    @pytest.mark.parametrize("g", [4, 5, 6])
+    def test_same_verdicts_and_labels(self, g, condition, monkeypatch):
+        build_quotient_map(g)  # built before any patch
+        if condition == "core":
+            # a family 1 core fails; no RS word holds a twist symbol
+            image = fpres.QuotientMap.image
+            bad = twist_sq(2, 3)
+            monkeypatch.setattr(
+                fpres.QuotientMap, "image",
+                lambda self, sym: 1 if sym == bad else image(self, sym),
+            )
+        elif condition == "swapped":
+            swapped_walk(g, 2, 5, monkeypatch)
+        elif condition == "flipped-mask":
+            # Y(2, 3) is a basis slide: every element holding it moves
+            qmap = flipped_map(g, yslide(2, 3), 0)
+            monkeypatch.setattr(rschreier, "build_quotient_map", lambda g: qmap)
+        rep = verify_rs_zero_images(g)
+        expected = reference_rs_sweep(g)
+        assert (rep.passed, rep.failed) == (expected.passed, expected.failed)
+        assert rep.failures == expected.failures
+        assert (rep.failed == 0) == (condition in ("none", "core"))
+        if rep.failed:
+            # the labels the report keeps are cut at MAX_FAILURES
+            assert rep.failed > CheckReport.MAX_FAILURES
+            assert len(rep.failures) == CheckReport.MAX_FAILURES
+
+    @given(st.data())
+    def test_single_bit_mask_flips_genus4(self, data):
+        qmap = build_quotient_map(4)
+        sym = data.draw(st.sampled_from(sorted(qmap.slide_masks, key=lambda s: s.label())))
+        bit = data.draw(st.integers(0, len(qmap.basis) - 1))
+        flipped = flipped_map(4, sym, bit)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rschreier, "build_quotient_map", lambda g: flipped)
+            rep = verify_rs_zero_images(4)
+            expected = reference_rs_sweep(4)
+        assert (rep.passed, rep.failed) == (expected.passed, expected.failed)
+        assert rep.failures == expected.failures
 
 
 class TestClosedFormCounts:
@@ -809,21 +877,6 @@ class TestRefoldSample:
         assert rep.ok
         assert draws[0] == rschreier.LETTER_FOLD_SAMPLE
         assert f"letter-folded {rschreier.LETTER_FOLD_SAMPLE} assembled words" in rep.details
-
-    def test_sampled_rs_sweep_genus7(self, monkeypatch):
-        build_quotient_map(7)  # built outside the count
-        draws = count_draws(monkeypatch)
-        calls = count_word_images(monkeypatch)
-        rep = verify_rs_zero_images(7)
-        sample = rschreier.LETTER_FOLD_SAMPLE
-        assert construction_counts(7)["rs_generator_count"] > rschreier.LETTER_FOLD_LIMIT
-        assert (rep.passed, rep.failed) == (3_637_249, 0)
-        assert draws[0] == calls[0] == sample
-        assert rep.details == (
-            f"emitted 3637249 generators, letter-folded {sample}",
-            "letter-level refolds sampled with seed 0; the other words rest"
-            " on the transversal check (element n has image n)",
-        )
 
     def test_fold_all_scopes_draw_nothing(self, monkeypatch):
         draws = count_draws(monkeypatch)
