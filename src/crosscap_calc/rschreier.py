@@ -32,27 +32,22 @@ The matrix representation kills the Torelli group, so a pass certifies
 each identity modulo that kernel: necessary, not sufficient, and every
 report says so.
 
-The two zero-image sweeps give every word a verdict without building
-it, since quotient images are XOR-linear over letters.  The RS word
-f x rep(f x)^-1, for f = element n and rep(f x) = element r, passes
-when images[n] ^ image(x) == images[r], each element's image folded
-once from its pairs' basis-slide images: the value a letter-by-letter
-fold of the word computes, for every word at every genus.  A family
-word f core f^-1 has its core's image, folded once per core, and the
-counts of passing words follow in closed form.  The family sweep also
-refolds assembled conjugates letter by letter, which checks the
-assembly and the transversal together: every word up to
-LETTER_FOLD_LIMIT words, and past it one position drawn from each of
-k = LETTER_FOLD_SAMPLE contiguous blocks of floor(N/k) or ceil(N/k) of
-the N words (``construction_counts``).  That is at least as strong as
-one independent draw per word with probability k/N: each word is drawn
-with probability 1/floor(N/k) or 1/ceil(N/k), exactly k are drawn, and
-any run of 2 ceil(N/k) - 1 consecutive words holds a whole block, so it
-has a word drawn.  The draws stream in increasing order, never stored.
+The two zero-image sweeps give every word the verdict its letter fold
+computes without folding it, since quotient images are XOR-linear over
+letters.  The RS word f x rep(f x)^-1, for f = element n and rep(f x) =
+element r, passes when images[n] ^ image(x) == images[r], each
+element's image folded once from its pairs' basis-slide images.  A
+family word f core f^-1 has image residual(f) ^ image(core), where
+residual(f) = image(f) ^ image(f^-1).  Each core is folded once, and
+each element's residual is read off one letter-level refold of an
+assembled conjugate, less its core's image, the core drawn by a seeded
+generator; the counts of passing words follow by grouping the cores by
+image.  Both hold for every word at every genus, with nothing sampled.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -82,12 +77,6 @@ from .reports import CheckReport, ReportBuilder
 
 #: 2^dim transversal elements; past 16 dimensions this is not a desk job
 TRANSVERSAL_DIM_CAP = 16
-
-#: above this many words, zero-image checks refold letters only on a sample
-LETTER_FOLD_LIMIT = 300_000
-
-#: words refolded letter by letter past the limit, one per block of positions
-LETTER_FOLD_SAMPLE = 50_000
 
 CAVEAT_TORELLI = (
     "matrix equality is computed in the homology representation, whose"
@@ -368,25 +357,6 @@ def verify_transversal(g: int) -> CheckReport:
     return rb.build()
 
 
-def _stratified_positions(n: int, k: int, rng: random.Random) -> Iterator[int]:
-    """One position drawn from each of k contiguous blocks of range(n),
-    in increasing order; block b is [b n // k, (b + 1) n // k), so it
-    holds floor(n/k) or ceil(n/k) positions.  Needs 0 < k <= n."""
-    start = 0
-    for b in range(1, k + 1):
-        end = b * n // k
-        yield start + rng.randrange(end - start)
-        start = end
-
-
-def _refold_positions(n: int, seed: int) -> tuple[Iterator[int], bool]:
-    """The positions among n words to refold letter by letter, increasing,
-    and whether they are all n; a sample as large as n is all of them."""
-    if n <= max(LETTER_FOLD_LIMIT, LETTER_FOLD_SAMPLE):
-        return iter(range(n)), True
-    return _stratified_positions(n, LETTER_FOLD_SAMPLE, random.Random(seed)), False
-
-
 def verify_rs_zero_images(g: int, seed: int = 0) -> CheckReport:
     """Every RS generator word has quotient image zero.
 
@@ -420,6 +390,18 @@ def verify_rs_zero_images(g: int, seed: int = 0) -> CheckReport:
     return rb.build()
 
 
+def _failing_words(residuals: list[int], images: list[int]) -> Iterator[tuple[int, int]]:
+    """(element index, core index) of every word f core f^-1 whose core
+    image is not f's residual, in word order; each distinct residual
+    scans the cores once."""
+    failing: dict[int, list[int]] = {}
+    for n, residual in enumerate(residuals):
+        if residual not in failing:
+            failing[residual] = [ci for ci, image in enumerate(images) if image != residual]
+        for ci in failing[residual]:
+            yield n, ci
+
+
 def verify_family_zero_images(
     g: int, families: tuple[str, ...] = ("1", "2", "3"), seed: int = 0
 ) -> CheckReport:
@@ -427,66 +409,53 @@ def verify_family_zero_images(
 
     Defaults to the three theorem families; pass ("1","2","3","4") to
     include the slide-commutator family of the lemma as well.  The
-    quotient image is XOR-linear over letters, so a conjugate f w f^-1
-    has the image of w alone; that core image is checked once per index
-    tuple, and a core passes or fails all |T| of its conjugates, counted
-    in closed form.  Conjugates are refolded letter by letter at the
-    positions of ``_refold_positions`` over the families' words in order
-    (see the module docstring), and a word count other than
+    quotient image is XOR-linear over letters, so f core f^-1 has image
+    residual(f) ^ image(core), with residual(f) = image(f) ^ image(f^-1).
+    Each core is folded once.  Each transversal element f is refolded
+    letter by letter once, as f core f^-1 with the core drawn by
+    ``random.Random(seed)`` from the families' cores, and that core's
+    image XORed out gives residual(f).  A word passes when its
+    element's residual equals its core's image: the value its letter
+    fold computes, for every word.  Passes are counted by grouping the
+    cores by image, failure labels are read in word order only as far as
+    the report keeps them, and a word count other than
     ``construction_counts``' is a failure.
     """
     g = genus(g)
     # past the cap the count raises before the quotient reduction runs
     counts = construction_counts(g)["families"]
     qmap = build_quotient_map(g)
-    rb = ReportBuilder("family-zero-image", g=g)
-    total = sum(counts[family] for family in families)
-    positions, fold_all = _refold_positions(total, seed)
     elems = transversal(g)
-    pos = next(positions, None)
-    start = folded = 0
-    for family in families:
-        cores = [
-            (indices, core, qmap.word_image(core) == 0)
-            for indices, core in _family_cores(g, family)
-        ]
-        count = len(elems) * len(cores)
-        end = start + count
-        # (transversal index, core index) of each refold that failed
-        refold_failures: list[tuple[int, int]] = []
-        fi_prev = None
-        while pos is not None and pos < end:
-            fi, ci = divmod(pos - start, len(cores))
-            _indices, core, core_ok = cores[ci]
-            # only a word whose core passed is refolded and counted
-            if core_ok:
-                if fi != fi_prev:
-                    fi_prev, fword = fi, elems[fi].word()
-                    finv = winv(fword)
-                folded += 1
-                if qmap.word_image(fword + core + finv) != 0:
-                    refold_failures.append((fi, ci))
-            pos = next(positions, None)
-        bad_cores = [ci for ci, (_indices, _core, ok) in enumerate(cores) if not ok]
-        core_failures = ((fi, ci) for fi in range(len(elems)) for ci in bad_cores)
-        failed = len(elems) * len(bad_cores) + len(refold_failures)
-        # both lists are in word order, so the labels the report keeps are
-        # among the first MAX_FAILURES of each
-        first = itertools.islice(core_failures, CheckReport.MAX_FAILURES)
-        rb.tally(count - failed, failed, (
-            f"family {family} f={elems[fi].pairs} indices {cores[ci][0]}"
-            for fi, ci in sorted([*first, *refold_failures])
-        ))
+    cores = [
+        (family, [(indices, core, qmap.word_image(core))
+                  for indices, core in _family_cores(g, family)])
+        for family in families
+    ]
+    drawn = [core for _family, fcores in cores for core in fcores]
+    residuals = []
+    if drawn:
+        rng = random.Random(seed)
+        for f in elems:
+            _indices, core, image = drawn[rng.randrange(len(drawn))]
+            fword = f.word()
+            residuals.append(qmap.word_image(fword + core + winv(fword)) ^ image)
+    rb = ReportBuilder("family-zero-image", g=g)
+    walked = 0
+    for family, fcores in cores:
+        images = [image for _indices, _core, image in fcores]
+        count = len(elems) * len(images)
+        passed = sum(map(collections.Counter(images).__getitem__, residuals))
+        rb.tally(passed, count - passed, (
+            f"family {family} f={elems[n].pairs} indices {fcores[ci][0]}"
+            for n, ci in _failing_words(residuals, images)
+        ) if passed < count else ())
         rb.detail(f"family {family}: {count} words")
-        start = end
-    if start != total:
-        rb.record(False, f"walked {start} words, closed form {total}")
-    rb.detail(f"letter-folded {folded} assembled words")
-    if not fold_all:
-        rb.detail(
-            f"letter-level refolds sampled with seed {seed}; core images"
-            " checked for every index tuple, covering all conjugates"
-        )
+        walked += count
+    total = sum(counts[family] for family in families)
+    if walked != total:
+        rb.record(False, f"walked {walked} words, closed form {total}")
+    rb.detail(f"letter-folded {len(residuals)} assembled words")
+    rb.detail(f"one refold per transversal element, its core drawn with seed {seed}")
     return rb.build()
 
 

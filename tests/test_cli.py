@@ -204,8 +204,7 @@ class TestRun:
         assert run(RunConfig(check="commutation", value_range=(3, 5)))["overall_pass"]
 
     def test_rs_covers_family_4_at_genus_6(self, capsys):
-        # family 4 has 460,800 words at g=6, more than the fold-all limit
-        assert rschreier.LETTER_FOLD_LIMIT < 460_800
+        # family 4 has 460,800 words at g=6
         code, report = run_json(capsys, "verify", "rs", "--g", "6")
         assert code == 0
         entries = {e["check"]: e for e in report["checks"]}

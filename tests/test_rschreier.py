@@ -1,11 +1,11 @@
 """Schreier transversal, subgroup generators, family words, case identities."""
 
 import dataclasses
-import inspect
 import itertools
 import math
 import random
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -92,12 +92,6 @@ def count_draws(monkeypatch):
     return draws
 
 
-def refold_sample(total, seed):
-    """The positions the sweeps refold among ``total`` words, as a set."""
-    positions, _fold_all = rschreier._refold_positions(total, seed)
-    return set(positions)
-
-
 def reference_rs_sweep(g):
     """The per-word RS oracle: every ``iter_rs_generators`` word folded
     letter by letter through ``word_image``, no sample, then the count
@@ -133,31 +127,42 @@ def flipped_map(g, sym, bit):
     return dataclasses.replace(qmap, slide_masks=masks)
 
 
-def reference_family_sweep(g, families, seed=0):
-    """The per-word family loop the sweep replaced: each conjugate takes
-    its core's verdict, then a refold at each of the sweep's sample
-    positions.  Returns the report and the number of refolds."""
-    qmap = build_quotient_map(g)
-    counts = construction_counts(g)["families"]
-    sample = refold_sample(sum(counts[family] for family in families), seed)
+def reference_family_sweep(g, families):
+    """The per-word family oracle: every ``iter_family_words`` word folded
+    letter by letter through ``word_image``, no sample, then the count
+    against the closed form.  Reads the map through ``rschreier``, so a
+    substituted map reaches it as it reaches the sweep."""
+    qmap = rschreier.build_quotient_map(g)
     rb = ReportBuilder("reference", g=g)
-    n = folded = 0
+    walked = 0
     for family in families:
-        cores = [
-            (indices, core, qmap.word_image(core) == 0)
-            for indices, core in rschreier._family_cores(g, family)
-        ]
-        for f in transversal(g):
-            for indices, core, ok in cores:
-                if n in sample and ok:
-                    ok = qmap.word_image(f.word() + core + winv(f.word())) == 0
-                    folded += 1
-                if ok:
-                    rb.passed += 1
-                else:
-                    rb.record(False, f"family {family} f={f.pairs} indices {indices}")
-                n += 1
-    return rb.build(), folded
+        for f, indices, w in iter_family_words(g, family):
+            walked += 1
+            rb.record(qmap.word_image(w) == 0, f"family {family} f={f.pairs} indices {indices}")
+    total = sum(construction_counts(g)["families"][family] for family in families)
+    if walked != total:
+        rb.record(False, f"walked {walked} words, closed form {total}")
+    return rb.build()
+
+
+def failing_core(monkeypatch):
+    """Give T^2(2, 3) quotient image 1: its family 1 core fails."""
+    real = fpres.QuotientMap.image
+    bad = twist_sq(2, 3)
+    monkeypatch.setattr(
+        fpres.QuotientMap, "image",
+        lambda self, s: 1 if s == bad else real(self, s),
+    )
+
+
+def dropping_winv(monkeypatch, holds=None):
+    """``rschreier.winv`` leaving out the first letter of the inverse, of
+    every word or only of words holding the letter ``holds``."""
+    real = rschreier.winv
+    monkeypatch.setattr(
+        rschreier, "winv",
+        lambda w: real(w)[1:] if holds is None or holds in w else real(w),
+    )
 
 
 class TestTransversal:
@@ -557,6 +562,13 @@ class TestFamilyWords:
         assert len(fams["1"]) == 6
         assert len(fams["3"]) == 0  # no subset twists exist at genus 3
 
+    def test_a_family_without_cores_draws_nothing(self, monkeypatch):
+        draws = count_draws(monkeypatch)
+        rep = verify_family_zero_images(3, ("3",))  # no subset twists at g=3
+        assert (rep.passed, rep.failed) == (0, 0)
+        assert "letter-folded 0 assembled words" in rep.details
+        assert draws[0] == 0
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             list(iter_family_words(4, "5"))
@@ -566,33 +578,26 @@ class TestFamilyWords:
             rep = verify_family_zero_images(g, ("1", "2", "3", "4"))
             assert rep.ok, rep.failures[:3]
 
-    @pytest.mark.parametrize("g", [4, 6])  # fold-all path, then sampled path
+    @pytest.mark.parametrize("g", [4, 6])
     def test_a_nonzero_twist_image_fails_every_conjugate(self, g, monkeypatch):
-        image = fpres.QuotientMap.image
-        bad = twist_sq(2, 3)
-        monkeypatch.setattr(
-            fpres.QuotientMap, "image",
-            lambda self, sym: 1 if sym == bad else image(self, sym),
-        )
-        families = ("1", "2", "3", "4")
+        failing_core(monkeypatch)
         build_quotient_map(g)  # built outside the count
         calls = count_word_images(monkeypatch)
-        rep = verify_family_zero_images(g, families)
+        rep = verify_family_zero_images(g, FAMILIES)
         n_trans = len(transversal(g))
         total = sum(construction_counts(g)["families"].values())
-        assert (total <= rschreier.LETTER_FOLD_LIMIT) == (g == 4)
         assert rep.failed == n_trans
         assert rep.passed == total - n_trans
         assert all(label.startswith("family 1 ") for label in rep.failures)
         assert all(label.endswith("indices (2, 3)") for label in rep.failures)
-        # one fold per index tuple, then one per refold; a word whose core
-        # failed is drawn for the sample but not refolded or counted
-        n_cores, folded = {4: (49, 768), 6: (265, 49_826)}[g]
-        assert calls[0] == n_cores + folded
-        assert f"letter-folded {folded} assembled words" in rep.details
+        # one fold per index tuple, then one refold per transversal element
+        n_cores = {4: 49, 6: 265}[g]
+        assert calls[0] == n_cores + n_trans
+        assert f"letter-folded {n_trans} assembled words" in rep.details
 
-    def test_sampled_sweep_pinned_genus6(self, monkeypatch):
+    def test_sweep_pinned_genus6(self, monkeypatch):
         qmap = build_quotient_map(6)  # built outside the count
+        transversal(6)
         calls = letters = 0
         word_image = fpres.QuotientMap.word_image
 
@@ -603,12 +608,18 @@ class TestFamilyWords:
             return word_image(self, w)
 
         monkeypatch.setattr(fpres.QuotientMap, "word_image", counting)
-        rep = verify_family_zero_images(6, ("1", "2", "3", "4"), seed=0)
+        draws = count_draws(monkeypatch)
+        rep = verify_family_zero_images(6, FAMILIES, seed=0)
         assert (rep.passed, rep.failed) == (542_720, 0)
-        assert "letter-folded 50000 assembled words" in rep.details
-        # one fold per index tuple (15 + 15 + 10 + 225) plus the refolds
-        assert calls == 265 + 50_000
-        assert letters == 728_413
+        assert rep.details[-2:] == (
+            "letter-folded 2048 assembled words",
+            "one refold per transversal element, its core drawn with seed 0",
+        )
+        # one fold per index tuple (15 + 15 + 10 + 225), one refold and
+        # one draw per transversal element
+        assert calls == 265 + 2048
+        assert draws[0] == 2048
+        assert letters == 30_715
         assert qmap is build_quotient_map(6)
 
     def test_reduced4_constraint(self):
@@ -713,68 +724,143 @@ class TestTstMembership:
 # ---------------------------------------------------------------------------
 # the zero-image sweeps against per-word oracles
 
-#: genus per family-sweep scope: every word refolded, then a sample
-SWEEP_SCOPES = {("family", "fold-all"): 4, ("family", "sampled"): 6}
-
-
 def run_sweep(sweep, g):
     if sweep == "rs":
         return verify_rs_zero_images(g)
     return verify_family_zero_images(g, FAMILIES)
 
 
-def sampled_word(g):
-    """The assembled family word at the middle refold position."""
-    total = sum(construction_counts(g)["families"].values())
-    words = (w for family in FAMILIES for _f, _indices, w in iter_family_words(g, family))
-    positions = sorted(refold_sample(total, 0))
-    return next(itertools.islice(words, positions[len(positions) // 2], None))
+def swapped_letter_words(monkeypatch):
+    """``TransversalElement.word`` with Y(2, 3) spelled as Y(3, 2)."""
+    real = TransversalElement.word
+    letter, other = (yslide(2, 3), 1), (yslide(3, 2), 1)
+    monkeypatch.setattr(
+        TransversalElement, "word",
+        lambda self: tuple(other if x == letter else x for x in real(self)),
+    )
 
 
-class TestSweepsAgainstReference:
-    @pytest.mark.parametrize("condition", ["none", "core", "refold", "many"])
-    @pytest.mark.parametrize("sweep, scope", list(SWEEP_SCOPES))
-    def test_same_verdicts_labels_and_refolds(self, sweep, scope, condition, monkeypatch):
-        g = SWEEP_SCOPES[sweep, scope]
+class TestFamilySweepAgainstOracle:
+    @pytest.mark.parametrize(
+        "condition",
+        ["none", "core", "every-twist", "flipped-mask", "winv-drop", "word-swap", "many"],
+    )
+    @pytest.mark.parametrize("g", [4, 5])
+    def test_same_verdicts_and_labels(self, g, condition, monkeypatch):
         build_quotient_map(g)  # built before any patch
-        total = sum(construction_counts(g)["families"].values())
-        assert (total > rschreier.LETTER_FOLD_LIMIT) == (scope == "sampled")
-        word_image = fpres.QuotientMap.word_image
         if condition == "core":
-            # a core of family 1 fails
-            image = fpres.QuotientMap.image
-            bad = twist_sq(2, 3)
+            failing_core(monkeypatch)
+        elif condition == "every-twist":
+            # every family 1 core fails, so a refold that carries one must
+            # XOR its image out to leave the element's residual
+            real = fpres.QuotientMap.image
+            kind = twist_sq(2, 3).kind
             monkeypatch.setattr(
                 fpres.QuotientMap, "image",
-                lambda self, sym: 1 if sym == bad else image(self, sym),
+                lambda self, s: 1 if s.kind == kind else real(self, s),
             )
-        elif condition == "refold":
-            w0 = sampled_word(g)
-            monkeypatch.setattr(
-                fpres.QuotientMap, "word_image",
-                lambda self, w: 1 if w == w0 else word_image(self, w),
-            )
+        elif condition == "flipped-mask":
+            # Y(2, 3) is a basis slide: every element holding it moves
+            qmap = flipped_map(g, yslide(2, 3), 0)
+            monkeypatch.setattr(rschreier, "build_quotient_map", lambda g: qmap)
+        elif condition == "winv-drop":
+            dropping_winv(monkeypatch)
+        elif condition == "word-swap":
+            swapped_letter_words(monkeypatch)
         elif condition == "many":
-            # family 1 interleaves the conjugates of a failing core with
-            # failing refolds of passing cores (by f holding (2, 3)), in
-            # word order; family 4 has more failing cores
-            bad = {(yslide(2, 3), -1), (twist_sq(2, 4), 1)}
-            monkeypatch.setattr(
-                fpres.QuotientMap, "word_image",
-                lambda self, w: word_image(self, w) if bad.isdisjoint(w) else 1,
-            )
-        rep = run_sweep(sweep, g)
-        expected, folded = reference_family_sweep(g, FAMILIES)
+            # the family 1 core (2, 3) gets image 1, the first basis slide's;
+            # the inverse of an element holding Y(2, 4) loses a letter, so
+            # its words fail except where the lost letter's image is the
+            # core's, and the failures interleave in word order
+            failing_core(monkeypatch)
+            dropping_winv(monkeypatch, holds=(yslide(2, 4), 1))
+        rep = verify_family_zero_images(g, FAMILIES)
+        expected = reference_family_sweep(g, FAMILIES)
         assert (rep.passed, rep.failed) == (expected.passed, expected.failed)
         assert rep.failures == expected.failures
-        assert any(re.search(rf"letter-folded {folded}\b", d) for d in rep.details)
         n_trans = len(transversal(g))
-        assert rep.failed == {"none": 0, "core": n_trans, "refold": 1}.get(
-            condition, rep.failed
-        )
-        if condition == "many":
+        assert f"letter-folded {n_trans} assembled words" in rep.details
+        if condition in ("none", "flipped-mask", "word-swap"):
+            # conjugation and commutators cancel these in every word
+            assert rep.failed == 0
+        elif condition == "core":
+            assert rep.failed == n_trans
+        elif condition == "every-twist":
+            assert rep.failed == construction_counts(g)["families"]["1"]
+        else:
             assert rep.failed > CheckReport.MAX_FAILURES
             assert len(rep.failures) == CheckReport.MAX_FAILURES
+
+    def test_many_failures_pass_where_the_lost_letter_is_the_core(self, monkeypatch):
+        # an element whose inverse lost the slide with image 1 has residual
+        # 1, the failing core's image: that one word of its passes
+        build_quotient_map(4)
+        failing_core(monkeypatch)
+        dropping_winv(monkeypatch)
+        rep = verify_family_zero_images(4, FAMILIES)
+        expected = reference_family_sweep(4, FAMILIES)
+        assert (rep.passed, rep.failed) == (expected.passed, expected.failed)
+        assert rep.failures == expected.failures
+        # the basis slide with image 1 is the last pair of one element only
+        bit0 = fpres.quotient_basis(4)[0]
+        lost_bit0 = [f for f in transversal(4) if f.pairs[-1:] == (bit0,)]
+        assert len(lost_bit0) == 1
+        # the empty element's words pass but for the failing core; every
+        # other element's words fail but for the cores matching its residual
+        n_cores = 49
+        assert rep.passed == (n_cores - 1) + len(lost_bit0)
+
+    @pytest.mark.parametrize("condition", ["none", "winv-drop"])
+    def test_seeds_agree(self, condition, monkeypatch):
+        if condition == "winv-drop":
+            failing_core(monkeypatch)
+            dropping_winv(monkeypatch, holds=(yslide(2, 4), 1))
+        one = verify_family_zero_images(5, FAMILIES, seed=0)
+        two = verify_family_zero_images(5, FAMILIES, seed=1)
+        assert (one.passed, one.failed) == (two.passed, two.failed)
+        assert one.failures == two.failures
+        assert one.details[:-1] == two.details[:-1]
+        assert two.details[-1].endswith("seed 1")
+
+    def test_a_failing_run_stays_cheap(self, monkeypatch):
+        g = 6
+        build_quotient_map(g)
+        transversal(g)
+
+        def steps_in_rschreier(fail):
+            steps = [0]
+
+            def trace(frame, _event, _arg):
+                if frame.f_code.co_filename != rschreier.__file__:
+                    return None
+                steps[0] += 1
+                return trace
+
+            with pytest.MonkeyPatch.context() as mp:
+                if fail:
+                    failing_core(mp)
+                sys.settrace(trace)
+                try:
+                    rep = verify_family_zero_images(g, FAMILIES)
+                finally:
+                    sys.settrace(None)
+            return rep, steps[0]
+
+        passing, base = steps_in_rschreier(fail=False)
+        assert passing.failed == 0
+        rep, steps = steps_in_rschreier(fail=True)
+        failing_core(monkeypatch)
+        wrong = (
+            f"family {family} f={f.pairs} indices {indices}"
+            for family in FAMILIES
+            for f, indices, w in iter_family_words(g, family)
+            if build_quotient_map(g).word_image(w) != 0
+        )
+        assert rep.failures == tuple(itertools.islice(wrong, CheckReport.MAX_FAILURES))
+        assert rep.failed == len(transversal(g)) == 2048
+        # the labels cost about one traced step each beyond a passing run;
+        # walking family 1 alone (30,720 words) would cost one per word
+        assert steps - base < 5_000
 
 
 class TestRsSweepAgainstOracle:
@@ -848,41 +934,3 @@ class TestClosedFormCounts:
         rep = verify_family_zero_images(4, FAMILIES)
         assert rep.failures == ("walked 735 words, closed form 784",)
         assert (rep.passed, rep.failed) == (735, 1)
-
-
-class TestRefoldSample:
-    @given(
-        st.integers(1, 10**15),
-        st.integers(1, 300),
-        st.integers(0, 2**64),
-    )
-    def test_one_increasing_position_per_block(self, n, k, seed):
-        k = min(k, n)
-        positions = rschreier._stratified_positions(n, k, random.Random(seed))
-        assert inspect.isgenerator(positions)
-        positions = list(positions)
-        assert len(positions) == k
-        for b, p in enumerate(positions):
-            lo, hi = b * n // k, (b + 1) * n // k
-            assert hi - lo in (n // k, -(-n // k))
-            assert lo <= p < hi
-        assert all(p < q for p, q in zip(positions, positions[1:]))
-        assert 0 <= positions[0] and positions[-1] < n
-        again = rschreier._stratified_positions(n, k, random.Random(seed))
-        assert list(again) == positions
-
-    def test_sampled_family_sweep_draws_once_per_block(self, monkeypatch):
-        draws = count_draws(monkeypatch)
-        rep = verify_family_zero_images(6, FAMILIES)
-        assert rep.ok
-        assert draws[0] == rschreier.LETTER_FOLD_SAMPLE
-        assert f"letter-folded {rschreier.LETTER_FOLD_SAMPLE} assembled words" in rep.details
-
-    def test_fold_all_scopes_draw_nothing(self, monkeypatch):
-        draws = count_draws(monkeypatch)
-        for g in (3, 4, 5, 6):
-            assert verify_rs_zero_images(g).ok
-        for g in (3, 4, 5):
-            assert verify_family_zero_images(g, FAMILIES).ok
-        assert verify_family_zero_images(6).ok  # families 1-3: 81,920 words
-        assert draws[0] == 0
