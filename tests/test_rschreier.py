@@ -165,6 +165,24 @@ def dropping_winv(monkeypatch, holds=None):
     )
 
 
+def rschreier_steps(run):
+    """``run()`` under a trace counting the events of frames in
+    ``rschreier``; returns (its result, the count)."""
+    steps = [0]
+
+    def trace(frame, _event, _arg):
+        if frame.f_code.co_filename != rschreier.__file__:
+            return None
+        steps[0] += 1
+        return trace
+
+    sys.settrace(trace)
+    try:
+        return run(), steps[0]
+    finally:
+        sys.settrace(None)
+
+
 class TestTransversal:
     def test_genus3_frozen(self):
         assert [t.pairs for t in transversal(3)] == [(), ((2, 3),)]
@@ -432,17 +450,28 @@ class TestRsGenerators:
             assert len(tuple(iter_rs_generators(g))) == n
             assert construction_counts(g)["rs_generator_count"] == n
 
-    def test_skip_rule_matches_independent_enumeration(self):
-        g = 4
+    @pytest.mark.parametrize(
+        "g, swap",
+        [(3, None), (4, None), (5, None), (6, None), (5, (2, 5))],
+        ids=["3", "4", "5", "6", "5-swapped"],
+    )
+    def test_skip_rule_matches_independent_enumeration(self, g, swap, monkeypatch):
         qmap = build_quotient_map(g)
-        elems = transversal(g)
-        by_mask = {qmap.word_image(t.word()): t for t in elems}
+        if swap:
+            # the representative of f x is the element listed at position
+            # n ^ image(x), wherever the walk put the true one
+            walk = swapped_walk(g, *swap, monkeypatch)
+            elems = [TransversalElement(pairs) for pairs in walk]
+            rep_of = lambda n, x: elems[n ^ qmap.image(x)]
+        else:
+            elems = transversal(g)
+            by_mask = {qmap.word_image(t.word()): t for t in elems}
+            rep_of = lambda n, x: by_mask[qmap.word_image(elems[n].word()) ^ qmap.image(x)]
         basis = set(qmap.basis)
         expected = set()
-        for f in elems:
-            fmask = qmap.word_image(f.word())
+        for n, f in enumerate(elems):
             for x in level2_generating_set(g):
-                rep = by_mask[fmask ^ qmap.image(x)]
+                rep = rep_of(n, x)
                 for sign in (1, -1):
                     skip = (
                         sign == 1
@@ -452,8 +481,28 @@ class TestRsGenerators:
                     )
                     if not skip:
                         expected.add((f.pairs, x, sign))
-        got = {(r.f.pairs, r.x, r.sign) for r in iter_rs_generators(g)}
-        assert got == expected
+        got = [(r.f.pairs, r.x, r.sign) for r in iter_rs_generators(g)]
+        assert len(got) == len(set(got))
+        assert set(got) == expected
+        # the sweep counts its skips from each element's last pair alone
+        rep = verify_rs_zero_images(g)
+        assert rep.details[0].startswith(f"emitted {len(expected)} generators;")
+
+    @pytest.mark.parametrize("g", [4, 5])
+    def test_words_build_each_element_word_once(self, g, monkeypatch):
+        calls = []
+        real = TransversalElement.word
+        monkeypatch.setattr(
+            TransversalElement, "word", lambda self: calls.append(self) or real(self)
+        )
+        gens = list(iter_rs_generators(g))
+        n_reps = len({r.rep for r in gens})
+        assert len(calls) <= len(transversal(g)) + n_reps
+        # elements in counting order, then symbols as listed, then +1 before -1
+        position = {t: n for n, t in enumerate(transversal(g))}
+        xs = level2_generating_set(g)
+        keys = [(position[r.f], xs.index(r.x), -r.sign) for r in gens]
+        assert keys == sorted(set(keys))
 
     def test_words_have_zero_image_by_direct_fold(self):
         for g in (3, 4):
@@ -828,23 +877,10 @@ class TestFamilySweepAgainstOracle:
         transversal(g)
 
         def steps_in_rschreier(fail):
-            steps = [0]
-
-            def trace(frame, _event, _arg):
-                if frame.f_code.co_filename != rschreier.__file__:
-                    return None
-                steps[0] += 1
-                return trace
-
             with pytest.MonkeyPatch.context() as mp:
                 if fail:
                     failing_core(mp)
-                sys.settrace(trace)
-                try:
-                    rep = verify_family_zero_images(g, FAMILIES)
-                finally:
-                    sys.settrace(None)
-            return rep, steps[0]
+                return rschreier_steps(lambda: verify_family_zero_images(g, FAMILIES))
 
         passing, base = steps_in_rschreier(fail=False)
         assert passing.failed == 0
@@ -904,6 +940,50 @@ class TestRsSweepAgainstOracle:
             expected = reference_rs_sweep(4)
         assert (rep.passed, rep.failed) == (expected.passed, expected.failed)
         assert rep.failures == expected.failures
+
+    @pytest.mark.parametrize("g", [4, 5])
+    @given(data=st.data())
+    def test_swapped_elements_match_the_oracle(self, g, data):
+        # the defective elements, the words next to them in emission
+        # order, and the skips the swap changes
+        size = len(transversal(g))
+        a = data.draw(st.integers(0, size - 1))
+        b = data.draw(st.integers(0, size - 1).filter(lambda b: b != a))
+        with pytest.MonkeyPatch.context() as mp:
+            swapped_walk(g, a, b, mp)
+            rep = verify_rs_zero_images(g)
+            expected = reference_rs_sweep(g)
+        assert (rep.passed, rep.failed) == (expected.passed, expected.failed)
+        assert rep.failures == expected.failures
+
+    def test_a_passing_run_costs_a_few_steps_per_element(self):
+        # one pass over the transversal: about 25 traced steps per element
+        # at g=6, where visiting each of the 71,680 (f, x) pairs would take
+        # several steps apiece
+        g = 6
+        build_quotient_map(g)
+        transversal(g)
+        rep, steps = rschreier_steps(lambda: verify_rs_zero_images(g))
+        assert (rep.passed, rep.failed) == (construction_counts(g)["rs_generator_count"], 0)
+        assert steps < 50 * len(transversal(g)) == 102_400
+
+    def test_a_swapped_walk_at_genus7_stays_cheap(self):
+        # two defective elements cost their own words' verdicts beyond a
+        # passing run of the same uncached walk, not a pass over every word
+        g = 7
+        build_quotient_map(g)
+
+        def steps_with_swap(a, b):
+            with pytest.MonkeyPatch.context() as mp:
+                swapped_walk(g, a, b, mp)
+                return rschreier_steps(lambda: verify_rs_zero_images(g))
+
+        passing, base = steps_with_swap(2, 2)
+        assert passing.failed == 0
+        rep, steps = steps_with_swap(2, 5)
+        assert rep.failed > CheckReport.MAX_FAILURES
+        assert steps - base < 10_000
+        assert steps < 50 * len(transversal(g))
 
 
 class TestClosedFormCounts:
