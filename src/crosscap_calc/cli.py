@@ -30,8 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
 from . import SCHEMA_VERSION, __version__, exactmat, fpres, gf2, rschreier, words
-from .gf2 import CapExceededError
-from .reports import CheckReport, ReportBuilder
+from .reports import CapExceededError, CheckReport, ReportBuilder
 
 TOOL_NAME = "crosscap-calc"
 

@@ -39,7 +39,7 @@ import operator
 import random
 from typing import Callable, Iterable, Mapping
 
-from .reports import CheckReport, ReportBuilder
+from .reports import CapExceededError, CheckReport, ReportBuilder
 
 #: frame enumeration is exponential in g; beyond this it is not a desk job
 ENUMERATION_CAP = 6
@@ -48,10 +48,6 @@ ENUMERATION_CAP = 6
 GENERATOR_SIZES = (2, 4)
 
 Subset = tuple[int, ...]
-
-
-class CapExceededError(ValueError):
-    """The requested size is past the configured desk-scale cap."""
 
 
 @functools.cache

@@ -12,6 +12,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 
+class CapExceededError(ValueError):
+    """The requested size is past the configured desk-scale cap."""
+
+
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of one verification routine at one parameter point."""

@@ -4,16 +4,15 @@ The quotient of the level-2 group by the squared-twist-and-Torelli
 subgroup is elementary abelian with basis the pair classes of
 ``fpres.quotient_basis``.  The ordered products of basis slides (one
 slide per pair, pairs strictly increasing) form a Schreier transversal:
-dropping the last factor of a transversal word gives another one.  One
-walk lists them in binary counting order with O(dim) state: element n
-holds the basis pairs at the set bits of n.  ``build_quotient_map``
+dropping the last factor of a transversal word gives another one.  In
+binary counting order element n holds the basis pairs at the set bits of
+n: it is low[n mod 2^h] + high[n >> h], low and high the subsets of the
+first h = ceil(dim/2) basis pairs and of the rest.  ``build_quotient_map``
 gives each basis slide its own bit as image, so element n has image n,
 and the representative of the coset of f x, for f = element n, is
 element n XOR image(x): an index, not a table lookup.  ``transversal``
-caches the elements for the sweeps, and ``verify_transversal`` checks
-each one's image against its index, and that its pairs increase, as the
-walk streams past.  The Reidemeister-Schreier generators of the
-subgroup are then
+caches the elements, and ``verify_transversal`` checks them from the
+halves.  The Reidemeister-Schreier generators of the subgroup are then
 
     f x^(+-1) rep(f x)^(-1)
 
@@ -79,8 +78,7 @@ from .fpres import (
     word,
     yslide,
 )
-from .gf2 import CapExceededError
-from .reports import CheckReport, ReportBuilder
+from .reports import CapExceededError, CheckReport, ReportBuilder
 
 #: 2^dim transversal elements; past 16 dimensions this is not a desk job
 TRANSVERSAL_DIM_CAP = 16
@@ -146,23 +144,23 @@ def _capped_basis(g: int) -> tuple[Pair, ...]:
     return basis
 
 
-def _walk(g: int) -> Iterator[tuple[Pair, ...]]:
-    """The subsets of ``quotient_basis(g)`` in binary counting order:
-    element n holds the basis pairs at the set bits of n.  From n - 1 to
-    n the ``low`` lowest pairs drop out and ``basis[low]`` comes in
-    first, where ``low`` counts the trailing zeros of n.  Past the cap it
-    raises at the call."""
+def _halves(g: int) -> tuple[list[tuple[Pair, ...]], list[tuple[Pair, ...]]]:
+    """(low, high): the subsets of the first h = ceil(dim/2) basis pairs and
+    of the rest, each in counting order.  Past the cap it raises."""
     basis = _capped_basis(g)
+    h = (len(basis) + 1) // 2
+    halves: tuple[list[tuple[Pair, ...]], list[tuple[Pair, ...]]] = ([()], [()])
+    for subsets, part in zip(halves, (basis[:h], basis[h:])):
+        for p in part:
+            subsets += [t + (p,) for t in subsets]
+    return halves
 
-    def walk() -> Iterator[tuple[Pair, ...]]:
-        pairs: tuple[Pair, ...] = ()
-        yield pairs
-        for n in range(1, 1 << len(basis)):
-            low = (n & -n).bit_length() - 1
-            pairs = (basis[low],) + pairs[low:]
-            yield pairs
 
-    return walk()
+def _walk(g: int) -> Iterator[tuple[Pair, ...]]:
+    """The subsets of ``quotient_basis(g)`` in binary counting order, as
+    low[n mod 2^h] + high[n >> h]: it streams, and raises at the call."""
+    low, high = _halves(g)
+    return (lo + hi for hi in high for lo in low)
 
 
 @functools.cache
@@ -344,20 +342,38 @@ def verify_transversal(g: int) -> CheckReport:
     images are their own bits (``build_quotient_map`` refuses any other
     map), so element n holds the pairs at n's set bits in basis order,
     and less its last pair it is the element at n less its top bit.
+
+    Lemma: if low[i] has image i and high[j] image j << h, both with
+    increasing pairs, and every low pair is below every high pair, then
+    low[i] + high[j] has increasing pairs and image i ^ (j << h), its
+    index.  So the rule runs once per piece of ``_halves``, and block j of
+    2^h walked elements passes whole when its pieces passed and it equals
+    [lo + high[j] for lo in low]; any other block is checked per element.
     """
     g = genus(g)
-    walk = _walk(g)  # past the cap this raises before any fold
+    low, high = _halves(g)  # past the cap this raises before any fold
+    walk = _walk(g)
     rank = fpres.quotient_rank(g)
     image_of = _pairs_image(build_quotient_map(g))
     rb = ReportBuilder("transversal", g=g)
-    n = -1
-    for n, pairs in enumerate(walk):
+
+    def failure(n: int, pairs: tuple[Pair, ...]) -> str | None:
         image = image_of(pairs)
         if image != n:
-            rb.record(False, f"element {n} {pairs} has image {image}")
-        elif not all(map(operator.lt, pairs, pairs[1:])):
-            rb.record(False, f"element {n} {pairs} has pairs out of order")
-    size = n + 1
+            return f"element {n} {pairs} has image {image}"
+        if not all(map(operator.lt, pairs, pairs[1:])):
+            return f"element {n} {pairs} has pairs out of order"
+        return None
+
+    ordered = max(itertools.chain(*low)) < min(itertools.chain(*high), default=(math.inf,))
+    whole = ordered and not any(itertools.starmap(failure, enumerate(low)))
+    passing = [whole and not failure(j * len(low), hi) for j, hi in enumerate(high)]
+    size = 0
+    for j, block in enumerate(iter(lambda: list(itertools.islice(walk, len(low))), [])):
+        if not (j < len(high) and passing[j] and block == [lo + high[j] for lo in low]):
+            for label in filter(None, itertools.starmap(failure, enumerate(block, size))):
+                rb.record(False, label)
+        size += len(block)
     rb.passed += size - rb.failed
     rb.record(size == 1 << rank, f"size {size} != 2^{rank}")
     return rb.build()

@@ -3,14 +3,19 @@
 import dataclasses
 import itertools
 import math
+import operator
+import os
 import random
 import re
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import crosscap_calc
 from crosscap_calc import fpres, rschreier
 from crosscap_calc.fpres import (
     build_quotient_map,
@@ -108,6 +113,32 @@ def reference_rs_sweep(g):
     if emitted != closed:
         rb.record(False, f"emitted {emitted} generators, closed form {closed}")
     return rb.build()
+
+
+def reference_transversal_check(g):
+    """The per-element transversal oracle: each walked element's image
+    folded from its pairs and its order checked, one element at a time.
+    Reads the walk and the map through ``rschreier``, so a substituted
+    one reaches it as it reaches the check."""
+    walk = rschreier._walk(g)
+    rank = fpres.quotient_rank(g)
+    image_of = rschreier._pairs_image(rschreier.build_quotient_map(g))
+    rb = ReportBuilder("transversal", g=g)
+    n = -1
+    for n, pairs in enumerate(walk):
+        image = image_of(pairs)
+        if image != n:
+            rb.record(False, f"element {n} {pairs} has image {image}")
+        elif not all(map(operator.lt, pairs, pairs[1:])):
+            rb.record(False, f"element {n} {pairs} has pairs out of order")
+    size = n + 1
+    rb.passed += size - rb.failed
+    rb.record(size == 1 << rank, f"size {size} != 2^{rank}")
+    return rb.build()
+
+
+def outcome(rep):
+    return rep.passed, rep.failed, rep.failures
 
 
 def swapped_walk(g, a, b, monkeypatch):
@@ -427,6 +458,109 @@ class TestTransversal:
         monkeypatch.setattr(fpres, "_quotient_pivots", forbidden)
         with pytest.raises(rschreier.CapExceededError, match=r"2\^22 elements"):
             check(8)
+
+
+WALK_CORRUPTIONS = (
+    "swap", "drop", "duplicate", "permute", "append", "flip-low", "flip-high"
+)
+
+
+class TestTransversalBlocksAgainstOracle:
+    """``verify_transversal`` checks the halves' pieces once and compares
+    whole blocks; every verdict must be the per-element oracle's."""
+
+    @pytest.mark.parametrize("corruption", WALK_CORRUPTIONS)
+    @settings(max_examples=20, deadline=None)
+    @given(g=st.integers(4, 6), data=st.data())
+    def test_same_verdicts_and_labels(self, corruption, g, data):
+        walk = [t.pairs for t in transversal(g)]
+        qmap = build_quotient_map(g)
+        index = st.integers(0, len(walk) - 1)
+        if corruption == "swap":
+            a, b = data.draw(index), data.draw(index)
+            walk[a], walk[b] = walk[b], walk[a]
+        elif corruption == "drop":
+            walk.pop(data.draw(index))
+        elif corruption == "duplicate":
+            walk.insert(data.draw(index), walk[data.draw(index)])
+        elif corruption == "permute":
+            n = data.draw(st.sampled_from([n for n, pairs in enumerate(walk) if len(pairs) > 1]))
+            walk[n] = tuple(data.draw(st.permutations(walk[n])))
+        elif corruption == "append":
+            walk.append(data.draw(st.sampled_from(walk)))
+        else:
+            low, high = rschreier._halves(g)
+            pair = data.draw(st.sampled_from((low if corruption == "flip-low" else high)[-1]))
+            qmap = flipped_map(g, yslide(*pair), data.draw(st.integers(0, len(qmap.basis) - 1)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rschreier, "_walk", lambda g: iter(walk))
+            mp.setattr(rschreier, "build_quotient_map", lambda g: qmap)
+            assert outcome(verify_transversal(g)) == outcome(reference_transversal_check(g))
+
+    def test_a_swap_across_blocks_at_genus7(self, monkeypatch):
+        # blocks hold 2^8 elements at g=7: 2 sits in block 0, 300 in block 1
+        g, a, b = 7, 2, 300
+        walk = swapped_walk(g, a, b, monkeypatch)
+        rep = verify_transversal(g)
+        assert rep.failures == tuple(image_labels(walk, fpres.quotient_basis(g)))
+        assert (rep.passed, rep.failed) == (32767, 2)
+        assert outcome(rep) == outcome(reference_transversal_check(g))
+
+    def test_halves_out_of_order_fail_where_they_meet(self, monkeypatch):
+        # swap the last low and first high basis pair, and their masks, so
+        # every piece keeps its image and its order: only elements holding
+        # both pairs list them out of order
+        g = 5
+        qmap = build_quotient_map(g)
+        basis = list(qmap.basis)
+        h = (len(basis) + 1) // 2
+        p, q = basis[h - 1], basis[h]
+        basis[h - 1], basis[h] = q, p
+        masks = dict(qmap.slide_masks)
+        for (i, j), (k, l) in ((p, q), (q, p)):
+            masks[yslide(i, j)] = masks[yslide(j, i)] = qmap.slide_masks[yslide(k, l)]
+        swapped = dataclasses.replace(qmap, basis=tuple(basis), slide_masks=masks)
+        monkeypatch.setattr(rschreier, "quotient_basis", lambda g: tuple(basis))
+        monkeypatch.setattr(rschreier, "build_quotient_map", lambda g: swapped)
+        rep = verify_transversal(g)
+        assert rep.failed == 1 << (len(basis) - 2) == 16
+        assert all(label.endswith("has pairs out of order") for label in rep.failures)
+        assert outcome(rep) == outcome(reference_transversal_check(g))
+
+    def test_a_passing_check_steps_per_block_not_per_element(self):
+        # traced rschreier events at g=7: 140,652 with the block check,
+        # 983,087 with one fold and one order check per element
+        build_quotient_map(7)
+        quotient_rank(7)
+        rep, steps = rschreier_steps(lambda: verify_transversal(7))
+        assert (rep.passed, rep.failed) == (32769, 0)
+        assert steps < 200_000
+
+    def test_walk_is_the_low_half_inside_the_high_half(self):
+        for g in (3, 4, 5, 6):
+            low, high = rschreier._halves(g)
+            assert len(low) * len(high) == len(transversal(g))
+            assert len(high) <= len(low) <= 2 * len(high)
+            walk = list(rschreier._walk(g))
+            assert walk[:len(low)] == low
+            assert walk[::len(low)] == high
+
+
+def test_rschreier_leaves_gf2_unimported():
+    # the cap error lives in reports, so rschreier needs no gf2 module
+    env = dict(os.environ)
+    src = str(Path(crosscap_calc.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = "import sys, crosscap_calc.rschreier; print('crosscap_calc.gf2' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+    from crosscap_calc import cli, gf2, reports
+
+    assert gf2.CapExceededError is rschreier.CapExceededError is reports.CapExceededError
+    assert cli.CapExceededError is reports.CapExceededError
 
 
 class TestGeneratingSet:

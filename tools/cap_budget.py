@@ -2,8 +2,12 @@
 
     python tools/cap_budget.py CHECK VALUE...
 
-For each value, runs ``cli.CHECKS[CHECK].run(value, 0)`` in three fresh
-interpreters, one after another, and prints each run's wall time
+The first line names the Python version and whether the children, which
+inherit this environment, run with ``PYTHONDONTWRITEBYTECODE`` set.  Set
+in a checkout with no cached bytecode, it makes each child compile every
+module it imports, and the times include that.  Then, for each value,
+runs ``cli.CHECKS[CHECK].run(value, 0)`` in three fresh interpreters,
+one after another, and prints each run's wall time
 (interpreter start included) and peak resident set size, which the
 child reads from its own ``ru_maxrss``.  A run passes when every report
 it yields is ok and it finishes inside the budget; a run past
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -64,6 +69,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.check not in cli.CHECKS:
         parser.error(f"unknown check {args.check!r}; choose from {', '.join(cli.CHECKS)}")
+    bytecode = "set" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "unset"
+    print(f"python {platform.python_version()}; PYTHONDONTWRITEBYTECODE {bytecode} in the children")
     fits = []
     for value in args.values:
         runs = [time_run(args.check, value) for _ in range(RUNS)]
