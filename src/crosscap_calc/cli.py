@@ -26,7 +26,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from . import SCHEMA_VERSION, __version__, exactmat, fpres, gf2, rschreier, words
@@ -52,11 +52,10 @@ def quotient_dim_bound(g: int) -> int:
 
 def _run_presentation(g: int, seed: int) -> Iterator[CheckReport]:
     del seed
-    prop = fpres.build_presentation(g, fpres.VARIANT_PROP)
-    prop_report = fpres.verify_relators(prop)
+    prop_report = fpres.verify_prop_families(g)
     yield prop_report
     # COR_WITH_5 is PROP then family (5): fold PROP's report with family (5)'s
-    family5 = replace(prop, variant=fpres.VARIANT_COR, relators=fpres.family5_relators(g))
+    family5 = fpres.Presentation(g, fpres.VARIANT_COR, (), fpres.family5_relators(g))
     rb = ReportBuilder(f"relators:{family5.variant}", g=g)
     for rep in (prop_report, fpres.verify_relators(family5)):
         rb.tally(rep.passed, rep.failed, rep.failures)
@@ -189,7 +188,7 @@ class Check:
 
 
 CHECKS: dict[str, Check] = {
-    "presentation": Check(_run_presentation, (3, 8), 16),
+    "presentation": Check(_run_presentation, (3, 8), 72),
     "commutation": Check(_run_commutation, (3, 8), 48),
     "quotient-rank": Check(_run_quotient_rank, (3, 12), 64),
     "main-theorem": Check(_run_main_theorem, (3, 12), 64),
@@ -222,13 +221,14 @@ class RunConfig:
 
 
 def parse_range(text: str) -> tuple[int, int]:
-    """``"5"`` or ``"3..8"`` (inclusive)."""
+    """``"5"`` or ``"3..8"`` (inclusive), in ASCII digits only: no sign,
+    space, underscore or other script's digit, all of which ``int``
+    would take."""
     lo, sep, hi = text.partition("..")
-    try:
-        a = int(lo)
-        b = int(hi) if sep else a
-    except ValueError:
-        raise ValueError(f"bad range {text!r}: expected N or N..M") from None
+    parts = (lo, hi) if sep else (lo,)
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise ValueError(f"bad range {text!r}: expected N or N..M")
+    a, b = int(lo), int(hi or lo)
     if a > b:
         raise ValueError(f"bad range {text!r}: empty")
     return a, b

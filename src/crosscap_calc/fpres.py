@@ -8,14 +8,9 @@ distinct argument tuple, so words share their symbols.
 
 * ``PROP_1_TO_4``: relator families (1)-(4) on the generators with
   first index at most g - 1, one row each of the table ``_PROP_FAMILIES``.
-  Every relator is a matrix identity and ``verify_relators`` checks
-  exactly that, once per relabelled word: a word in slides Y[i, j] with
-  i <= g - 1 and j <= g moves only the rows and columns of its indices
-  below g, and is I exactly when the word with those indices renamed
-  1..m in order of first appearance, and g renamed max(m + 1, 3), is.
-  Right multiplication by Y[i, j] rewrites only columns i and j (j < g)
-  as combinations of the two, so the columns outside the indices stay
-  unit vectors and the block on them is the renamed word's, permuted.
+  Every relator is a matrix identity.  ``verify_prop_families`` checks
+  them with one evaluation per family class (a row and the position of
+  g among its indices); ``verify_relators`` evaluates word by word.
 * ``COR_WITH_5``: the same plus family (5), the Tietze extension that
   defines ``Y[g, i]`` as the one product ``exactmat.gi_product``.
 * ``QUOTIENT_BAR``: the induced presentation of the quotient by the
@@ -50,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -221,9 +217,10 @@ def _sq(*pairs: Pair) -> Word:
 
 
 #: relator families (1)-(4): (family, the range of each index, "I" for
-#: 1..g-1 and "J" for 1..g, the slides as pairs of index positions).  A
-#: relator is the square of the product of its slides, for every index
-#: tuple with pairwise distinct entries, in nested-loop order.
+#: 1..g-1 and "J" for 1..g, the slides as pairs of index positions, each
+#: starting at an I position).  A relator is the square of the product of
+#: its slides, for every index tuple with pairwise distinct entries, in
+#: nested-loop order.
 _PROP_FAMILIES = (
     # (1): each slide is an involution
     ("1", "IJ", ((0, 1),)),
@@ -236,14 +233,6 @@ _PROP_FAMILIES = (
     # (4): the six-slide cycle on three indices
     ("4", "III", ((1, 0), (0, 1), (2, 1), (1, 2), (0, 2), (2, 0))),
 )
-
-
-def _prop_relators(g: int) -> Iterator[Relator]:
-    ranges = {"I": range(1, g), "J": range(1, g + 1)}
-    for family, letters, shape in _PROP_FAMILIES:
-        for idx in itertools.product(*(ranges[c] for c in letters)):
-            if len(set(idx)) == len(idx):
-                yield Relator(family, idx, _sq(*((idx[a], idx[b]) for a, b in shape)))
 
 
 def relator5_word(g: int, i: int) -> Word:
@@ -319,7 +308,13 @@ def build_presentation(g: int, variant: str) -> Presentation:
         gens = tuple(
             yslide(i, j) for i in range(1, g) for j in range(1, g + 1) if j != i
         )
-        rels = tuple(_prop_relators(g))
+        # distinct indices in nested-loop order, g at a J position or none
+        rels = tuple(
+            Relator(family, idx, _sq(*((idx[a], idx[b]) for a, b in shape)))
+            for family, letters, shape in _PROP_FAMILIES
+            for idx in itertools.permutations(range(1, g + 1), len(letters))
+            if (letters + "J")[(*idx, g).index(g)] == "J"
+        )
     if variant == VARIANT_COR:
         # COR_WITH_5 is PROP_1_TO_4 plus the Y[g, i] that family (5) defines
         gens += tuple(yslide(g, i) for i in range(1, g))
@@ -337,53 +332,12 @@ def eval_symbol_word(g: int, w: Word) -> IntMatrix:
     return exactmat.eval_word(g, _slide_letters(w))
 
 
-#: (genus n, slide letters): a relator's word on its relabelled indices
-SupportWord = tuple[int, tuple[exactmat.YLetter, ...]]
-
-
-def _support_word(g: int, w: Word) -> SupportWord | None:
-    """``(n, letters)``: a slide word whose letters Y[i, j] all have
-    i <= g - 1 and j <= g, with its indices below g relabelled 1..m in
-    order of first appearance, g relabelled n = max(m + 1, 3) and the
-    exponents kept.  None for a word with any other letter."""
-    label: dict[int, int] = {}
-    pairs = []
-    for sym, exp in w:
-        if sym.kind != KIND_YSLIDE:
-            return None
-        i, j = sym.indices
-        if i >= g or j > g:
-            return None
-        pairs.append((i, j, exp))
-        label.setdefault(i, len(label) + 1)
-        if j != g:
-            label.setdefault(j, len(label) + 1)
-    n = max(len(label) + 1, 3)
-    label[g] = n
-    return n, tuple(((label[i], label[j]), exp) for i, j, exp in pairs)
-
-
 def verify_relators(p: Presentation) -> CheckReport:
-    """Check every relator of a matrix-verifiable variant evaluates to I.
-
-    One evaluation per relabelled word (``_support_word``), not one per
-    relator.  Lemma: a word w whose letters Y[i, j] all have i <= g - 1
-    and j <= g, with S its indices below g, is I outside the S x S block,
-    and that block is conjugate by a permutation matrix to the relabelled
-    word evaluated at genus n; so w = I exactly when the relabelled word
-    is I_{n-1}, and two relators with the same relabelled word have the
-    same verdict.  Proof: right-multiplying by Y[i, j] rewrites only
-    columns i and j (j < g), each as a combination of columns i and j,
-    so columns outside S stay unit vectors and those in S stay inside
-    rows S; renaming S and g keeps every Y[i, j] entry, and the genus n
-    columns that no label reaches stay unit vectors.
-
-    The first relator of each relabelled word is evaluated directly, as
-    is every relator with another letter (a Y[g, i], a twist symbol, an
-    index past g), so errors are those of ``eval_symbol_word``.  The
-    verdicts are kept for this call only.  The QUOTIENT_BAR relators
-    hold only in the quotient, so asking to matrix-verify them is a
-    usage error, not a failing report.
+    """Check every relator of a matrix-verifiable variant evaluates to I,
+    one evaluation per relator, so errors are those of
+    ``eval_symbol_word``.  The QUOTIENT_BAR relators hold only in the
+    quotient, so asking to matrix-verify them is a usage error, not a
+    failing report.
     """
     if p.variant == VARIANT_QUOTIENT:
         raise ValueError(
@@ -393,15 +347,55 @@ def verify_relators(p: Presentation) -> CheckReport:
     rb = ReportBuilder(f"relators:{p.variant}", g=p.g)
     rb.caveat(CAVEAT_SOUNDNESS)
     ident = exactmat.identity(p.g - 1)
-    verdicts: dict[SupportWord, bool] = {}
     for rel in p.relators:
-        shape = _support_word(p.g, rel.word)
-        ok = verdicts.get(shape)
-        if ok is None:
-            ok = eval_symbol_word(p.g, rel.word) == ident
-            if shape is not None:
-                verdicts[shape] = ok
-        rb.record(ok, "" if ok else f"{rel.family}{rel.indices}")
+        rb.record(eval_symbol_word(p.g, rel.word) == ident, f"{rel.family}{rel.indices}")
+    return rb.build()
+
+
+def verify_prop_families(g: int) -> CheckReport:
+    """``verify_relators``'s report on PROP_1_TO_4, read from
+    ``_PROP_FAMILIES`` with one evaluation per family class: a row and
+    the position of g among its k indices, or none (position k).
+
+    Lemma: a word w whose letters Y[i, j] all have i <= g - 1 and j <= g,
+    with S its indices below g, is I outside the S x S block, and that
+    block is conjugate by a permutation matrix to the relabelled word
+    (S renamed 1..m in order of first appearance, g renamed
+    n = max(m + 1, 3)) evaluated at genus n; so w = I exactly when the
+    relabelled word is I_{n-1}.  Proof: right-multiplying by Y[i, j]
+    rewrites only columns i and j (j < g), each as a combination of
+    columns i and j, so columns outside S stay unit vectors and those in
+    S stay inside rows S; renaming S and g keeps every Y[i, j] entry, and
+    the genus n columns that no label reaches stay unit vectors.  Every
+    slide starts at an I position, and the indices are pairwise
+    distinct, so the relabelled word depends only on the class: each
+    relator has the verdict of its class's first one in nested-loop
+    order, evaluated at genus g.  A class holds P(g - 1, k) relators
+    without g and P(g - 1, k - 1) with g at one J position.  A failing
+    class's labels are made lazily, in relator order, only as far as the
+    report keeps them.  A row with a slide starting at a J position
+    raises ``ValueError``.
+    """
+    g = genus(g)
+    rb = ReportBuilder(f"relators:{VARIANT_PROP}", g=g)
+    rb.caveat(CAVEAT_SOUNDNESS)
+    ident = exactmat.identity(g - 1)
+    for family, letters, shape in _PROP_FAMILIES:
+        if "J" in {letters[a] for a, _b in shape}:
+            raise ValueError(f"family {family}: a slide starts at a J position")
+        k, failing, counts = len(letters), [], [0, 0]  # passed, failed
+        for at, c in enumerate(letters + "J"):
+            size = math.perm(g - 1, k - (at < k)) * (c == "J")
+            idx = (*range(1, at + 1), g, *range(at + 1, k))[:k]
+            if size and eval_symbol_word(g, _sq(*((idx[a], idx[b]) for a, b in shape))) != ident:
+                failing.append(at)
+            counts[at in failing] += size
+        labels = (
+            f"{family}{idx}"
+            for idx in itertools.permutations(range(1, g + 1), k)
+            if (*idx, g).index(g) in failing
+        )
+        rb.tally(*counts, labels if failing else ())
     return rb.build()
 
 

@@ -33,3 +33,18 @@ def symbol_constructions(monkeypatch):
     for make in (fpres.yslide, fpres.twist_sq, fpres.beta_twist, fpres.subset_sq):
         make.cache_clear()
     return log
+
+
+@pytest.fixture
+def break_family_row(monkeypatch):
+    """A function giving one family's row of ``fpres._PROP_FAMILIES`` other
+    slides, for ``build_presentation`` and the per-class check alike."""
+
+    def breaker(family, shape):
+        rows = tuple(
+            (name, letters, shape if name == family else slides)
+            for name, letters, slides in fpres._PROP_FAMILIES
+        )
+        monkeypatch.setattr(fpres, "_PROP_FAMILIES", rows)
+
+    return breaker

@@ -47,7 +47,10 @@ class TestParsing:
         assert parse_range("3..8") == (3, 8)
 
     def test_parse_range_rejects_junk(self):
-        for bad in ("", "8..3", "3..", "a..b", "3-8"):
+        # int() takes the last six: an underscore, spaces, a sign and
+        # fullwidth digits
+        for bad in ("", "8..3", "3..", "a..b", "3-8",
+                    "1_0", " 4", "4 ", "+4", "\uff14", "3..\uff18"):
             with pytest.raises(ValueError):
                 parse_range(bad)
 
@@ -55,7 +58,7 @@ class TestParsing:
         # the caps every report records under config.caps
         report = run(RunConfig(check="chain", value_range=(1, 1)))
         assert report["config"]["caps"] == {
-            "presentation": 16, "commutation": 48, "quotient-rank": 64,
+            "presentation": 72, "commutation": 48, "quotient-rank": 64,
             "main-theorem": 64, "chain": 48, "commutator-lemma": 3072,
             "case-identities": 16,
         }
@@ -216,21 +219,6 @@ class TestRun:
             run(RunConfig(check="nonsense"))
 
 
-def _patch_prop_relators(monkeypatch, broken):
-    """Give each PROP relator that ``broken`` selects an extra slide letter
-    (a relator r = 1 becomes r Y[1,2], which is Y[1,2] != 1)."""
-    prop_relators = fpres._prop_relators
-    extra = ((fpres.yslide(1, 2), 1),)
-
-    def patched(g):
-        for rel in prop_relators(g):
-            if broken(rel):
-                rel = fpres.Relator(rel.family, rel.indices, rel.word + extra)
-            yield rel
-
-    monkeypatch.setattr(fpres, "_prop_relators", patched)
-
-
 def _relator_entries(g):
     report = run(RunConfig(check="presentation", value_range=(g, g)))
     entries = {e["check"]: e for e in report["checks"]}
@@ -238,31 +226,31 @@ def _relator_entries(g):
 
 
 class TestPresentationRunner:
-    def test_builds_prop_once_per_genus_and_cor_never(self, monkeypatch):
-        built = []
-        real = fpres.build_presentation
+    def test_builds_no_presentation(self, monkeypatch):
+        # family (1)-(4) is read per class from the table, family (5)'s
+        # presentation is built directly
+        def forbidden(g, variant):
+            raise AssertionError("the presentation check must not build a presentation")
 
-        def counting(g, variant):
-            built.append((g, variant))
-            return real(g, variant)
+        monkeypatch.setattr(fpres, "build_presentation", forbidden)
+        assert run(RunConfig(check="presentation", value_range=(3, 5)))["overall_pass"]
 
-        monkeypatch.setattr(fpres, "build_presentation", counting)
-        run(RunConfig(check="presentation", value_range=(3, 5)))
-        assert built == [(g, fpres.VARIANT_PROP) for g in (3, 4, 5)]
-
-    def test_a_broken_relator_fails_both_entries_alike(self, monkeypatch):
-        _patch_prop_relators(monkeypatch, lambda rel: rel.indices == (1, 2, 3, 4))
+    def test_a_broken_family_row_fails_both_entries_alike(self, break_family_row):
+        # Y[i,j] Y[k,i] squared is not a relator: every family 2a relator fails
+        break_family_row("2a", ((0, 1), (2, 0)))
         prop, cor = _relator_entries(5)
-        n_prop = len(fpres.build_presentation(5, fpres.VARIANT_PROP).relators)
-        assert prop["failures"] == cor["failures"] == ["2b(1, 2, 3, 4)", "3b(1, 2, 3, 4)"]
-        assert (prop["passed"], prop["failed"]) == (n_prop - 2, 2)
+        rels = fpres.build_presentation(5, fpres.VARIANT_PROP).relators
+        labels = [f"2a{rel.indices}" for rel in rels if rel.family == "2a"]
+        assert len(labels) == 36
+        assert prop["failures"] == cor["failures"] == labels
+        assert (prop["passed"], prop["failed"]) == (len(rels) - 36, 36)
         # COR_WITH_5 adds the g - 1 = 4 family (5) relators, which pass
-        assert (cor["passed"], cor["failed"]) == (n_prop - 2 + 4, 2)
+        assert (cor["passed"], cor["failed"]) == (len(rels) - 36 + 4, 36)
 
-    def test_folded_entry_equals_one_pass_over_cor(self, monkeypatch):
-        # every third PROP relator and every family (5) relator fail: more
+    def test_folded_entry_equals_one_pass_over_cor(self, monkeypatch, break_family_row):
+        # every family 3b relator and every family (5) relator fail: more
         # than 50 failures, so the truncated list is compared as well
-        _patch_prop_relators(monkeypatch, lambda rel: sum(rel.indices) % 3 == 0)
+        break_family_row("3b", ((0, 2), (0, 3)))
         relator5_word = fpres.relator5_word
         monkeypatch.setattr(
             fpres, "relator5_word", lambda g, i: relator5_word(g, i) + relator5_word(g, i)[:1]

@@ -40,6 +40,7 @@ from crosscap_calc.fpres import (
     winv,
     yslide,
 )
+from crosscap_calc.reports import CheckReport
 
 # closed-form quotient ranks for g = 3..12, confirmed by elimination
 RANKS = {3: 1, 4: 4, 5: 6, 6: 11, 7: 15, 8: 22, 9: 28, 10: 37, 11: 45, 12: 56}
@@ -390,24 +391,20 @@ def test_relator_verdicts_match_direct_evaluation(case, data):
     direct = is_identity(g, w)
     rep = verify_relators(presentation_of(g, w))
     assert (rep.passed, rep.failed) == ((1, 0) if direct else (0, 1))
-    # a relabelled copy first, so w's verdict comes from the one stored
-    # for the copy when both have the same relabelled word
+    # a copy with the indices below g permuted has the same verdict, and
+    # both fail alike when they fail
     perm = data.draw(st.permutations(range(1, g)))
     warm = permuted(g, w, perm)
-    shape = fpres._support_word(g, w)
-    assert fpres._support_word(g, warm) == shape
     assert is_identity(g, warm) == direct
     rep = verify_relators(presentation_of(g, warm, w))
     assert rep.failures == (() if direct else ("w0()", "w1()"))
     # the lemma itself: the relabelled word at genus n decides the verdict
-    if shape is None:
+    expected = reference_relabel(g, w)
+    if expected is None:
         assert any(sym.indices[0] == g for sym, _exp in w)
     else:
-        n, letters = shape
-        expected = reference_relabel(g, w)
-        m = len({x for i, j, _exp in expected for x in (i, j)} - {"g"})
-        assert n == max(m + 1, 3)
-        assert letters == tuple(((i, n if j == "g" else j), exp) for i, j, exp in expected)
+        n = max(len({x for i, j, _exp in expected for x in (i, j)} - {"g"}) + 1, 3)
+        letters = tuple(((i, n if j == "g" else j), exp) for i, j, exp in expected)
         assert (exactmat.eval_word(n, letters) == exactmat.identity(n - 1)) == direct
 
 
@@ -452,11 +449,67 @@ class TestRelatorShapes:
         assert type(info.value) is error
         assert str(info.value) == message
 
-    def test_one_evaluation_per_relabelled_word(self, monkeypatch):
-        rels = _prop_relators(8)
-        shapes = {reference_relabel(8, r.word) for r in rels}
-        assert None not in shapes
-        assert len(shapes) == 14
+
+class TestFamilyClasses:
+    """``verify_prop_families`` against the per-word reference."""
+
+    @pytest.mark.parametrize("g", range(3, 10))
+    def test_class_lemma_holds_exhaustively(self, g):
+        # every relator of a class (family, position of g) has one
+        # relabelled word, so one evaluation decides the class
+        words = collections.defaultdict(set)
+        for rel in _prop_relators(g):
+            words[rel.family, (*rel.indices, g).index(g)].add(reference_relabel(g, rel.word))
+        assert all(len(found) == 1 and None not in found for found in words.values())
+        assert len(words) == {3: 4, 4: 12}.get(g, 14)
+
+    def test_class_counts_match_closed_forms(self, monkeypatch):
+        rows = fpres._PROP_FAMILIES
+        for g in range(3, 65):
+            for row in rows:
+                monkeypatch.setattr(fpres, "_PROP_FAMILIES", (row,))
+                rep = fpres.verify_prop_families(g)
+                assert (rep.passed, rep.failed) == (FAMILY_COUNTS[row[0]](g), 0), (g, row)
+
+    # each replaces one row by a non-relator; None keeps the table
+    @pytest.mark.parametrize("family, shape", [
+        (None, None),
+        ("2a", ((0, 1), (2, 0))),
+        ("3b", ((0, 2), (0, 3))),
+        ("4", ((1, 0), (0, 1), (2, 1), (1, 2), (0, 2))),
+    ], ids=["genuine", "2a", "3b", "4"])
+    def test_report_equals_the_per_word_reference(self, break_family_row, family, shape):
+        if family is not None:
+            break_family_row(family, shape)
+        failed = []
+        for g in range(3, 10):
+            rep = fpres.verify_prop_families(g)
+            assert rep == verify_relators(build_presentation(g, VARIANT_PROP)), g
+            failed.append(rep.failed)
+        if family is None:
+            assert failed == [0] * 7
+        else:
+            assert max(failed) > CheckReport.MAX_FAILURES
+            assert failed == [FAMILY_COUNTS[family](g) for g in range(3, 10)]
+
+    @pytest.mark.parametrize("letter", [0, 1])
+    def test_failing_classes_keep_relator_order(self, monkeypatch, letter):
+        # a stand-in evaluator whose verdict depends only on the class:
+        # a word fails when its letter ``letter`` slides to g, so in each
+        # family some classes fail and others pass, and the failures of
+        # different classes interleave in relator order
+        def evaluate(g, w):
+            ok = w[letter][0].indices[1] != g
+            return exactmat.identity(g - 1) if ok else exactmat.make_y(g, 1, 2)
+
+        monkeypatch.setattr(fpres, "eval_symbol_word", evaluate)
+        for g in range(3, 10):
+            rep = fpres.verify_prop_families(g)
+            assert rep == verify_relators(build_presentation(g, VARIANT_PROP)), g
+            assert 0 < rep.failed and 0 < rep.passed
+        assert rep.failed > CheckReport.MAX_FAILURES
+
+    def test_fourteen_evaluations_at_genus_8(self, monkeypatch):
         calls = []
         evaluate = exactmat.eval_word
 
@@ -465,20 +518,16 @@ class TestRelatorShapes:
             return evaluate(g, letters)
 
         monkeypatch.setattr(exactmat, "eval_word", counting)
-        rep = verify_relators(build_presentation(8, VARIANT_PROP))
-        assert (rep.passed, rep.failed) == (len(rels), 0)
-        assert len(calls) == len(shapes)
+        rep = fpres.verify_prop_families(8)
+        assert (rep.passed, rep.failed) == (len(_prop_relators(8)), 0)
+        assert calls == [8] * 14
 
-    def test_relabelled_words_pinned(self):
-        # Y[3,1] Y[2,5] squared at g = 5: 3, 1, 2 -> 1, 2, 3, and g -> 4
-        half = word(yslide(3, 1), yslide(2, 5))
-        assert fpres._support_word(5, half + half) == (4, (((1, 2), 1), ((3, 4), 1)) * 2)
-        # one index below g: n is still 3, the smallest genus
-        assert fpres._support_word(7, word(yslide(4, 7), (yslide(4, 7), -1))) == (
-            3, (((1, 3), 1), ((1, 3), -1))
-        )
-        assert fpres._support_word(5, word(yslide(5, 1))) is None
-        assert fpres._support_word(5, word(beta_twist(1, 2))) is None
+    def test_a_slide_from_a_j_position_raises(self, break_family_row):
+        # Y[g, i] would be a letter: the lemma needs every slide to start
+        # at an index below g
+        break_family_row("2a", ((0, 1), (1, 2)))
+        with pytest.raises(ValueError, match="family 2a: a slide starts at a J position"):
+            fpres.verify_prop_families(5)
 
 
 class TestCommutationAndControls:
