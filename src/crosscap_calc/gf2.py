@@ -377,58 +377,32 @@ CAVEAT_O2_SCALE = (
 )
 
 
-def _case_vector(g: int, case: str) -> int:
-    if case == CASE_ALPHA1:
-        return 0b1
-    if case == CASE_ALPHA12:
-        return 0b11
-    if case == CASE_ALPHA_ALL:
-        return (1 << g) - 1
-    raise ValueError(f"unknown stabilizer case {case!r}, expected {STABILIZER_CASES}")
+#: each case's class vector (given g) and the rule that picks the
+#: index subsets of its permitted twists
+_CASES: dict[str, tuple[Callable[[int], int], Callable[[Subset], bool]]] = {
+    # subsets avoiding crosscap 1 fix its class
+    CASE_ALPHA1: (lambda g: 0b1, lambda s: min(s) >= 2),
+    # the twist swapping classes 1 and 2, plus everything avoiding both
+    CASE_ALPHA12: (lambda g: 0b11, lambda s: s == (1, 2) or min(s) >= 3),
+    # every even transvection fixes the all-ones class
+    CASE_ALPHA_ALL: (lambda g: (1 << g) - 1, lambda s: True),
+}
 
 
-def _case_generators(g: int, case: str) -> dict[Subset, F2Matrix]:
-    gens = standard_twist_generators(g)
-    if case == CASE_ALPHA1:
-        # subsets avoiding crosscap 1 fix its class
-        return {s: m for s, m in gens.items() if min(s) >= 2}
-    if case == CASE_ALPHA12:
-        # the twist swapping classes 1 and 2, plus everything avoiding both
-        keep = {s: m for s, m in gens.items() if min(s) >= 3}
-        keep[(1, 2)] = gens[(1, 2)]
-        return keep
-    if case == CASE_ALPHA_ALL:
-        # every even transvection fixes the all-ones class
-        return gens
-    raise ValueError(f"unknown stabilizer case {case!r}, expected {STABILIZER_CASES}")
+def _alpha12_correction(g: int, a: F2Matrix) -> F2Matrix:
+    """T0, the transvection about {1, 2} and the indices >= 3 of A e1,
+    for A in the stabilizer of e1 + e2.
 
-
-def _alpha12_correction(g: int, a: F2Matrix) -> tuple[F2Matrix, list[str]]:
-    """The transvection that moves A e1 back to a unit vector.
-
-    Writes c1 = A e1 as e_i + sum of units with indices >= 3 (an even
-    number of them, possibly zero); with T0 the transvection about
-    {1, 2} union those extra indices, T0 A sends e1, e2 to units again.
-    Returns T0 and a list of constraint violations (empty when the
-    shape matches the construction).
+    A is orthogonal, so c1 = A e1 has odd weight; A fixes e1 + e2, so
+    A e2 = c1 + e1 + e2, which is orthogonal to c1.  That dot product is
+    |c1| + |c1 & {1, 2}| mod 2: c1 meets {1, 2} in exactly one index and
+    3..g in an even set H.  With v = {1, 2} + H, c1 . v = 1 + |H| is odd,
+    so T0 c1 = c1 + v is the other unit of {e1, e2}, and T0 fixes e1 + e2:
+    T0 A permutes {e1, e2}.  An orthogonal matrix that does so maps their
+    complement e3..eg to itself too, so T0 A is block diagonal.
     """
-    problems: list[str] = []
     c1 = a.apply(0b1)
-    idx = tuple(i + 1 for i in range(g) if c1 >> i & 1)
-    low = [i for i in idx if i <= 2]
-    high = [i for i in idx if i >= 3]
-    if len(low) != 1:
-        # c1 has even overlap with {1, 2}: conjugating by the swap of
-        # classes 1, 2 never fixes this, the construction needs exactly one
-        problems.append(f"A e1 = {idx} does not meet {{1,2}} in one index")
-        return F2Matrix.identity(g), problems
-    if len(high) % 2 != 0:
-        problems.append(f"A e1 = {idx} has odd overlap with 3..g")
-        return F2Matrix.identity(g), problems
-    if not high:
-        return F2Matrix.identity(g), problems
-    t0 = twist_transvection(g, (1, 2, *high))
-    return t0, problems
+    return twist_transvection(g, (1, 2, *(i + 1 for i in range(2, g) if c1 >> i & 1)))
 
 
 def stabilizer_case_check(
@@ -437,33 +411,37 @@ def stabilizer_case_check(
     sample_count: int | None = None,
     seed: int = 0,
 ) -> CheckReport:
-    """Every stabilizer element decomposes over the case's generators.
+    """Every permitted generator fixes the case's class, and every
+    stabilizer element decomposes over the permitted generators.
 
-    For the class of one crosscap the permitted twists avoid it; for
-    the sum of two classes a correcting transvection reduces to a block
-    shape first; for the sum of all classes the full generating set is
-    permitted and each generator is checked to fix the class.  With
+    One rule for every case of ``_CASES`` (class vector, permitted-subset
+    rule): a record per permitted generator that it fixes the class, then
+    one per chosen element that its table word re-multiplies to it; an
+    alpha12 element is first multiplied by its correction T0
+    (``_alpha12_correction``), which makes it block diagonal.  With
     ``sample_count`` set, that many elements are drawn from the
     stabilizer with replacement using the seed; otherwise the check is
-    exhaustive.  A ``sample_count`` below 1 raises ``ValueError``: it
-    would check no element.  The stabilizer is read off O_2(g), so past
-    ``ENUMERATION_CAP`` the enumeration raises ``CapExceededError``
-    before any word table is built.
+    exhaustive.  An unknown case, or a ``sample_count`` below 1 (it would
+    check no element), raises ``ValueError``.  The stabilizer is read off
+    O_2(g), so past ``ENUMERATION_CAP`` the enumeration raises
+    ``CapExceededError`` before any word table is built.
     """
     if g < 3:
         raise ValueError("stabilizer cases need g >= 3")
     if sample_count is not None and sample_count < 1:
         raise ValueError(f"sample_count must be at least 1, got {sample_count}")
-    v = _case_vector(g, case)
+    if case not in _CASES:
+        raise ValueError(f"unknown stabilizer case {case!r}, expected {STABILIZER_CASES}")
+    vector, permitted = _CASES[case]
+    v = vector(g)
     stab = sorted(a for a in enumerate_o2(g) if a.apply(v) == v)
-    gens = _case_generators(g, case)
+    gens = {s: m for s, m in standard_twist_generators(g).items() if permitted(s)}
     table = word_table(g, gens)
 
     rb = ReportBuilder(f"stabilizer:{case}", g=g)
     rb.caveat(CAVEAT_O2_SCALE)
-    if case == CASE_ALPHA_ALL:
-        for s, m in sorted(gens.items()):
-            rb.record(m.apply(v) == v, f"generator {s} moves the all-ones class")
+    for s, m in sorted(gens.items()):
+        rb.record(m.apply(v) == v, f"generator {s} moves the class")
 
     if sample_count is None:
         chosen = stab
@@ -474,26 +452,7 @@ def stabilizer_case_check(
 
     for a in chosen:
         label = f"element rows={a.rows}"
-        if case == CASE_ALPHA12:
-            t0, problems = _alpha12_correction(g, a)
-            if problems:
-                rb.record(False, f"{label}: {problems[0]}")
-                continue
-            b = t0 * a
-            e1, e2 = 0b1, 0b10
-            c1, c2 = b.apply(e1), b.apply(e2)
-            if {c1, c2} != {e1, e2}:
-                rb.record(False, f"{label}: corrected matrix does not fix {{e1,e2}}")
-                continue
-            blocks_ok = all(
-                not (b[i] & 0b11) for i in range(2, g)
-            ) and all(b[i] >> 2 == 0 for i in range(2))
-            if not blocks_ok:
-                rb.record(False, f"{label}: corrected matrix is not block diagonal")
-                continue
-            target = b
-        else:
-            target = a
+        target = _alpha12_correction(g, a) * a if case == CASE_ALPHA12 else a
         if target not in table:
             rb.record(False, f"{label}: not expressible over permitted twists")
             continue

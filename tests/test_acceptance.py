@@ -163,17 +163,20 @@ def test_criterion_06_orthogonal_group_generation(capsys):
 
 
 def test_criterion_07_stabilizer_decompositions(capsys):
-    with criterion(capsys, 7, "stabilizer elements decompose over the case"
-                   " generators (exhaustive at genus 3..4, sampled at 5)"):
-        for g in (3, 4):
+    with criterion(capsys, 7, "every case's permitted generators fix its class,"
+                   " and stabilizer elements decompose over them (exhaustive"
+                   " at genus 3..4, sampled at 5)"):
+        for g, sample in ((3, None), (4, None), (5, 100)):
             for case in STABILIZER_CASES:
-                rep = stabilizer_case_check(g, case)
+                vector, permitted = gf2._CASES[case]
+                v = vector(g)
+                gens = [m for s, m in standard_twist_generators(g).items() if permitted(s)]
+                assert gens and all(m.apply(v) == v for m in gens), (g, case)
+                order = sum(a.apply(v) == v for a in enumerate_o2(g))
+                rep = stabilizer_case_check(g, case, sample_count=sample, seed=0)
                 assert rep.ok, (g, case, rep.failures[:3])
-                assert rep.passed > 0
-        for case in STABILIZER_CASES:
-            rep = stabilizer_case_check(5, case, sample_count=100, seed=0)
-            assert rep.ok, (case, rep.failures[:3])
-            assert rep.passed >= 100
+                # one record per permitted generator, then one per element
+                assert rep.passed == len(gens) + (sample or order), (g, case)
 
 
 def test_criterion_08_chain_square_decomposition(capsys):

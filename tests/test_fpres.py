@@ -414,11 +414,11 @@ class TestRelatorShapes:
     ])
     @pytest.mark.parametrize("letter_to_g", [True, False])
     def test_spliced_relator_after_the_genuine_ones_fails_alone(self, g, family, letter_to_g):
-        # every genuine relator first, then one that keeps a genuine
+        # the family's genuine relators first, then one that keeps a genuine
         # (family, indices) but has a slide letter spliced into its word:
         # a b = I makes a Y b conjugate to Y, so it must fail, and only it
-        rels = _prop_relators(g)
-        rel = [r for r in rels if r.family == family][-1]
+        rels = tuple(r for r in _prop_relators(g) if r.family == family)
+        rel = rels[-1]
         i = rel.indices[0]
         j = g if letter_to_g else next(k for k in range(1, g) if k != i)
         pos = len(rel.word) // 2

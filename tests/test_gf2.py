@@ -489,7 +489,8 @@ class TestWordTable:
     @pytest.mark.parametrize("g", [3, 4, 5])
     @pytest.mark.parametrize("case", STABILIZER_CASES)
     def test_stabilizer_tables_match_reference_bfs(self, g, case):
-        gens = gf2._case_generators(g, case)
+        _, permitted = gf2._CASES[case]
+        gens = {s: m for s, m in standard_twist_generators(g).items() if permitted(s)}
         table = word_table(g, gens)
         got = [(m.rows, w) for m, w in table.items()]
         assert got == list(reference_word_table(g, gens).items())
@@ -548,6 +549,51 @@ class TestStabilizerCases:
         rep = stabilizer_case_check(g, case)
         assert rep.failures == (
             f"element rows={victim.rows}: word does not re-multiply to the element",
+        )
+
+    def test_a_widened_rule_fails_alpha1_and_alpha12(self, monkeypatch):
+        # every transvection permitted: the table reaches every element, so
+        # only the generator records can catch the generators that move the class
+        widened = {case: (vector, lambda s: True) for case, (vector, _) in gf2._CASES.items()}
+        monkeypatch.setattr(gf2, "_CASES", widened)
+        movers = {
+            CASE_ALPHA1: [(1, 2), (1, 2, 3, 4), (1, 3), (1, 4)],
+            CASE_ALPHA12: [(1, 3), (1, 4), (2, 3), (2, 4)],
+        }
+        for case, subsets in movers.items():
+            rep = stabilizer_case_check(4, case)
+            assert rep.failures == tuple(f"generator {s} moves the class" for s in subsets)
+        assert stabilizer_case_check(4, CASE_ALPHA_ALL).ok
+
+    @pytest.mark.parametrize("g", [3, 4, 5, 6])
+    def test_alpha12_correction_lemma(self, g):
+        # for every A fixing e1 + e2: A e1 meets {1, 2} once and 3..g
+        # evenly, and T0 A permutes {e1, e2} and is block diagonal
+        stab = [a for a in enumerate_o2(g) if a.apply(0b11) == 0b11]
+        assert len(stab) == {3: 2, 4: 8, 5: 48, 6: 768}[g]
+        for a in stab:
+            c1 = a.apply(0b1)
+            assert (c1 & 0b11).bit_count() == 1
+            assert (c1 >> 2).bit_count() % 2 == 0
+            high = tuple(i + 1 for i in range(2, g) if c1 >> i & 1)
+            t0 = gf2._alpha12_correction(g, a)
+            assert t0 == twist_transvection(g, (1, 2, *high))
+            b = t0 * a
+            assert {b.apply(0b1), b.apply(0b10)} == {0b1, 0b10}
+            assert all(row >> 2 == 0 for row in b[:2])
+            assert all(row & 0b11 == 0 for row in b[2:])
+
+    def test_an_identity_correction_fails_alpha12(self, monkeypatch):
+        # no block-shape check stands before the table: membership alone
+        # must catch every element that does not permute {e1, e2}
+        g = 4
+        monkeypatch.setattr(gf2, "_alpha12_correction", lambda g, a: F2Matrix.identity(g))
+        stab = sorted(a for a in enumerate_o2(g) if a.apply(0b11) == 0b11)
+        unblocked = [a for a in stab if {a.apply(0b1), a.apply(0b10)} != {0b1, 0b10}]
+        assert len(unblocked) == 4
+        rep = stabilizer_case_check(g, CASE_ALPHA12)
+        assert rep.failures == tuple(
+            f"element rows={a.rows}: not expressible over permitted twists" for a in unblocked
         )
 
     @pytest.mark.parametrize("case", STABILIZER_CASES)
