@@ -220,15 +220,21 @@ class RunConfig:
     seed: int = 0
 
 
+def ascii_int(text: str) -> int:
+    """``int(text)`` for ASCII digits only: no sign, space, underscore or
+    other script's digit, all of which ``int`` would take."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected ASCII digits, got {text!r}")
+    return int(text)
+
+
 def parse_range(text: str) -> tuple[int, int]:
-    """``"5"`` or ``"3..8"`` (inclusive), in ASCII digits only: no sign,
-    space, underscore or other script's digit, all of which ``int``
-    would take."""
+    """``"5"`` or ``"3..8"`` (inclusive), each bound an ``ascii_int``."""
     lo, sep, hi = text.partition("..")
-    parts = (lo, hi) if sep else (lo,)
-    if not all(part.isascii() and part.isdigit() for part in parts):
-        raise ValueError(f"bad range {text!r}: expected N or N..M")
-    a, b = int(lo), int(hi or lo)
+    try:
+        a, b = ascii_int(lo), ascii_int(hi if sep else lo)
+    except ValueError:
+        raise ValueError(f"bad range {text!r}: expected N or N..M") from None
     if a > b:
         raise ValueError(f"bad range {text!r}: empty")
     return a, b
@@ -437,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--n", dest="n", help="factor count or range (commutator-lemma only)"
     )
-    verify.add_argument("--seed", type=int, default=0, help="RNG seed for sampling")
+    verify.add_argument("--seed", type=ascii_int, default=0, help="RNG seed for sampling")
     verify.add_argument("--emit", choices=("json", "markdown"), default="json")
     verify.add_argument("--out", help="write the report here instead of stdout")
 

@@ -33,6 +33,7 @@ from crosscap_calc.fpres import (
     verify_relators,
 )
 from crosscap_calc.gf2 import (
+    CASE_ALPHA12,
     STABILIZER_CASES,
     F2Matrix,
     enumerate_o2,
@@ -163,20 +164,26 @@ def test_criterion_06_orthogonal_group_generation(capsys):
 
 
 def test_criterion_07_stabilizer_decompositions(capsys):
-    with criterion(capsys, 7, "every case's permitted generators fix its class,"
-                   " and stabilizer elements decompose over them (exhaustive"
-                   " at genus 3..4, sampled at 5)"):
-        for g, sample in ((3, None), (4, None), (5, 100)):
+    with criterion(capsys, 7, "every case's permitted generators fix its class"
+                   " and generate a subgroup of its stabilizer, the whole"
+                   " stabilizer for alpha1 and alpha_all, that holds every"
+                   " stabilizer element (for alpha12 once corrected by T0);"
+                   " exhaustive at genus 3..5"):
+        for g in (3, 4, 5):
             for case in STABILIZER_CASES:
                 vector, permitted = gf2._CASES[case]
                 v = vector(g)
                 gens = [m for s, m in standard_twist_generators(g).items() if permitted(s)]
                 assert gens and all(m.apply(v) == v for m in gens), (g, case)
-                order = sum(a.apply(v) == v for a in enumerate_o2(g))
-                rep = stabilizer_case_check(g, case, sample_count=sample, seed=0)
+                stab = {a for a in enumerate_o2(g) if a.apply(v) == v}
+                closure = generate_group(g, gens)
+                assert closure <= stab, (g, case)
+                assert case == CASE_ALPHA12 or closure == stab, (g, case)
+                rep = stabilizer_case_check(g, case)
                 assert rep.ok, (g, case, rep.failures[:3])
-                # one record per permitted generator, then one per element
-                assert rep.passed == len(gens) + (sample or order), (g, case)
+                # one record per permitted generator, one for the closure,
+                # then one per stabilizer element
+                assert rep.passed == len(gens) + 1 + len(stab), (g, case)
 
 
 def test_criterion_08_chain_square_decomposition(capsys):

@@ -18,6 +18,7 @@ from crosscap_calc.cli import (
     CHECK_NAMES,
     RunConfig,
     SchemaMismatchError,
+    ascii_int,
     golden_compare,
     main,
     parse_range,
@@ -45,6 +46,13 @@ class TestParsing:
     def test_parse_range(self):
         assert parse_range("5") == (5, 5)
         assert parse_range("3..8") == (3, 8)
+
+    def test_ascii_int(self):
+        assert ascii_int("0") == 0
+        assert ascii_int("10") == 10
+        for bad in ("", "1_0", " 3", "3 ", "+3", "-3", "\u0663", "\uff14", "3.0"):
+            with pytest.raises(ValueError):
+                ascii_int(bad)
 
     def test_parse_range_rejects_junk(self):
         # int() takes the last six: an underscore, spaces, a sign and
@@ -171,11 +179,10 @@ class TestRun:
 
     @pytest.mark.parametrize("name", ["o2", "stabilizer"])
     def test_enumeration_cap_fires_before_any_closure(self, name, capsys, monkeypatch):
-        # g=7 is past gf2.ENUMERATION_CAP: one cap entry, and neither the
-        # coset closure nor a word table is started
+        # g=7 is past gf2.ENUMERATION_CAP: one cap entry, and no coset
+        # closure is started
         calls = []
-        for fn in ("generate_group", "word_table"):
-            monkeypatch.setattr(gf2, fn, lambda *args, fn=fn: calls.append(fn))
+        monkeypatch.setattr(gf2, "generate_group", lambda *args: calls.append(args))
         code, report = run_json(capsys, "verify", name, "--g", "7")
         assert code == 1
         [entry] = report["checks"]
@@ -351,6 +358,16 @@ class TestMainVerify:
         assert code == 0
         assert report["config"]["seed"] == 3
 
+    # int() takes all four: an underscore, a space, a sign, an Arabic-Indic digit
+    @pytest.mark.parametrize("seed", ["1_0", " 3", "+3", "\u0663"])
+    def test_a_seed_not_in_ascii_digits_is_a_usage_error(self, seed, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "quotient-rank", "--g", "3", "--seed", seed])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --seed: invalid ascii_int value: {seed!r}" in captured.err
+
 
 class TestModuleEntryPoint:
     """``python -m crosscap_calc.cli`` and ``python -m crosscap_calc`` run
@@ -398,8 +415,11 @@ class TestModuleEntryPoint:
         entries = json.loads(proc.stdout)["checks"]
         # Stab(e1) is O(5); every element of O(6) fixes the all-ones class
         assert [(e["check"], e["failed"], e["details"]) for e in entries] == [
-            (f"stabilizer:{case}", 0, [f"stabilizer order {order}, elements checked 100"])
-            for case, order in (("alpha1", 720), ("alpha12", 768), ("alpha_all", 23_040))
+            (f"stabilizer:{case}", 0,
+             [f"stabilizer order {order}, closure order {closure}, elements checked 100"])
+            for case, order, closure in (
+                ("alpha1", 720, 720), ("alpha12", 768, 96), ("alpha_all", 23_040, 23_040)
+            )
         ]
 
 

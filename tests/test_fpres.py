@@ -93,6 +93,12 @@ class TestGenSymbol:
         with pytest.raises(ValueError):
             subset_sq(1, 3, 2, 4)
 
+    @pytest.mark.parametrize("indices", [(1, 1), (1, 1, 2, 3), (1, 2, 2, 3), (1, 2, 3, 3)])
+    def test_subset_rejects_a_repeated_index(self, indices):
+        # strictly increasing: a repeated neighbour fails as a descent does
+        with pytest.raises(ValueError, match="subset must be strictly increasing"):
+            subset_sq(*indices)
+
     def test_symbols_order_and_hash(self):
         assert yslide(1, 2) == yslide(1, 2)
         assert len({yslide(1, 2), yslide(2, 1), twist_sq(1, 2)}) == 3

@@ -128,6 +128,24 @@ def reference_word_table(g, gens):
     return table
 
 
+#: each stabilizer case's class vector, kept apart from ``gf2._CASES``
+CASE_VECTORS = {
+    CASE_ALPHA1: lambda g: 0b1,
+    CASE_ALPHA12: lambda g: 0b11,
+    CASE_ALPHA_ALL: lambda g: (1 << g) - 1,
+}
+
+#: (stabilizer order, order of the permitted twists' closure) per genus
+#: and case, frozen from the frame enumeration and the coset closure; the
+#: alpha12 closure is the block-diagonal part, |O(2)| |O(g - 2)|
+STABILIZER_ORDERS = {
+    3: {CASE_ALPHA1: (2, 2), CASE_ALPHA12: (2, 2), CASE_ALPHA_ALL: (6, 6)},
+    4: {CASE_ALPHA1: (6, 6), CASE_ALPHA12: (8, 4), CASE_ALPHA_ALL: (48, 48)},
+    5: {CASE_ALPHA1: (48, 48), CASE_ALPHA12: (48, 12), CASE_ALPHA_ALL: (720, 720)},
+    6: {CASE_ALPHA1: (720, 720), CASE_ALPHA12: (768, 96), CASE_ALPHA_ALL: (23_040, 23_040)},
+}
+
+
 @st.composite
 def row_tuple_pairs(draw):
     g = draw(st.integers(1, 10))
@@ -508,52 +526,98 @@ class TestStabilizerCases:
             rep = stabilizer_case_check(5, case, sample_count=60, seed=1)
             assert rep.ok, (case, rep.failures[:3])
 
+    @pytest.mark.parametrize("g", sorted(STABILIZER_ORDERS))
+    def test_exhaustive_reports_pin_both_orders(self, g):
+        # up to the library cap, every element of every stabilizer checked
+        for case, (order, closure) in STABILIZER_ORDERS[g].items():
+            rep = stabilizer_case_check(g, case)
+            assert rep.ok, (case, rep.failures[:3])
+            assert rep.details == (
+                f"stabilizer order {order}, closure order {closure}, elements checked {order}",
+            )
+
     def test_stabilizer_orders_frozen(self):
         # independent of the check: count fixed points of the case vectors
-        vectors = {
-            CASE_ALPHA1: lambda g: 0b1,
-            CASE_ALPHA12: lambda g: 0b11,
-            CASE_ALPHA_ALL: lambda g: (1 << g) - 1,
-        }
-        orders = {
-            (3, CASE_ALPHA1): 2,
-            (3, CASE_ALPHA12): 2,
-            (3, CASE_ALPHA_ALL): 6,
-            (4, CASE_ALPHA1): 6,
-            (4, CASE_ALPHA12): 8,
-            (4, CASE_ALPHA_ALL): 48,
-            (5, CASE_ALPHA1): 48,
-            (5, CASE_ALPHA12): 48,
-            (5, CASE_ALPHA_ALL): 720,
-        }
-        for (g, case), order in orders.items():
-            v = vectors[case](g)
-            stab = [a for a in enumerate_o2(g) if a.apply(v) == v]
-            assert len(stab) == order
+        for g, orders in STABILIZER_ORDERS.items():
+            for case, (order, _) in orders.items():
+                v = CASE_VECTORS[case](g)
+                stab = [a for a in enumerate_o2(g) if a.apply(v) == v]
+                assert len(stab) == order, (g, case)
+
+    @pytest.mark.parametrize("g", [3, 4, 5])
+    @pytest.mark.parametrize("case, corrected", [
+        (CASE_ALPHA1, True),
+        (CASE_ALPHA12, True),
+        (CASE_ALPHA12, False),
+        (CASE_ALPHA_ALL, True),
+    ])
+    def test_element_verdicts_match_the_reference_word_table(
+        self, monkeypatch, g, case, corrected
+    ):
+        # the oracle is a word-table BFS over the reference product: an
+        # element passes iff its target has a word over the permitted twists
+        _, permitted = gf2._CASES[case]
+        gens = {s: m for s, m in standard_twist_generators(g).items() if permitted(s)}
+        table = reference_word_table(g, gens)
+        assert {m.rows for m in generate_group(g, gens.values())} == set(table)
+
+        def target(a):
+            if case != CASE_ALPHA12 or not corrected:
+                return a.rows
+            c1 = a.apply(0b1)
+            t0 = twist_transvection(g, (1, 2, *(i + 1 for i in range(2, g) if c1 >> i & 1)))
+            return reference_product(t0.rows, a.rows)
+
+        if not corrected:
+            monkeypatch.setattr(gf2, "_alpha12_correction", lambda g, a: F2Matrix.identity(g))
+        v = CASE_VECTORS[case](g)
+        stab = sorted(a for a in enumerate_o2(g) if a.apply(v) == v)
+        rep = stabilizer_case_check(g, case)
+        assert rep.failures == tuple(
+            f"element rows={a.rows}: not in the closure" for a in stab if target(a) not in table
+        )
+        assert rep.passed == len(gens) + 1 + len(stab) - rep.failed
+
+    @pytest.mark.parametrize("case, foreign", [
+        (CASE_ALPHA1, "mover"),
+        (CASE_ALPHA12, "mover"),
+        (CASE_ALPHA1, "non-orthogonal"),
+        (CASE_ALPHA12, "non-orthogonal"),
+        (CASE_ALPHA_ALL, "non-orthogonal"),
+    ])
+    def test_a_foreign_closure_element_fails_only_the_containment_record(
+        self, monkeypatch, case, foreign
+    ):
+        # what a wrong product in the closure would add: an orthogonal
+        # element that moves the class, or a matrix outside O(4, F2)
+        g = 4
+        v = CASE_VECTORS[case](g)
+        if foreign == "mover":
+            extra = min(a for a in enumerate_o2(g) if a.apply(v) != v)
+        else:
+            extra = F2Matrix(g, (0b11, 0b10, 0b100, 0b1000))
+            assert not is_orthogonal(extra)
+        original = gf2.generate_group
+        monkeypatch.setattr(gf2, "generate_group", lambda g, gens: original(g, gens) | {extra})
+        rep = stabilizer_case_check(g, case)
+        assert rep.failures == ("the permitted twists' closure leaves the stabilizer",)
 
     @pytest.mark.parametrize("case", [CASE_ALPHA1, CASE_ALPHA_ALL])
-    def test_a_wrong_word_fails_its_element_only(self, monkeypatch, case):
-        # give one stabilizer element the word of another one
+    def test_a_missing_closure_element_fails_its_element_only(self, monkeypatch, case):
+        # drop one stabilizer element from the closure
         g = 4
-        v = {CASE_ALPHA1: 0b1, CASE_ALPHA_ALL: (1 << g) - 1}[case]
-        stab = sorted(a for a in enumerate_o2(g) if a.apply(v) == v)
-        victim, donor = stab[1], stab[2]
-        original = gf2.word_table
-
-        def swapped(g, gens):
-            table = original(g, gens)
-            table[victim] = table[donor]
-            return table
-
-        monkeypatch.setattr(gf2, "word_table", swapped)
+        v = CASE_VECTORS[case](g)
+        victim = sorted(a for a in enumerate_o2(g) if a.apply(v) == v)[1]
+        original = gf2.generate_group
+        monkeypatch.setattr(gf2, "generate_group", lambda g, gens: original(g, gens) - {victim})
         rep = stabilizer_case_check(g, case)
-        assert rep.failures == (
-            f"element rows={victim.rows}: word does not re-multiply to the element",
-        )
+        assert rep.failures == (f"element rows={victim.rows}: not in the closure",)
 
     def test_a_widened_rule_fails_alpha1_and_alpha12(self, monkeypatch):
-        # every transvection permitted: the table reaches every element, so
-        # only the generator records can catch the generators that move the class
+        # every transvection permitted: the closure is all of O(4, F2), so
+        # every element lies in it; the generator records catch the
+        # generators that move the class, and the containment record the
+        # closure that leaves the stabilizer
         widened = {case: (vector, lambda s: True) for case, (vector, _) in gf2._CASES.items()}
         monkeypatch.setattr(gf2, "_CASES", widened)
         movers = {
@@ -562,7 +626,10 @@ class TestStabilizerCases:
         }
         for case, subsets in movers.items():
             rep = stabilizer_case_check(4, case)
-            assert rep.failures == tuple(f"generator {s} moves the class" for s in subsets)
+            assert rep.failures == (
+                *(f"generator {s} moves the class" for s in subsets),
+                "the permitted twists' closure leaves the stabilizer",
+            )
         assert stabilizer_case_check(4, CASE_ALPHA_ALL).ok
 
     @pytest.mark.parametrize("g", [3, 4, 5, 6])
@@ -584,7 +651,7 @@ class TestStabilizerCases:
             assert all(row & 0b11 == 0 for row in b[2:])
 
     def test_an_identity_correction_fails_alpha12(self, monkeypatch):
-        # no block-shape check stands before the table: membership alone
+        # no block-shape check stands before the closure: membership alone
         # must catch every element that does not permute {e1, e2}
         g = 4
         monkeypatch.setattr(gf2, "_alpha12_correction", lambda g, a: F2Matrix.identity(g))
@@ -592,9 +659,7 @@ class TestStabilizerCases:
         unblocked = [a for a in stab if {a.apply(0b1), a.apply(0b10)} != {0b1, 0b10}]
         assert len(unblocked) == 4
         rep = stabilizer_case_check(g, CASE_ALPHA12)
-        assert rep.failures == tuple(
-            f"element rows={a.rows}: not expressible over permitted twists" for a in unblocked
-        )
+        assert rep.failures == tuple(f"element rows={a.rows}: not in the closure" for a in unblocked)
 
     @pytest.mark.parametrize("case", STABILIZER_CASES)
     @pytest.mark.parametrize("count", [0, -1])
