@@ -1,37 +1,35 @@
 """Finite presentations of the level-2 congruence subgroup and its
 mod-2 quotient by the slide-swap elements.
 
-Three presentation variants are built here, all on the slide symbols
-``Y[i, j]``.  The symbol constructors (``yslide`` and the twist
-constructors) return interned ``GenSymbol``s, validated once per
-distinct argument tuple, so words share their symbols.
+Two presentation variants are built here, both on the slide symbols
+``Y[i, j]`` and both matrix identities.  The symbol constructors
+(``yslide`` and the twist constructors) return interned ``GenSymbol``s,
+validated once per distinct argument tuple, so words share their symbols.
 
 * ``PROP_1_TO_4``: relator families (1)-(4) on the generators with
   first index at most g - 1, one row each of the table ``_PROP_FAMILIES``.
-  Every relator is a matrix identity.  ``verify_prop_families`` checks
-  them with one evaluation per family class (a row and the position of
-  g among its indices); ``verify_relators`` evaluates word by word.
+  ``verify_prop_families`` checks them with one evaluation per family
+  class (a row and the position of g among its indices);
+  ``verify_relators`` evaluates word by word.
 * ``COR_WITH_5``: the same plus family (5), the Tietze extension that
   defines ``Y[g, i]`` as the one product ``exactmat.gi_product``.
-* ``QUOTIENT_BAR``: the induced presentation of the quotient by the
-  normal closure of the elements ``Y[j, i]^-1 Y[i, j]``.  In the
-  quotient the two index orders coincide, so its generators are the
-  unordered pairs ``i < j`` and bar-(5) is that product's quotient
-  reading.  These relators hold in the quotient, not in the matrix
-  group, and are deliberately never matrix-verified.
 
-Families bar-(1) and bar-(2) make the quotient an elementary abelian
-2-group, so its relators abelianize to GF(2) rows over the pair classes;
-theirs are squares, whose rows are 0, so only bar-(5)'s are reduced.  One
-row reduction per genus gives both the rank (``quotient_rank``:
-pairs less pivots) and the map (``build_quotient_map``): with the
-declared basis in the low bits, a pair's image is its normal form modulo
-the relator rows, once the pivots' leading bits are checked to be exactly
-the non-basis positions.  A word's image in the quotient is the XOR of
-its letters' bitmasks (``QuotientMap.word_image``); the masks of the
-slide letters are a table filled when the map is built.  The subgroup
-generated by the squares of Dehn twists sits at index 2, whence
-``twist_quotient_rank`` is one less.
+The quotient is the induced presentation modulo the normal closure of
+the elements ``Y[j, i]^-1 Y[i, j]``.  There the two index orders
+coincide, so its generators are the unordered pairs ``i < j``.  Its
+families bar-(1) and bar-(2) make it an elementary abelian 2-group, so
+its relators abelianize to GF(2) rows over the pair classes; theirs are
+squares, whose rows are 0, so only the bar-(5) rows (``_bar5_relators``,
+that product's quotient reading) are built and reduced.  They hold in the
+quotient, not in the matrix group.  One row reduction per genus gives
+both the rank (``quotient_rank``: pairs less pivots) and the map
+(``build_quotient_map``): with the declared basis in the low bits, a
+pair's image is its normal form modulo the relator rows, once the pivots'
+leading bits are checked to be exactly the non-basis positions.  A word's
+image in the quotient is the XOR of its letters' bitmasks
+(``QuotientMap.word_image``); the masks of the slide letters are a table
+filled when the map is built.  The subgroup generated by the squares of
+Dehn twists sits at index 2, whence ``twist_quotient_rank`` is one less.
 
 ``phi_image`` sends the symbolic generators that have a homology action
 to their matrices: slides to ``make_y``/``make_y_gi``, a squared twist
@@ -67,8 +65,7 @@ _KIND_LABEL = {
 
 VARIANT_PROP = "PROP_1_TO_4"
 VARIANT_COR = "COR_WITH_5"
-VARIANT_QUOTIENT = "QUOTIENT_BAR"
-VARIANTS = (VARIANT_PROP, VARIANT_COR, VARIANT_QUOTIENT)
+VARIANTS = (VARIANT_PROP, VARIANT_COR)
 
 #: every relator pass is a soundness statement only
 CAVEAT_SOUNDNESS = (
@@ -254,39 +251,15 @@ def pair_set(g: int) -> tuple[Pair, ...]:
 def bar5_word(g: int, i: int) -> Word:
     """Family (5) read in the quotient: the defining product of Y[g, i]
     with each pair's indices sorted, less its last letter Y[i, g], which
-    cancels against Y[g, i]^-1 once the two index orders coincide."""
+    cancels against Y[g, i]^-1 once the two index orders coincide.  A
+    quotient relator, not a matrix identity: its rows alone fix the
+    quotient's rank and map (``_quotient_pivots``)."""
     letters = exactmat.gi_product(g, i)[:-1]
     return tuple((yslide(*sorted(p)), exp) for p, exp in letters)
 
 
 def bar5_odd_word(g: int) -> Word:
     return word(*(yslide(k, g) for k in range(1, g)))
-
-
-def _bar_square_relators(g: int) -> Iterator[Relator]:
-    """Families bar-(1) and bar-(2): squares of one or two pair classes."""
-    pairs = pair_set(g)
-    # bar-(1): involutions
-    for i, j in pairs:
-        yield Relator("bar1", (i, j), _sq((i, j)))
-    # bar-(2): commutation squares, four index shapes
-    for j in range(1, g + 1):
-        for i in range(1, j):
-            for k in range(1, j):
-                if k != i:
-                    yield Relator("bar2a", (i, j, k), _sq((i, j), (k, j)))
-    for i in range(1, g + 1):
-        for j in range(i + 1, g + 1):
-            for l in range(i + 1, g + 1):
-                if l != j:
-                    yield Relator("bar2b", (i, j, l), _sq((i, j), (i, l)))
-    for i in range(1, g + 1):
-        for j in range(i + 1, g + 1):
-            for l in range(j + 1, g + 1):
-                yield Relator("bar2c", (i, j, l), _sq((i, j), (j, l)))
-    for (i, j), (k, l) in itertools.combinations(pairs, 2):
-        if len({i, j, k, l}) == 4:
-            yield Relator("bar2d", (i, j, k, l), _sq((i, j), (k, l)))
 
 
 def _bar5_relators(g: int) -> Iterator[Relator]:
@@ -301,20 +274,14 @@ def build_presentation(g: int, variant: str) -> Presentation:
     g = genus(g)
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    if variant == VARIANT_QUOTIENT:
-        gens = tuple(yslide(i, j) for i, j in pair_set(g))
-        rels = (*_bar_square_relators(g), *_bar5_relators(g))
-    else:
-        gens = tuple(
-            yslide(i, j) for i in range(1, g) for j in range(1, g + 1) if j != i
-        )
-        # distinct indices in nested-loop order, g at a J position or none
-        rels = tuple(
-            Relator(family, idx, _sq(*((idx[a], idx[b]) for a, b in shape)))
-            for family, letters, shape in _PROP_FAMILIES
-            for idx in itertools.permutations(range(1, g + 1), len(letters))
-            if (letters + "J")[(*idx, g).index(g)] == "J"
-        )
+    gens = tuple(yslide(i, j) for i in range(1, g) for j in range(1, g + 1) if j != i)
+    # distinct indices in nested-loop order, g at a J position or none
+    rels = tuple(
+        Relator(family, idx, _sq(*((idx[a], idx[b]) for a, b in shape)))
+        for family, letters, shape in _PROP_FAMILIES
+        for idx in itertools.permutations(range(1, g + 1), len(letters))
+        if (letters + "J")[(*idx, g).index(g)] == "J"
+    )
     if variant == VARIANT_COR:
         # COR_WITH_5 is PROP_1_TO_4 plus the Y[g, i] that family (5) defines
         gens += tuple(yslide(g, i) for i in range(1, g))
@@ -333,17 +300,8 @@ def eval_symbol_word(g: int, w: Word) -> IntMatrix:
 
 
 def verify_relators(p: Presentation) -> CheckReport:
-    """Check every relator of a matrix-verifiable variant evaluates to I,
-    one evaluation per relator, so errors are those of
-    ``eval_symbol_word``.  The QUOTIENT_BAR relators hold only in the
-    quotient, so asking to matrix-verify them is a usage error, not a
-    failing report.
-    """
-    if p.variant == VARIANT_QUOTIENT:
-        raise ValueError(
-            "QUOTIENT_BAR relators hold in the quotient, not the matrix group;"
-            " they are checked through the quotient map instead"
-        )
+    """Check every relator evaluates to I, one evaluation per relator, so
+    errors are those of ``eval_symbol_word``."""
     rb = ReportBuilder(f"relators:{p.variant}", g=p.g)
     rb.caveat(CAVEAT_SOUNDNESS)
     ident = exactmat.identity(p.g - 1)
@@ -450,9 +408,10 @@ def _quotient_pivots(g: int) -> tuple[tuple[Pair, ...], tuple[int, ...]]:
 
     The declared basis takes the low bits, in basis order, and the other
     pairs the bits above it.  Only the bar-(5) and bar-(5)-odd relators
-    are reduced.  Lemma: every bar-(1) and bar-(2) word is ``_sq(...)``,
-    that is ``w + w``, so each letter occurs in it an even number of
-    times and its row, the XOR of its letters' bits, is 0.
+    are built and reduced.  Lemma: every bar-(1) and bar-(2) relator is
+    the square ``w + w`` of one or two pair classes, so each letter occurs
+    in it an even number of times and its row, the XOR of its letters'
+    bits, is 0.
     """
     basis = quotient_basis(g)
     layout = basis + tuple(p for p in pair_set(g) if p not in basis)

@@ -187,8 +187,7 @@ def level2_generating_set(g: int) -> tuple[GenSymbol, ...]:
         raise ValueError("need g >= 3")
     slides = [yslide(i, j) for i in range(1, g + 1) for j in range(i + 1, g + 1)]
     back_slides = [yslide(j, i) for i in range(1, g) for j in range(i + 1, g)]
-    if g == 3:
-        return tuple(slides + back_slides)
+    # empty at g = 3, where no 4-subset {1, j, k, l} exists
     subsets = [
         subset_sq(1, j, k, l)
         for j in range(2, g + 1)

@@ -242,6 +242,23 @@ class TestPresentationRunner:
         monkeypatch.setattr(fpres, "build_presentation", forbidden)
         assert run(RunConfig(check="presentation", value_range=(3, 5)))["overall_pass"]
 
+    def test_an_identity_evaluator_fails_only_the_control(self, monkeypatch):
+        # every word evaluates to I: the relator entries pass vacuously,
+        # and only the representation control can say so.  Each I is a
+        # fresh copy of the cached one, as a product would be, so a
+        # control that compared by object identity fails here too
+        def identity_evaluator(g, w):
+            return exactmat.IntMatrix(exactmat.identity(g - 1).rows)
+
+        monkeypatch.setattr(fpres, "eval_symbol_word", identity_evaluator)
+        assert fpres.degenerate_representation_control(4) is False
+        report = run(RunConfig("presentation", (4, 4), "g"))
+        entries = {e["check"]: (e["passed"], e["failed"]) for e in report["checks"]}
+        assert entries["representation-control"] == (0, 1)
+        for name in ("relators:PROP_1_TO_4", "relators:COR_WITH_5"):
+            assert entries[name][0] > 0 and entries[name][1] == 0, name
+        assert report["overall_pass"] is False
+
     def test_a_broken_family_row_fails_both_entries_alike(self, break_family_row):
         # Y[i,j] Y[k,i] squared is not a relator: every family 2a relator fails
         break_family_row("2a", ((0, 1), (2, 0)))
@@ -267,6 +284,22 @@ class TestPresentationRunner:
         del cor["duration_ms"]
         assert one_pass.failed > CheckReport.MAX_FAILURES
         assert cor == one_pass.to_json()
+
+
+class TestO2Runner:
+    def test_two_subset_transvections_generate_only_the_permutations(
+        self, capsys, monkeypatch
+    ):
+        # the 2-subset transvections generate the g! permutation matrices:
+        # all of O(3, F2) = S_3, but not O(4, F2) or O(5, F2)
+        standard = gf2.standard_twist_generators
+        monkeypatch.setattr(gf2, "standard_twist_generators", lambda g: standard(g, (2,)))
+        code, report = run_json(capsys, "verify", "o2", "--g", "3..5")
+        assert code != 0
+        entries = {e["g"]: e for e in report["checks"]}
+        assert (entries[3]["passed"], entries[3]["failed"]) == (1, 0)
+        assert entries[4]["failures"] == ["generated 24 elements != enumerated 48"]
+        assert entries[5]["failures"] == ["generated 120 elements != enumerated 720"]
 
 
 class TestMainVerify:

@@ -16,7 +16,6 @@ from crosscap_calc.fpres import (
     UnsupportedSymbolError,
     VARIANT_COR,
     VARIANT_PROP,
-    VARIANT_QUOTIENT,
     bar5_word,
     beta_twist,
     build_presentation,
@@ -216,16 +215,27 @@ class TestPresentations:
         with pytest.raises(ValueError):
             build_presentation(4, "NO_SUCH")
 
+    def test_generator_lists_frozen(self):
+        h = hashlib.sha256()
+        for g in range(3, 9):
+            prop = build_presentation(g, VARIANT_PROP).generators
+            cor = build_presentation(g, VARIANT_COR).generators
+            # (g-1)^2 slides with first index at most g - 1
+            assert len(prop) == len(set(prop)) == (g - 1) ** 2
+            assert all(s.kind == "yslide" and s.indices[0] <= g - 1 for s in prop)
+            assert cor == prop + tuple(yslide(g, i) for i in range(1, g))
+            h.update(repr(prop).encode())
+            h.update(repr(cor).encode())
+        assert h.hexdigest() == (
+            "d38a566275c1edc861410d762fc12103bb2281488773879b1249c221a2ba2be2"
+        )
+
     def test_relators_hold_in_matrices(self):
         for g in (3, 4, 5):
             for variant in (VARIANT_PROP, VARIANT_COR):
                 rep = verify_relators(build_presentation(g, variant))
                 assert rep.ok, rep.failures[:3]
                 assert rep.failed == 0
-
-    def test_quotient_variant_cannot_be_matrix_checked(self):
-        with pytest.raises(ValueError):
-            verify_relators(build_presentation(4, VARIANT_QUOTIENT))
 
     @pytest.mark.parametrize("g", [3, 4, 5, 6, 7, 8])
     def test_cor_is_prop_followed_by_family5(self, g):
@@ -580,7 +590,9 @@ class TestQuotientMap:
     def test_every_quotient_relator_dies(self):
         for g in (3, 4, 5, 6):
             qm = build_quotient_map(g)
-            for rel in build_presentation(g, VARIANT_QUOTIENT).relators:
+            rels = tuple(fpres._bar5_relators(g))
+            assert {r.family for r in rels} == {"bar5"} | ({"bar5odd"} if g % 2 else set())
+            for rel in rels:
                 assert qm.word_image(rel.word) == 0, rel.family
 
     def test_map_construction_succeeds_through_genus8(self):
@@ -656,11 +668,11 @@ class TestQuotientMap:
 
 @functools.cache
 def _relator_rows(g):
-    """Each quotient relator abelianized over the reduction's bit layout."""
+    """Each bar-(5) relator abelianized over the reduction's bit layout."""
     layout, _pivots = fpres._quotient_pivots(g)
     bit = {p: 1 << n for n, p in enumerate(layout)}
     rows = []
-    for rel in build_presentation(g, VARIANT_QUOTIENT).relators:
+    for rel in fpres._bar5_relators(g):
         row = 0
         for sym, _exp in rel.word:
             row ^= bit[sym.indices]
@@ -689,14 +701,14 @@ def _clear_quotient_caches():
     build_quotient_map.cache_clear()
 
 
-def _full_reduction_pivots(g):
-    """Reference oracle: the pivots of a reduction over every QUOTIENT_BAR
-    row in presentation order, zero rows skipped."""
+def _reference_pivots(g):
+    """Reference oracle: the pivots of a reduction over the bar-(5) rows
+    in relator order, zero rows skipped, with its own bit layout."""
     basis = quotient_basis(g)
     layout = basis + tuple(p for p in pair_set(g) if p not in basis)
     bit = {p: 1 << n for n, p in enumerate(layout)}
     pivots = []
-    for rel in build_presentation(g, VARIANT_QUOTIENT).relators:
+    for rel in fpres._bar5_relators(g):
         row = 0
         for sym, _exp in rel.word:
             row ^= bit[tuple(sorted(sym.indices))]
@@ -710,44 +722,17 @@ def _full_reduction_pivots(g):
 class TestBarFiveOnlyReduction:
     @pytest.mark.parametrize("g", range(3, 17))
     def test_pivots_equal_a_full_reduction(self, g):
-        assert fpres._quotient_pivots(g) == _full_reduction_pivots(g)
-
-    @pytest.mark.parametrize("g", range(3, 13))
-    def test_square_relators_are_doubled_words(self, g):
-        # the lemma's premise: every letter occurs twice, so the row is 0
-        for rel in fpres._bar_square_relators(g):
-            half = len(rel.word) // 2
-            assert rel.word == rel.word[:half] * 2, rel
-
-    def test_presentation_is_squares_then_bar5(self):
-        for g in range(3, 13):
-            rels = build_presentation(g, VARIANT_QUOTIENT).relators
-            assert rels == (*fpres._bar_square_relators(g), *fpres._bar5_relators(g))
-            assert {r.family for r in fpres._bar5_relators(g)} <= {"bar5", "bar5odd"}
+        assert fpres._quotient_pivots(g) == _reference_pivots(g)
 
     def test_relators_frozen_from_the_full_construction(self):
-        # sha256 of every QUOTIENT_BAR presentation at g=3..12, taken when
-        # all of its relators were still built by one function
+        # sha256 of the bar-(5) relators at g=3..12, the only rows the
+        # quotient solve reduces
         h = hashlib.sha256()
         for g in range(3, 13):
-            p = build_presentation(g, VARIANT_QUOTIENT)
-            h.update(repr((p.generators, p.relators)).encode())
+            h.update(repr(tuple(fpres._bar5_relators(g))).encode())
         assert h.hexdigest() == (
-            "dffb921003ffeb09ccbcde719567d4f428c37d4473705084cb525995d5f29799"
+            "c58cadc3f6871bbcc243895b26d0d9080fbfa6ef4532dd8f744ba460b1aa7c36"
         )
-
-    def test_verdict_path_builds_no_square_relator(self, monkeypatch):
-        def forbidden(g):
-            raise AssertionError("the quotient solve must not build a square relator")
-
-        monkeypatch.setattr(fpres, "_bar_square_relators", forbidden)
-        _clear_quotient_caches()
-        try:
-            for g in range(3, 13):
-                assert quotient_rank(g) == RANKS[g]
-                assert build_quotient_map(g).basis == quotient_basis(g)
-        finally:
-            _clear_quotient_caches()
 
 
 @pytest.fixture
