@@ -215,17 +215,20 @@ class TestPresentations:
         with pytest.raises(ValueError):
             build_presentation(4, "NO_SUCH")
 
+    @pytest.mark.parametrize("g", range(3, 13))
+    def test_generator_lists_are_the_slides(self, g):
+        prop = build_presentation(g, VARIANT_PROP).generators
+        cor = build_presentation(g, VARIANT_COR).generators
+        # (g-1)^2 slides with first index at most g - 1
+        assert len(prop) == len(set(prop)) == (g - 1) ** 2
+        assert all(s.kind == "yslide" and s.indices[0] <= g - 1 for s in prop)
+        assert cor == prop + tuple(yslide(g, i) for i in range(1, g))
+
     def test_generator_lists_frozen(self):
         h = hashlib.sha256()
         for g in range(3, 9):
-            prop = build_presentation(g, VARIANT_PROP).generators
-            cor = build_presentation(g, VARIANT_COR).generators
-            # (g-1)^2 slides with first index at most g - 1
-            assert len(prop) == len(set(prop)) == (g - 1) ** 2
-            assert all(s.kind == "yslide" and s.indices[0] <= g - 1 for s in prop)
-            assert cor == prop + tuple(yslide(g, i) for i in range(1, g))
-            h.update(repr(prop).encode())
-            h.update(repr(cor).encode())
+            h.update(repr(build_presentation(g, VARIANT_PROP).generators).encode())
+            h.update(repr(build_presentation(g, VARIANT_COR).generators).encode())
         assert h.hexdigest() == (
             "d38a566275c1edc861410d762fc12103bb2281488773879b1249c221a2ba2be2"
         )
@@ -587,13 +590,13 @@ class TestQuotientMap:
         for i, j in pair_set(5):
             assert qm.image(yslide(i, j)) == qm.image(yslide(j, i))
 
-    def test_every_quotient_relator_dies(self):
-        for g in (3, 4, 5, 6):
-            qm = build_quotient_map(g)
-            rels = tuple(fpres._bar5_relators(g))
-            assert {r.family for r in rels} == {"bar5"} | ({"bar5odd"} if g % 2 else set())
-            for rel in rels:
-                assert qm.word_image(rel.word) == 0, rel.family
+    @pytest.mark.parametrize("g", [3, 4, 5, 6])
+    def test_every_quotient_relator_dies(self, g):
+        qm = build_quotient_map(g)
+        rels = tuple(fpres._bar5_relators(g))
+        assert {r.family for r in rels} == {"bar5"} | ({"bar5odd"} if g % 2 else set())
+        for rel in rels:
+            assert qm.word_image(rel.word) == 0, rel.family
 
     def test_map_construction_succeeds_through_genus8(self):
         for g in range(3, 9):
@@ -723,6 +726,20 @@ class TestBarFiveOnlyReduction:
     @pytest.mark.parametrize("g", range(3, 17))
     def test_pivots_equal_a_full_reduction(self, g):
         assert fpres._quotient_pivots(g) == _reference_pivots(g)
+
+    def test_verdict_path_builds_no_presentation(self, monkeypatch):
+        # the rank and the map come from the bar-(5) rows alone
+        def forbidden(g, variant):
+            raise AssertionError("the quotient solve must not build a presentation")
+
+        monkeypatch.setattr(fpres, "build_presentation", forbidden)
+        _clear_quotient_caches()
+        try:
+            for g in range(3, 13):
+                assert quotient_rank(g) == RANKS[g]
+                assert build_quotient_map(g).basis == quotient_basis(g)
+        finally:
+            _clear_quotient_caches()
 
     def test_relators_frozen_from_the_full_construction(self):
         # sha256 of the bar-(5) relators at g=3..12, the only rows the
