@@ -5,9 +5,9 @@ standard dot product as intersection form, with the crosscap classes as
 an orthonormal basis.  A Dehn twist about a curve with class ``v`` acts
 by the transvection ``x -> x + (x . v) v``, which is orthogonal exactly
 when ``v`` has even weight.  This module enumerates the full orthogonal
-group by extending orthonormal frames row by row, generates it from
-chosen transvections by Dimino's coset closure, and checks each curve
-class's stabilizer against the closure of the twists that fix it.
+group as the row orders of its increasing orthonormal frames, generates
+it from chosen transvections by Dimino's coset closure, and checks each
+curve class's stabilizer against the closure of the twists that fix it.
 ``word_table``, which no check calls, gives each element a canonical
 shortest word in a labelled generating set.
 
@@ -21,11 +21,10 @@ same M, fold each distinct row once.  Where a whole list of matrices is
 multiplied by one M (the closure's coset fill, a level of the word
 table), its rows are grouped by row position (``_row_columns``) and each
 group goes through the span in one ``map`` (``_RowSpan.left_all``).
-The frame enumeration reads the last row of each frame instead of
-searching for it, since the rows of an orthogonal matrix sum to the
-all-ones vector, and narrows the candidates for the next row by set
-intersection with precomputed orthogonal complements.  Everything is
-immutable and deterministic.
+The frame search reads each frame's last row (an orthogonal matrix's
+rows sum to the all-ones vector), and ``itertools.permutations``, not
+Python code, lists each frame's row orders.  Everything is immutable
+and deterministic.
 """
 
 from __future__ import annotations
@@ -187,25 +186,16 @@ def twist_transvection(g: int, subset: Iterable[int]) -> F2Matrix:
 
 @functools.cache
 def enumerate_o2(g: int) -> frozenset[F2Matrix]:
-    """All of O_2(g) by depth-first extension of orthonormal row frames.
+    """All of O_2(g): every row order of every increasing orthonormal frame.
 
     Over a field a one-sided inverse of a square matrix is two-sided, so
-    M^T M = I holds exactly when M M^T = I: a matrix is orthogonal iff
-    its rows are orthonormal.  Each row has odd weight and is orthogonal
-    to every row above it, so a depth keeps only the candidates that are
-    orthogonal to the row just chosen and hands them down: one
-    intersection with that row's precomputed set of orthogonal odd rows
-    (``_odd_complements``).  The candidates are sets, visited in no
-    particular order; the result is a set, so the order cannot show.
-
-    The last row is read, not searched.  The rows of an orthogonal M sum
-    to the all-ones vector: the sum of the rows is 1^T M, whose entry j
-    is the weight of column j mod 2, and M^T M = I makes every column of
-    odd weight.  So once g - 1 rows are chosen the last one can only be
-    the all-ones vector plus their sum: the search stops with g - 2 rows
-    chosen, and each candidate v for row g - 1 fixes row g.  The lemma
-    is used for completeness only; row g is kept only if it passes the
-    same odd-weight and orthogonality tests as every other row.
+    a matrix is orthogonal iff its rows are orthonormal.  Those rows are
+    pairwise distinct (v . v = 1 but v . w = 0), and every reordering of
+    them is orthonormal too, so O_2(g) is the disjoint union of the g!
+    row orders of its o2_order(g) / g! frames with strictly increasing
+    rows (``_increasing_frames``: 32 at g = 6), each expanded straight
+    into the set by ``itertools.permutations``.  No group product or
+    generator is used, so the set is an oracle for ``generate_group``.
     """
     if g < 1:
         raise ValueError(f"O_2(g) needs g >= 1, got {g}")
@@ -213,29 +203,44 @@ def enumerate_o2(g: int) -> frozenset[F2Matrix]:
         raise CapExceededError(
             f"frame enumeration capped at g <= {ENUMERATION_CAP}, got {g}"
         )
+    frames = map(itertools.permutations, _increasing_frames(g))
+    return frozenset(map(_trusted_f2, itertools.chain.from_iterable(frames)))
+
+
+def _increasing_frames(g: int) -> list[tuple[int, ...]]:
+    """The orthonormal row frames whose rows strictly increase, uncapped.
+
+    Depth-first: a row has odd weight and is orthogonal to, and larger
+    than, every row above it, so each depth hands down one intersection
+    with ``above[v]``, the odd rows orthogonal to and larger than the row
+    v just chosen.  The last row is read, not searched: the rows of an
+    orthogonal M sum to 1^T M, the all-ones vector, as M^T M = I gives
+    every column odd weight.  So the search stops with g - 2 rows chosen,
+    each candidate v for row g - 1 fixes row g, and row g is kept only if
+    it would be a candidate below v.
+    """
     ones = (1 << g) - 1
     if g == 1:
         # the one row is the all-ones vector, with nothing chosen above it
-        return frozenset({_trusted_f2((ones,))})
-    perp = _odd_complements(g)
-    found: list[F2Matrix] = []
+        return [(ones,)]
+    above = {v: frozenset(w for w in ws if w > v) for v, ws in _odd_complements(g).items()}
+    found: list[tuple[int, ...]] = []
     rows: list[int] = []
 
     def extend(candidates: frozenset[int], acc: int) -> None:
         if len(rows) == g - 2:
-            # candidates are the odd rows orthogonal to every row above
             for v in candidates:
                 last = ones ^ acc ^ v
-                if last in candidates and (last & v).bit_count() % 2 == 0:
-                    found.append(_trusted_f2((*rows, v, last)))
+                if last in candidates and last in above[v]:
+                    found.append((*rows, v, last))
             return
         for v in candidates:
             rows.append(v)
-            extend(candidates & perp[v], acc ^ v)
+            extend(candidates & above[v], acc ^ v)
             rows.pop()
 
-    extend(frozenset(perp), 0)
-    return frozenset(found)
+    extend(frozenset(above), 0)
+    return found
 
 
 def _odd_complements(g: int) -> dict[int, frozenset[int]]:

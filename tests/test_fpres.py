@@ -556,6 +556,20 @@ class TestCommutationAndControls:
             assert rep.ok
             assert rep.passed == (g - 1) * (g - 2)
 
+    def test_a_wrong_slide_fails_exactly_its_commutation_records(self, monkeypatch):
+        # negative control: Y[5,2] at g=5 acts as Y[1,3]; of the 12 records
+        # the two whose first slide does not commute with Y[1,3] fail, each
+        # labelled with its own pair
+        genuine = exactmat._column_update
+
+        def wrong(g, i, j):
+            return genuine(g, 1, 3) if (g, i, j) == (5, 5, 2) else genuine(g, i, j)
+
+        monkeypatch.setattr(exactmat, "_column_update", wrong)
+        rep = verify_commutation_lemma(5)
+        assert (rep.passed, rep.failed) == (10, 2)
+        assert rep.failures == ("[Y[1,2],Y[5,2]] != 1", "[Y[3,2],Y[5,2]] != 1")
+
     def test_opposite_slides_do_not_commute(self):
         a = exactmat.make_y(4, 1, 2)
         b = exactmat.make_y(4, 2, 1)

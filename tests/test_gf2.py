@@ -371,6 +371,31 @@ class TestOrthogonalGroup:
     def test_empty_generators_give_trivial_group(self):
         assert generate_group(4, []) == frozenset({F2Matrix.identity(4)})
 
+    @pytest.mark.parametrize("g", [5, 6])
+    def test_enumeration_is_exactly_the_group_past_brute_force(self, g):
+        # the set holds distinct members of O(g), tested here by M^T M = I
+        # and not by the search, and as many as |O(g)| has: so it is O(g)
+        group = enumerate_o2(g)
+        for m in group:
+            assert type(m) is F2Matrix and F2Matrix(g, m) == m
+            assert columns_orthonormal(g, m)
+        assert len(group) == O2_ORDERS[g] == o2_order(g)
+
+    @pytest.mark.parametrize("g", range(1, 8))
+    def test_increasing_frames_count_past_the_cap(self, g):
+        # one frame per g! row orders, one genus past the cap, where
+        # enumerate_o2 builds no group
+        frames = gf2._increasing_frames(g)
+        assert len(frames) == o2_order(g) // math.factorial(g)
+        for rows in frames:
+            assert len(rows) == g and all(a < b for a, b in itertools.pairwise(rows))
+            assert columns_orthonormal(g, rows)
+        if g > gf2.ENUMERATION_CAP:
+            with pytest.raises(CapExceededError):
+                enumerate_o2(g)
+        else:
+            assert len(enumerate_o2(g)) == len(frames) * math.factorial(g)
+
     @pytest.mark.parametrize("g", [3, 4])
     def test_enumeration_matches_brute_force(self, g):
         # every g x g matrix over F2, kept when its columns are orthonormal

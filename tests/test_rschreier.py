@@ -863,6 +863,35 @@ class TestCaseIdentities:
     def test_reports_carry_representation_caveat(self):
         assert verify_case_identities(4).caveats
 
+    @pytest.mark.parametrize("flip, failing", [(2, 4), (7, 4), (0, 0), (6, 0)])
+    def test_a_flipped_chained_letter_fails_the_chained_records(
+        self, monkeypatch, flip, failing
+    ):
+        """Negative control: the chained right side with one letter's
+        exponent flipped.  A t^2 letter (positions 2, 7) fails exactly the
+        four chained records of g=4's fifteen.  A y or b letter (positions
+        0, 6) fails none: every slide is an involution in homology, so the
+        matrix check cannot see the exponent of a slide or of a two-sided
+        twist built from slides, and only a t^2 flip is a control."""
+        genuine = case_identity_words
+
+        def flipped(p, q):
+            case, lhs, rhs = genuine(p, q)
+            if case == CASE_CHAINED:
+                sym, exp = rhs[flip]
+                rhs = (*rhs[:flip], (sym, -exp), *rhs[flip + 1 :])
+            return case, lhs, rhs
+
+        monkeypatch.setattr(rschreier, "case_identity_words", flipped)
+        rep = verify_case_identities(4)
+        chained = {
+            f"case {CASE_CHAINED} pairs {p},{q}"
+            for p, q in itertools.combinations(pair_set(4), 2)
+            if classify_pair_case(p, q) == CASE_CHAINED
+        }
+        assert (rep.passed + rep.failed, rep.failed) == (15, failing)
+        assert set(rep.failures) == (chained if failing else set())
+
 
 class TestTstMembership:
     def test_validation(self):
