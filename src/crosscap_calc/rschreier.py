@@ -31,24 +31,20 @@ The matrix representation kills the Torelli group, so a pass certifies
 each identity modulo that kernel: necessary, not sufficient, and every
 report says so.
 
-The two zero-image sweeps give every word the verdict its letter fold
-computes without folding it, since quotient images are XOR-linear over
+Both zero-image sweeps rest on quotient images being XOR-linear over
 letters.  The RS word f x rep(f x)^-1, for f = element n and rep(f x) =
-element r = n ^ image(x), passes when images[n] ^ image(x) == images[r],
-each element's image folded once from its pairs' basis-slide images.
-With the defect d[n] = images[n] ^ n this reads d[n] == d[r]: only the
-words at a defective element or at its XOR with image(x) can fail, so a
-passing sweep costs one pass over the transversal, not one step per
-word.  It also means a pass certifies no more than
-``verify_transversal``: once every element n has image n, every RS word
-passes, and the rewriting of the words into families 1-4 is not checked
-by either sweep.  A family word f core f^-1 has image residual(f) ^
-image(core), where residual(f) = image(f) ^ image(f^-1).  Each core is
-folded once, and each element's residual is read off one letter-level
-refold of an assembled conjugate, less its core's image, the core drawn
-by a seeded generator; the counts of passing words follow by grouping
-the cores by image.  Both hold for every word at every genus, with
-nothing sampled.
+element n ^ image(x), has image images[n] ^ image(x) ^
+images[n ^ image(x)], which is 0 once every element n has image n.  So
+the RS sweep takes its verdict from ``verify_transversal``: a pass
+certifies every emitted word, a failure leaves every word uncertified,
+and the sweep itself only counts the emitted words, through the skip
+rule, against the closed form.  A family word f core f^-1 has image
+residual(f) ^ image(core), where residual(f) = image(f) ^ image(f^-1).
+Each core is folded once, and each element's residual is read off one
+letter-level refold of an assembled conjugate, less its core's image,
+the core drawn by a seeded generator; the counts of passing words
+follow by grouping the cores by image.  Neither sweep checks the
+rewriting of the words into families 1-4.
 """
 
 from __future__ import annotations
@@ -379,61 +375,45 @@ def verify_transversal(g: int) -> CheckReport:
 
 
 def verify_rs_zero_images(g: int, seed: int = 0) -> CheckReport:
-    """Every RS generator word has quotient image zero.
+    """Every RS generator word has quotient image zero, as a corollary of
+    ``verify_transversal``.
 
     The word f x^(+-1) rep(f x)^-1, for f = element n and rep(f x) =
-    element r = n ^ image(x), passes when images[n] ^ image(x) ==
-    images[r], the value its letter fold computes (see the module
-    docstring): when the defects d[n] = images[n] ^ n and d[r] agree.
-    One pass over the transversal folds each element's image from its
-    pairs, one ``word_image`` call per basis pair, and counts the skipped
-    words from each element's last pair; then only the words at or next
-    to a defective element are enumerated, and no word is built.  An
-    emitted count other than ``construction_counts``' is a failure.
-    Nothing is sampled, so ``seed`` is unused.
-
-    A pass certifies no more than ``verify_transversal``: once element n
-    has image n for every n, every word passes.  The rewriting of the
-    words into families 1-4 is not checked.
+    element n ^ image(x), has image images[n] ^ image(x) ^
+    images[n ^ image(x)], which is 0 once every element n has image n:
+    what ``verify_transversal`` checks.  So a transversal pass certifies
+    every emitted word, and a transversal failure leaves every one
+    uncertified (not shown to have a nonzero image).  One pass over the transversal counts the skipped
+    words from each element's last pair, and an emitted count other than
+    ``construction_counts``' is a failure.  No word is built and nothing
+    is sampled, so ``seed`` is unused.  The rewriting of the words into
+    families 1-4 is not checked.
     """
     del seed
     g = genus(g)
     # past the cap the count raises before the quotient reduction runs
     total = construction_counts(g)["rs_generator_count"]
-    qmap = build_quotient_map(g)
-    image_of = _pairs_image(qmap)
     elems = transversal(g)
-    xs = _rs_letters(qmap)
+    xs = _rs_letters(build_quotient_map(g))
     slide_image = {pair: ximage for _x, ximage, pair in xs if pair is not None}
-    defects: dict[int, int] = {}
     skips = 0
     for r, t in enumerate(elems):
-        defect = image_of(t.pairs) ^ r
-        if defect:
-            defects[r] = defect
         # a skipped f x^+1 has rep(f x) = t, and x is the slide of t's last pair
         if t.pairs and t.pairs[-1] in slide_image:
             ximage = slide_image[t.pairs[-1]]
             skips += _skipped(elems, r ^ ximage, ximage, t.pairs[-1])
-    # word (n, x) fails where d[n] != d[n ^ image(x)], so n or n ^ image(x)
-    # is defective.  A skipped f x^+1 has rep(f x) = f Y[p], whose image is
-    # images[n] ^ image(x): it passes, so each failing (f, x) emits both signs
-    failing = sorted({
-        (n, k)
-        for k, (_x, ximage, _pair) in enumerate(xs)
-        for m in defects
-        for n in (m, m ^ ximage)
-        if defects.get(n, 0) != defects.get(n ^ ximage, 0)
-    })
     emitted = 2 * len(elems) * len(xs) - skips
-    failed = 2 * len(failing)
+    placed = verify_transversal(g)
     rb = ReportBuilder("rs-zero-image", g=g)
     if not uses_subset_twist_generators(g):
         rb.caveat(CAVEAT_G3_GENERATORS)
-    rb.tally(emitted - failed, failed, (
-        f"f={elems[n].pairs} x={xs[k][0].label()} sign={sign}"
-        for n, k in failing for sign in (1, -1)
-    ))
+    if placed.ok:
+        rb.tally(emitted, 0, ())
+    else:
+        rb.tally(0, emitted, (
+            f"{emitted} words not certified: the transversal check failed",
+            *placed.failures,
+        ))
     if emitted != total:
         rb.record(False, f"emitted {emitted} generators, closed form {total}")
     rb.detail(f"emitted {emitted} generators; verdicts read from {len(elems)} element images")
@@ -611,7 +591,10 @@ def verify_case_identities(g: int) -> CheckReport:
     """Matrix check of the case identity of every pair of slide pairs.
 
     The check computes both sides through the homology representation,
-    which is blind to the Torelli group; the caveat records that.
+    which is blind to the Torelli group; the caveat records that.  It
+    sees the exponent sign of the t^2 letters only: every Y letter
+    squares to B, which acts as I on homology, so Y and Y^-1 have one
+    matrix and B^(+-1) is the identity's.
     """
     g = genus(g)
     rb = ReportBuilder("case-identities", g=g)

@@ -706,3 +706,41 @@ class TestStabilizerCases:
     def test_report_carries_scale_caveat(self):
         rep = stabilizer_case_check(3, CASE_ALPHA1)
         assert rep.caveats
+
+
+class TestCurveClassOrbits:
+    """The abstract's last sentence, mod 2: the twist transvections split
+    the nonzero classes into the three orbits the stabilizer cases name,
+    and each orbit is O(g, F2) over its stabilizer."""
+
+    @staticmethod
+    def orbits(g):
+        gens = standard_twist_generators(g).values()
+        unseen = set(range(1, 1 << g))
+        orbits = []
+        while unseen:
+            frontier = [min(unseen)]
+            orbit = set(frontier)
+            while frontier:
+                frontier = [w for v in frontier for m in gens if (w := m.apply(v)) not in orbit]
+                orbit.update(frontier)
+            unseen -= orbit
+            orbits.append(orbit)
+        return orbits
+
+    @pytest.mark.parametrize("g", [3, 4, 5, 6])
+    def test_three_orbits_each_the_group_over_its_stabilizer(self, g):
+        odd, even = g % 2, 1 - g % 2
+        sizes = {
+            CASE_ALPHA1: 2 ** (g - 1) - odd,
+            CASE_ALPHA12: 2 ** (g - 1) - 1 - even,
+            CASE_ALPHA_ALL: 1,
+        }
+        orbits = self.orbits(g)
+        assert len(orbits) == len(STABILIZER_CASES)
+        for case in STABILIZER_CASES:
+            v = CASE_VECTORS[case](g)
+            (orbit,) = [o for o in orbits if v in o]
+            assert len(orbit) == sizes[case], (g, case)
+            stab = sum(1 for a in enumerate_o2(g) if a.apply(v) == v)
+            assert len(orbit) * stab == o2_order(g), (g, case)

@@ -1,15 +1,18 @@
-"""Every public name of the package has a caller in the program.
+"""Every name of the package has a caller in the program.
 
 A public module-level name or public method defined in
 ``src/crosscap_calc`` must be referenced somewhere in ``src/`` or
 ``perfbench/`` outside its own definition: as a name, an attribute, an
 imported name or a string constant (the benchmark's tracer wraps
-functions it names in strings).  A method counts as used only through
-an attribute or a string, never a bare name, so a local variable that
-shares its name cannot hide it.  A name that only tests use is test
-code living in the package.  The scan matches names, not bindings, so
-it can only miss an unused definition that shares its name with a used
-one of the same kind, never flag a used one.
+functions it names in strings).  A private module-level function, class
+or constant (one leading underscore, not a dunder) must be referenced in
+``src/`` outside its own definition, so no helper outlives its last
+caller.  A method counts as used only through an attribute or a string,
+never a bare name, so a local variable that shares its name cannot hide
+it.  A name that only tests use is test code living in the package.  The
+scan matches names, not bindings, so it can only miss an unused
+definition that shares its name with a used one of the same kind, never
+flag a used one.
 """
 
 import ast
@@ -19,6 +22,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "crosscap_calc"
 CALLER_DIRS = (ROOT / "src", ROOT / "perfbench")
+PRIVATE_CALLER_DIRS = (ROOT / "src",)
 
 
 def _references(node: ast.AST, bare_names: bool = True) -> Counter:
@@ -38,19 +42,23 @@ def _references(node: ast.AST, bare_names: bool = True) -> Counter:
     return found
 
 
+def _module_level_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function, a class or
+    the plain-name targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def _public_definitions(tree: ast.Module):
     """(label, name, defining node, is a method) for each public
     module-level name and each public method of a module-level class."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, ast.Assign):
-            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names = [node.target.id]
-        else:
-            continue
-        for name in names:
+        for name in _module_level_names(node):
             if not name.startswith("_"):
                 yield name, name, node, False
         if isinstance(node, ast.ClassDef):
@@ -59,16 +67,28 @@ def _public_definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name, item, True
 
 
-def _unreferenced(modules: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
-    """``module.label`` of each public definition in ``modules`` that no
-    caller tree references outside the definition itself."""
+def _private_definitions(tree: ast.Module):
+    """(label, name, defining node, False) for each private module-level
+    function, class or constant; dunders such as ``__version__`` are
+    the interpreter's, not helpers."""
+    for node in tree.body:
+        for name in _module_level_names(node):
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, name, node, False
+
+
+def _unreferenced(
+    modules: dict[str, ast.Module], callers: list[ast.Module], definitions=_public_definitions
+) -> list[str]:
+    """``module.label`` of each definition in ``modules`` that no caller
+    tree references outside the definition itself."""
     total = {True: Counter(), False: Counter()}
     for tree in callers:
         for bare_names in (True, False):
             total[bare_names] += _references(tree, bare_names)
     unused = []
     for stem, tree in modules.items():
-        for label, name, node, is_method in _public_definitions(tree):
+        for label, name, node, is_method in definitions(tree):
             bare_names = not is_method
             own = _references(node, bare_names)[name]
             if total[bare_names][name] - own <= 0:
@@ -76,13 +96,13 @@ def _unreferenced(modules: dict[str, ast.Module], callers: list[ast.Module]) -> 
     return unused
 
 
-def unreferenced_names() -> list[str]:
+def unreferenced_names(definitions=_public_definitions, caller_dirs=CALLER_DIRS) -> list[str]:
     def parse(path: Path) -> ast.Module:
         return ast.parse(path.read_text(encoding="utf-8"))
 
     modules = {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
-    callers = [parse(path) for base in CALLER_DIRS for path in sorted(base.rglob("*.py"))]
-    return _unreferenced(modules, callers)
+    callers = [parse(path) for base in caller_dirs for path in sorted(base.rglob("*.py"))]
+    return _unreferenced(modules, callers, definitions)
 
 
 def test_the_scan_sees_definitions_and_their_callers():
@@ -121,3 +141,22 @@ def test_a_local_variable_does_not_hide_an_unused_method():
 
 def test_every_public_name_has_a_caller_in_the_program():
     assert unreferenced_names() == []
+
+
+def test_the_private_scan_skips_dunders_methods_and_public_names():
+    tree = ast.parse(
+        "__version__ = '1'\n"
+        "_CAP = 3\n"
+        "class _Helper:\n"
+        "    def _step(self): return _CAP\n"
+        "def _orphan(n): return _orphan(n - 1)\n"
+        "def public(): return _Helper()\n"
+    )
+    labels = [label for label, _name, _node, _m in _private_definitions(tree)]
+    assert labels == ["_CAP", "_Helper", "_orphan"]
+    # a private helper whose only caller is itself is an orphan
+    assert _unreferenced({"m": tree}, [tree], _private_definitions) == ["m._orphan"]
+
+
+def test_every_private_name_has_a_caller_in_src():
+    assert unreferenced_names(_private_definitions, PRIVATE_CALLER_DIRS) == []
