@@ -157,7 +157,7 @@ def _run_transversal(g: int, seed: int) -> Iterator[CheckReport]:
 
 def _run_rs(g: int, seed: int) -> Iterator[CheckReport]:
     yield rschreier.verify_rs_zero_images(g, seed=seed)
-    yield rschreier.verify_family_zero_images(g, ("1", "2", "3", "4"), seed=seed)
+    yield rschreier.verify_family_zero_images(g, seed=seed)
 
 
 def _run_case_identities(g: int, seed: int) -> Iterator[CheckReport]:

@@ -18,9 +18,9 @@ product A M is the XOR of the rows of M that r selects; a product reads
 each such row from a lazily filled span of M (``_RowSpan``), so the
 coset closure and the word table, which multiply many matrices by the
 same M, fold each distinct row once.  Where a whole list of matrices is
-multiplied by one M (the closure's coset fill, a level of the word
-table), its rows are grouped by row position (``_row_columns``) and each
-group goes through the span in one ``map`` (``_RowSpan.left_all``).
+multiplied by one M (the closure's coset fill), its rows are grouped by
+row position (``_row_columns``) and each group goes through the span in
+one ``map`` (``_RowSpan.left_all``).
 The frame search reads each frame's last row (an orthogonal matrix's
 rows sum to the all-ones vector), and ``itertools.permutations``, not
 Python code, lists each frame's row orders.  Everything is immutable
@@ -333,34 +333,25 @@ def word_table(
 ) -> dict[F2Matrix, tuple[Subset, ...]]:
     """Canonical shortest word for every element the generators reach.
 
-    Parents are dequeued in discovery order and generators tried in
-    sorted label order, so each element's word is the lexicographically
-    least among the shortest.  Involutive generators mean no inverse
-    letters are ever needed.  Each generator gets one row span, built
-    before the search; a level of the search multiplies the whole
-    frontier by each generator in bulk (``_RowSpan.left_all``), and the
-    products are then assigned words parent by parent, generators in
-    label order, which is the order of a one-at-a-time search.  A
-    generator that is not g x g raises ``ValueError``.
+    A breadth-first search: parents are dequeued in discovery order and
+    generators tried in sorted label order, so each element's word is the
+    lexicographically least among the shortest.  Involutive generators
+    mean no inverse letters are ever needed.  Each generator gets one row
+    span, built before the search.  A generator that is not g x g raises
+    ``ValueError``.
     """
     if any(len(b) != g for b in gens.values()):
         raise ValueError("size mismatch")
-    times = sorted((label, _RowSpan(b)) for label, b in gens.items())
-    labels = [label for label, _ in times]
-    identity = F2Matrix.identity(g)
-    table: dict[F2Matrix, tuple[Subset, ...]] = {identity: ()}
-    frontier = [identity]
-    while frontier:
-        columns = _row_columns(frontier)
-        new = []
-        # parent-major, then label order: the order of the one-at-a-time search
-        for a, products in zip(frontier, zip(*[b.left_all(columns) for _, b in times])):
-            word = table[a]
-            for label, c in zip(labels, products):
-                if c not in table:
-                    table[c] = word + (label,)
-                    new.append(c)
-        frontier = new
+    times = sorted((label, _RowSpan(b).left) for label, b in gens.items())
+    table: dict[F2Matrix, tuple[Subset, ...]] = {F2Matrix.identity(g): ()}
+    queue = list(table)
+    for a in queue:  # the queue grows while it is walked
+        word = table[a]
+        for label, times_b in times:
+            c = times_b(a)
+            if c not in table:
+                table[c] = word + (label,)
+                queue.append(c)
     return table
 
 

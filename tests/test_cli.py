@@ -13,7 +13,9 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 import crosscap_calc
-from crosscap_calc import SCHEMA_VERSION, __version__, cli, exactmat, fpres, gf2, rschreier
+from crosscap_calc import (
+    SCHEMA_VERSION, __version__, cli, exactmat, fpres, gf2, rschreier, words,
+)
 from crosscap_calc.cli import (
     CHECK_NAMES,
     RunConfig,
@@ -300,6 +302,63 @@ class TestO2Runner:
         assert (entries[3]["passed"], entries[3]["failed"]) == (1, 0)
         assert entries[4]["failures"] == ["generated 24 elements != enumerated 48"]
         assert entries[5]["failures"] == ["generated 120 elements != enumerated 720"]
+
+
+def failures_of(report, check):
+    """The one entry named ``check``: it must fail, and its labels are returned."""
+    [entry] = [e for e in report["checks"] if e["check"] == check]
+    assert entry["failed"] > 0 and report["overall_pass"] is False
+    return entry["failures"]
+
+
+class TestRecordNegativeControls:
+    """Each of the driver's own records fails when the input it reads is
+    broken: a record that no broken input can fail checks nothing."""
+
+    def test_a_lost_chain_factor_fails_the_factor_count(self, monkeypatch):
+        decomposition = words.chain_square_decomposition
+        monkeypatch.setattr(words, "chain_square_decomposition", lambda k: decomposition(k)[:-1])
+        labels = failures_of(run(RunConfig("chain", (3, 3), "k")), "chain-relation")
+        assert "5 factors != k(k+1)/2 = 6" in labels
+
+    def test_a_braid_equality_that_never_holds_fails_the_chain_relation(self, monkeypatch):
+        monkeypatch.setattr(words, "braid_equal", lambda u, v: False)
+        labels = failures_of(run(RunConfig("chain", (3, 3), "k")), "chain-relation")
+        assert labels == ["(s1...sk)^(k+1) != product of the conjugated squares"]
+
+    def test_a_braid_equality_that_always_holds_fails_the_distinctness_record(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(words, "braid_equal", lambda u, v: True)
+        labels = failures_of(run(RunConfig("chain", (3, 3), "k")), "chain-relation")
+        assert labels == ["distinct braid letters compare equal"]
+
+    def test_a_commutator_without_its_last_inverse_fails_the_lemma(self, capsys, monkeypatch):
+        monkeypatch.setattr(words, "commutator", lambda a, b: a * b * a.inv())
+        code, report = run_json(capsys, "verify", "commutator-lemma", "--n", "2")
+        assert code == 1
+        labels = failures_of(report, "commutator-lemma")
+        assert labels == ["free-group commutator identity fails at n=2"]
+
+    def test_a_lost_bar5_row_fails_the_quotient_rank(self, capsys, monkeypatch):
+        # the bar-(5) rows are independent, so each one lost raises the rank
+        caches = (fpres._quotient_pivots, fpres.build_quotient_map)
+        relators = fpres._bar5_relators
+        monkeypatch.setattr(fpres, "_bar5_relators", lambda g: list(relators(g))[1:])
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            code, report = run_json(capsys, "verify", "quotient-rank", "--g", "5")
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+        assert code == 1
+        assert failures_of(report, "quotient-rank") == ["rank 7 != closed form 6"]
+
+    def test_an_identity_evaluator_fails_the_commutation_control(self, monkeypatch):
+        monkeypatch.setattr(exactmat, "eval_word", lambda g, letters: exactmat.identity(g - 1))
+        labels = failures_of(run(RunConfig("commutation", (4, 4), "g")), "commutation-control")
+        assert labels == ["Y[1,2] and Y[2,1] unexpectedly commute"]
 
 
 class TestMainVerify:

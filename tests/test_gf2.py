@@ -76,9 +76,9 @@ def count_products(monkeypatch):
 
     Every product is read from a row span: one at a time through
     ``_RowSpan.left`` (``F2Matrix.__mul__``, the closure's coset
-    representatives), or in bulk through
-    ``_RowSpan.left_all`` (the coset fill of ``generate_group`` and the
-    levels of ``word_table``), which counts one per output matrix.
+    representatives, ``word_table``), or in bulk through
+    ``_RowSpan.left_all`` (the coset fill of ``generate_group``), which
+    counts one per output matrix.
     """
     calls = [0]
     left, left_all = gf2._RowSpan.left, gf2._RowSpan.left_all
