@@ -17,6 +17,11 @@ measured to run within 2 s as a fresh process; none is ever lowered, so
 a library call is the way past one.  Cost rises with the scope, so the
 first value past either limit ends the range as one failing
 ``<check>:cap`` entry rather than an exception, and batch runs continue.
+The program's own refusals (``ArithmeticError``: an inconsistent
+quotient, a slide that is not a level-2 involution, a closed-form
+mismatch, a coset overflow) become one failing ``<check>:error`` entry
+for their value, and the range goes on: an error at one value says
+nothing about the next.
 """
 
 from __future__ import annotations
@@ -52,16 +57,11 @@ def quotient_dim_bound(g: int) -> int:
 
 def _run_presentation(g: int, seed: int) -> Iterator[CheckReport]:
     del seed
-    prop_report = fpres.verify_prop_families(g)
-    yield prop_report
-    # COR_WITH_5 is PROP then family (5): fold PROP's report with family (5)'s
-    family5 = fpres.Presentation(g, fpres.VARIANT_COR, (), fpres.family5_relators(g))
-    rb = ReportBuilder(f"relators:{family5.variant}", g=g)
-    for rep in (prop_report, fpres.verify_relators(family5)):
-        rb.tally(rep.passed, rep.failed, rep.failures)
-        for text in rep.caveats:
-            rb.caveat(text)
-    yield rb.build()
+    yield fpres.verify_prop_families(g)
+    # COR_WITH_5 is PROP_1_TO_4 plus family (5): its entry checks only (5)
+    yield fpres.verify_relators(
+        fpres.Presentation(g, fpres.VARIANT_COR, (), fpres.family5_relators(g))
+    )
     rb = ReportBuilder("representation-control", g=g)
     rb.record(
         fpres.degenerate_representation_control(g),
@@ -240,18 +240,12 @@ def parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _cap_report(name: str, value: int, hi: int, message: str) -> CheckReport:
-    """The one entry for a range that stops at its first capped value."""
-    scope = CHECKS[name].scope
-    if hi > value:
-        message += f"; the range to {scope}={hi} stops here"
-    return CheckReport(
-        check=f"{name}:cap",
-        scope=((scope, value),),
-        passed=0,
-        failed=1,
-        failures=(message,),
-    )
+def _refusal_entry(name: str, kind: str, value: int, message: str, start: float) -> dict:
+    """The one failing ``<check>:<kind>`` entry for a refused scope value."""
+    scope = ((CHECKS[name].scope, value),)
+    entry = CheckReport(f"{name}:{kind}", scope, 0, 1, (message,)).to_json()
+    entry["duration_ms"] = round((time.perf_counter() - start) * 1000)
+    return entry
 
 
 def run(config: RunConfig) -> dict:
@@ -290,11 +284,14 @@ def run(config: RunConfig) -> dict:
                     all_ok = all_ok and rep.ok and rep.passed > 0
             except CapExceededError as exc:
                 # cost rises with the scope: every later value is capped too
-                entry = _cap_report(name, value, hi, str(exc)).to_json()
-                entry["duration_ms"] = round((time.perf_counter() - start) * 1000)
-                entries.append(entry)
+                stop = f"; the range to {check.scope}={hi} stops here" if hi > value else ""
+                entries.append(_refusal_entry(name, "cap", value, f"{exc}{stop}", start))
                 all_ok = False
                 break
+            except ArithmeticError as exc:
+                # a refusal at one value says nothing about the next
+                entries.append(_refusal_entry(name, "error", value, str(exc), start))
+                all_ok = False
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": TOOL_NAME,

@@ -35,11 +35,10 @@ Both zero-image sweeps rest on quotient images being XOR-linear over
 letters.  The RS word f x rep(f x)^-1, for f = element n and rep(f x) =
 element n ^ image(x), has image images[n] ^ image(x) ^
 images[n ^ image(x)], which is 0 once every element n has image n.  So
-the RS sweep takes its verdict from ``verify_transversal``: a pass
-certifies every emitted word, a failure leaves every word uncertified,
-and the sweep itself only counts the emitted words, through the skip
-rule, against the closed form.  A family word f core f^-1 has image
-residual(f) ^ image(core), where residual(f) = image(f) ^ image(f^-1),
+the RS words' verdict is ``verify_transversal``'s at the same g, and
+the RS sweep does not restate it: it counts the emitted words, through
+the skip rule, against the closed form.  A family word f core f^-1 has
+image residual(f) ^ image(core), where residual(f) = image(f) ^ image(f^-1),
 so the family sweep certifies it by its parts: its core's image is 0
 and f's residual is 0.  Each core is folded once, and each element's
 residual is read off one letter-level refold of an assembled conjugate,
@@ -89,6 +88,10 @@ CAVEAT_QUOTIENT_LEVEL = (
     "membership is certified at the quotient-image level; the conjugating"
     " single twists are not squares and have no symbol of their own, and"
     " conjugation does not move quotient images"
+)
+CAVEAT_RS_FROM_TRANSVERSAL = (
+    "the words' zero images follow from the transversal entry at the same"
+    " g (element n has image n); this entry checks the emitted count"
 )
 CAVEAT_G3_GENERATORS = (
     "the minimal generating set theorem assumes g >= 4; at g = 3 the"
@@ -376,17 +379,16 @@ def verify_transversal(g: int) -> CheckReport:
 
 
 def verify_rs_zero_images(g: int, seed: int = 0) -> CheckReport:
-    """Every RS generator word has quotient image zero, as a corollary of
-    ``verify_transversal``.
+    """The RS generators emitted through the skip rule number the closed
+    form's.
 
     The word f x^(+-1) rep(f x)^-1, for f = element n and rep(f x) =
     element n ^ image(x), has image images[n] ^ image(x) ^
     images[n ^ image(x)], which is 0 once every element n has image n:
-    what ``verify_transversal`` checks.  So a transversal pass certifies
-    every emitted word, and a transversal failure leaves every one
-    uncertified (not shown to have a nonzero image).  One pass over the transversal counts the skipped
-    words from each element's last pair, and an emitted count other than
-    ``construction_counts``' is a failure.  No word is built and nothing
+    what ``verify_transversal`` checks, and this check leaves to it (see
+    the caveat).  One pass over the transversal counts the skipped words
+    from each element's last pair, and the one record is the emitted
+    count against ``construction_counts``'.  No word is built and nothing
     is sampled, so ``seed`` is unused.  The rewriting of the words into
     families 1-4 is not checked.
     """
@@ -404,20 +406,12 @@ def verify_rs_zero_images(g: int, seed: int = 0) -> CheckReport:
             ximage = slide_image[t.pairs[-1]]
             skips += _skipped(elems, r ^ ximage, ximage, t.pairs[-1])
     emitted = 2 * len(elems) * len(xs) - skips
-    placed = verify_transversal(g)
     rb = ReportBuilder("rs-zero-image", g=g)
+    rb.caveat(CAVEAT_RS_FROM_TRANSVERSAL)
     if not uses_subset_twist_generators(g):
         rb.caveat(CAVEAT_G3_GENERATORS)
-    if placed.ok:
-        rb.tally(emitted, 0, ())
-    else:
-        rb.tally(0, emitted, (
-            f"{emitted} words not certified: the transversal check failed",
-            *placed.failures,
-        ))
-    if emitted != total:
-        rb.record(False, f"emitted {emitted} generators, closed form {total}")
-    rb.detail(f"emitted {emitted} generators; verdicts read from {len(elems)} element images")
+    rb.record(emitted == total, f"emitted {emitted} generators, closed form {total}")
+    rb.detail(f"emitted {emitted} generators; {skips} skipped over {len(elems)} elements")
     return rb.build()
 
 

@@ -211,9 +211,10 @@ def test_criterion_09_commutator_squares_lemma(capsys):
 
 def test_criterion_10_level2_subgroup_construction(capsys):
     with criterion(capsys, 10, "coset transversal of 2^rank elements, element n"
-                   " of quotient image n; RS words certified by the transversal"
-                   " check, family 1-4 words by core images and refolds,"
-                   " g=3..7; case identities hold, g=5, 6"):
+                   " of quotient image n, which gives every RS word image 0;"
+                   " RS generator count equals its closed form; family 1-4"
+                   " words certified by core images and refolds, g=3..7;"
+                   " case identities hold, g=5, 6"):
         for g in range(3, 8):
             assert len(transversal(g)) == 1 << quotient_rank(g), g
             rep = verify_transversal(g)

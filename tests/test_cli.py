@@ -229,9 +229,20 @@ class TestRun:
 
 
 def _relator_entries(g):
+    """The PROP_1_TO_4 and COR_WITH_5 entries of ``verify presentation``,
+    checked to be one ``verify_relators`` pass over the whole COR_WITH_5
+    presentation between them: passes and failures add up, and the labels
+    are PROP's followed by family (5)'s, as far as the one pass keeps them."""
     report = run(RunConfig(check="presentation", value_range=(g, g)))
     entries = {e["check"]: e for e in report["checks"]}
-    return entries["relators:PROP_1_TO_4"], entries["relators:COR_WITH_5"]
+    prop, cor = entries["relators:PROP_1_TO_4"], entries["relators:COR_WITH_5"]
+    one_pass = fpres.verify_relators(fpres.build_presentation(g, fpres.VARIANT_COR))
+    assert prop["passed"] + cor["passed"] == one_pass.passed
+    assert prop["failed"] + cor["failed"] == one_pass.failed
+    labels = prop["failures"] + cor["failures"]
+    assert labels[:CheckReport.MAX_FAILURES] == list(one_pass.failures)
+    assert prop["caveats"] == cor["caveats"] == list(one_pass.caveats)
+    return prop, cor
 
 
 class TestPresentationRunner:
@@ -261,31 +272,39 @@ class TestPresentationRunner:
             assert entries[name][0] > 0 and entries[name][1] == 0, name
         assert report["overall_pass"] is False
 
-    def test_a_broken_family_row_fails_both_entries_alike(self, break_family_row):
+    def test_a_broken_family_row_fails_only_the_prop_entry(self, break_family_row):
         # Y[i,j] Y[k,i] squared is not a relator: every family 2a relator fails
         break_family_row("2a", ((0, 1), (2, 0)))
         prop, cor = _relator_entries(5)
         rels = fpres.build_presentation(5, fpres.VARIANT_PROP).relators
         labels = [f"2a{rel.indices}" for rel in rels if rel.family == "2a"]
         assert len(labels) == 36
-        assert prop["failures"] == cor["failures"] == labels
+        assert prop["failures"] == labels
         assert (prop["passed"], prop["failed"]) == (len(rels) - 36, 36)
-        # COR_WITH_5 adds the g - 1 = 4 family (5) relators, which pass
-        assert (cor["passed"], cor["failed"]) == (len(rels) - 36 + 4, 36)
+        # COR_WITH_5's entry checks the g - 1 = 4 family (5) relators, which pass
+        assert (cor["passed"], cor["failed"], cor["failures"]) == (4, 0, [])
 
-    def test_folded_entry_equals_one_pass_over_cor(self, monkeypatch, break_family_row):
-        # every family 3b relator and every family (5) relator fail: more
-        # than 50 failures, so the truncated list is compared as well
-        break_family_row("3b", ((0, 2), (0, 3)))
+    @pytest.mark.parametrize(
+        "family, shape", [("2a", ((0, 1), (2, 0))), ("3b", ((0, 2), (0, 3)))]
+    )
+    def test_the_two_entries_are_one_pass_over_cor(
+        self, family, shape, monkeypatch, break_family_row
+    ):
+        # every relator of the family and every family (5) relator fail:
+        # 36 + 4 labels for 2a, in order, and past MAX_FAILURES for 3b, so
+        # the truncated list is compared as well
+        break_family_row(family, shape)
         relator5_word = fpres.relator5_word
         monkeypatch.setattr(
             fpres, "relator5_word", lambda g, i: relator5_word(g, i) + relator5_word(g, i)[:1]
         )
-        one_pass = fpres.verify_relators(fpres.build_presentation(5, fpres.VARIANT_COR))
-        _prop, cor = _relator_entries(5)
-        del cor["duration_ms"]
-        assert one_pass.failed > CheckReport.MAX_FAILURES
-        assert cor == one_pass.to_json()
+        prop, cor = _relator_entries(5)
+        assert cor["failures"] == [f"5({i},)" for i in range(1, 5)]
+        assert (cor["passed"], cor["failed"]) == (0, 4)
+        if family == "2a":
+            assert prop["failed"] + cor["failed"] == 40
+        else:
+            assert prop["failed"] > CheckReport.MAX_FAILURES
 
 
 class TestO2Runner:
@@ -354,6 +373,49 @@ class TestRecordNegativeControls:
                 cache.cache_clear()
         assert code == 1
         assert failures_of(report, "quotient-rank") == ["rank 7 != closed form 6"]
+
+    def test_a_refusal_is_an_error_entry_and_the_run_goes_on(self, monkeypatch, tmp_path):
+        # with a bar-(5) row lost the declared basis no longer fits the
+        # quotient, and building the map raises InconsistentQuotientError
+        caches = (fpres._quotient_pivots, fpres.build_quotient_map)
+        relators = fpres._bar5_relators
+        monkeypatch.setattr(fpres, "_bar5_relators", lambda g: list(relators(g))[1:])
+        for cache in caches:
+            cache.cache_clear()
+        out = tmp_path / "report.json"
+        try:
+            code = main(["verify", "all", "--g", "5", "--out", str(out)])
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+        assert code == 1
+        report = json.loads(out.read_text())
+        entries = {(e["check"], e.get("g")): e for e in report["checks"]}
+        error = entries["main-theorem:error", 5]
+        assert (error["passed"], error["failed"]) == (0, 1)
+        assert error["failures"] == [
+            "the declared pair classes are not a basis of the genus 5 quotient"
+        ]
+        # the checks after it still run at g=5, and one that never builds
+        # the map still passes there
+        ident = entries["case-identities", 5]
+        assert ident["passed"] > 0 and ident["failed"] == 0
+
+    def test_an_error_at_one_genus_leaves_the_next_one_running(self, capsys, monkeypatch):
+        quotient_map = fpres.build_quotient_map
+
+        def refuse_at_4(g):
+            if g == 4:
+                raise fpres.InconsistentQuotientError("refused at g=4")
+            return quotient_map(g)
+
+        monkeypatch.setattr(rschreier, "build_quotient_map", refuse_at_4)
+        code, report = run_json(capsys, "verify", "transversal", "--g", "3..5")
+        assert code == 1
+        assert [(e["check"], e["g"], e["failed"]) for e in report["checks"]] == [
+            ("transversal", 3, 0), ("transversal:error", 4, 1), ("transversal", 5, 0)
+        ]
+        assert report["checks"][1]["failures"] == ["refused at g=4"]
 
     def test_an_identity_evaluator_fails_the_commutation_control(self, monkeypatch):
         monkeypatch.setattr(exactmat, "eval_word", lambda g, letters: exactmat.identity(g - 1))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import operator
 import os
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import crosscap_calc
 from crosscap_calc import fpres, rschreier
+from crosscap_calc.cli import main
 from crosscap_calc.fpres import (
     build_quotient_map,
     pair_set,
@@ -157,25 +159,20 @@ def swapped_walk(g, a, b, monkeypatch):
     return served_walk(walk, monkeypatch)
 
 
-def certified_sweep(g):
-    """``verify_rs_zero_images(g)``, checked to take its verdict from
-    ``verify_transversal(g)``: every emitted word passes with it, or every
-    one fails, labeled by the not-certified line and then the transversal
-    check's labels, as far as the report keeps them."""
+def rs_verdict(g):
+    """The RS words' zero-image verdict, ``verify_transversal(g)``: with
+    element n of image n every emitted word has image 0.  The RS entry
+    is checked to hold its one record beside it, the emitted count
+    against the closed form, whatever the transversal check finds."""
     rep = verify_rs_zero_images(g)
-    placed = verify_transversal(g)
     emitted = int(re.match(r"emitted (\d+) generators;", rep.details[0])[1])
     closed = construction_counts(g)["rs_generator_count"]
-    labels = () if placed.ok else (
-        f"{emitted} words not certified: the transversal check failed",
-        *placed.failures,
-    )
-    if emitted != closed:
-        labels += (f"emitted {emitted} generators, closed form {closed}",)
-    assert rep.passed == (emitted if placed.ok else 0)
-    assert rep.failed == (0 if placed.ok else emitted) + (emitted != closed)
-    assert rep.failures == labels[:CheckReport.MAX_FAILURES]
-    return rep
+    counted = emitted == closed
+    assert (rep.passed, rep.failed) == (int(counted), int(not counted))
+    assert rep.failures == (() if counted else (
+        f"emitted {emitted} generators, closed form {closed}",
+    ))
+    return verify_transversal(g)
 
 
 def flipped_map(g, sym, bit):
@@ -725,11 +722,12 @@ class TestRsGenerators:
     def test_verify_rs_zero_images(self):
         for g in (3, 4, 5):
             rep = verify_rs_zero_images(g)
-            assert rep.ok, rep.failures[:3]
-            assert rep.passed == RS_COUNTS[g]
+            # one record: the emitted count against the closed form
+            assert (rep.passed, rep.failed) == (1, 0), rep.failures
+            assert rep.details[0].startswith(f"emitted {RS_COUNTS[g]} generators;")
 
     @pytest.mark.parametrize("g", [4, 6])
-    def test_sweep_builds_no_word_and_folds_once_per_basis_pair(self, g, monkeypatch):
+    def test_sweep_builds_no_word_and_folds_nothing(self, g, monkeypatch):
         build_quotient_map(g)  # built outside the count
         calls = count_word_images(monkeypatch)
 
@@ -740,11 +738,12 @@ class TestRsGenerators:
         monkeypatch.setattr(rschreier, "winv", forbidden)
         rep = verify_rs_zero_images(g)
         total = construction_counts(g)["rs_generator_count"]
-        assert (rep.passed, rep.failed) == (total, 0)
-        assert calls[0] == len(fpres.quotient_basis(g))
+        assert (rep.passed, rep.failed) == (1, 0)
+        # the images are the transversal check's to fold, not the count's
+        assert calls[0] == 0
         n_trans = len(transversal(g))
         assert rep.details == (
-            f"emitted {total} generators; verdicts read from {n_trans} element images",
+            f"emitted {total} generators; {n_trans - 1} skipped over {n_trans} elements",
         )
 
     def test_sweep_genus7_is_exact_and_draws_nothing(self, monkeypatch):
@@ -752,12 +751,20 @@ class TestRsGenerators:
         draws = count_draws(monkeypatch)
         calls = count_word_images(monkeypatch)
         rep = verify_rs_zero_images(7)
-        assert (rep.passed, rep.failed) == (3_637_249, 0)
-        assert draws[0] == 0
-        assert calls[0] == len(fpres.quotient_basis(7)) == 15
-        assert rep.details == (
-            "emitted 3637249 generators; verdicts read from 32768 element images",
-        )
+        assert (rep.passed, rep.failed) == (1, 0)
+        assert draws[0] == calls[0] == 0
+        assert rep.details == ("emitted 3637249 generators; 32767 skipped over 32768 elements",)
+
+    def test_the_count_never_runs_the_transversal_check(self, monkeypatch):
+        # the words' verdict is the transversal entry's: the count does
+        # not restate it
+        def forbidden(g):
+            raise AssertionError("the RS count runs the transversal check")
+
+        monkeypatch.setattr(rschreier, "verify_transversal", forbidden)
+        for g in (3, 4, 5):
+            rep = verify_rs_zero_images(g)
+            assert (rep.passed, rep.failed) == (1, 0), g
 
     def test_each_inverse_word_is_built_once_when_first_needed(self, monkeypatch):
         # not for all 2^15 transversal elements before the first yield, and
@@ -772,8 +779,10 @@ class TestRsGenerators:
         assert len(calls) == len(reps) == len(transversal(4))
 
     def test_genus3_report_flags_substitute_generators(self):
-        assert verify_rs_zero_images(3).caveats
-        assert not verify_rs_zero_images(4).caveats
+        assert verify_rs_zero_images(3).caveats == (
+            rschreier.CAVEAT_RS_FROM_TRANSVERSAL, rschreier.CAVEAT_G3_GENERATORS,
+        )
+        assert verify_rs_zero_images(4).caveats == (rschreier.CAVEAT_RS_FROM_TRANSVERSAL,)
 
 
 class TestFamilyWords:
@@ -1124,13 +1133,14 @@ class TestFamilySweepAgainstOracle:
 
 
 class TestRsSweepAgainstOracle:
-    """The sweep takes its verdict from the transversal check, which is at
-    least as strong as folding every word: whenever the per-word oracle
-    fails, the sweep fails, and a defect the oracle cannot see fails it."""
+    """The RS words take their verdict from the transversal check, which
+    is at least as strong as folding every word: whenever the per-word
+    oracle fails, the transversal check fails, and a defect the oracle
+    cannot see fails it."""
 
     @pytest.mark.parametrize("condition", ["none", "core", "swapped", "flipped-mask"])
     @pytest.mark.parametrize("g", [4, 5, 6])
-    def test_a_failing_oracle_fails_the_sweep(self, g, condition, monkeypatch):
+    def test_a_failing_oracle_fails_the_transversal_check(self, g, condition, monkeypatch):
         build_quotient_map(g)  # built before any patch
         if condition == "core":
             # a family 1 core fails; no RS word holds a twist symbol
@@ -1147,16 +1157,13 @@ class TestRsSweepAgainstOracle:
             qmap = flipped_map(g, yslide(2, 3), 0)
             monkeypatch.setattr(rschreier, "build_quotient_map", lambda g: qmap)
         expected = reference_rs_sweep(g)
-        rep = certified_sweep(g)
+        placed = rs_verdict(g)
         assert expected.ok == (condition in ("none", "core"))
-        assert rep.ok == expected.ok
-        if not rep.ok:
-            # the labels the report keeps are cut at MAX_FAILURES
-            assert rep.failed > CheckReport.MAX_FAILURES
-            assert rep.failures[0].endswith("words not certified: the transversal check failed")
+        assert placed.ok == expected.ok
+        assert outcome(placed) == outcome(reference_transversal_check(g))
 
     @given(st.data())
-    def test_a_single_bit_mask_flip_failing_the_oracle_fails_the_sweep(self, data):
+    def test_a_single_bit_mask_flip_failing_the_oracle_fails_the_check(self, data):
         qmap = build_quotient_map(4)
         sym = data.draw(st.sampled_from(sorted(qmap.slide_masks, key=lambda s: s.label())))
         bit = data.draw(st.integers(0, len(qmap.basis) - 1))
@@ -1164,34 +1171,35 @@ class TestRsSweepAgainstOracle:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rschreier, "build_quotient_map", lambda g: flipped)
             expected = reference_rs_sweep(4)
-            rep = certified_sweep(4)
-        assert expected.ok or not rep.ok
+            placed = rs_verdict(4)
+        assert expected.ok or not placed.ok
 
     @pytest.mark.parametrize("g", [4, 5])
     @given(data=st.data())
-    def test_a_swapped_pair_failing_the_oracle_fails_the_sweep(self, g, data):
+    def test_a_swapped_pair_failing_the_oracle_fails_the_check(self, g, data):
         size = len(transversal(g))
         a = data.draw(st.integers(0, size - 1))
         b = data.draw(st.integers(0, size - 1).filter(lambda b: b != a))
         with pytest.MonkeyPatch.context() as mp:
             swapped_walk(g, a, b, mp)
             expected = reference_rs_sweep(g)
-            rep = certified_sweep(g)
-        assert expected.ok or not rep.ok
+            placed = rs_verdict(g)
+        assert expected.ok or not placed.ok
 
-    def test_a_swapped_pair_at_genus7_fails_the_sweep(self, monkeypatch):
+    def test_a_swapped_pair_at_genus7_fails_the_check(self, monkeypatch):
         # past the per-word oracle's reach: a word that folds to a nonzero
-        # image is the oracle's first failure, and the sweep fails too
+        # image is the oracle's first failure, and the check fails at the
+        # two misplaced elements
         g = 7
-        swapped_walk(g, 2, 5, monkeypatch)
+        walk = swapped_walk(g, 2, 5, monkeypatch)
         qmap = build_quotient_map(g)
         assert any(qmap.word_image(gen.word) for gen in iter_rs_generators(g))
-        rep = certified_sweep(g)
-        assert rep.passed == 0
-        assert rep.failed > CheckReport.MAX_FAILURES
+        placed = rs_verdict(g)
+        assert placed.failures == tuple(image_labels(walk, fpres.quotient_basis(g)))
+        assert placed.failed == 2
 
     @pytest.mark.parametrize("g", [4, 5, 6])
-    def test_a_constant_defect_passes_the_oracle_and_fails_the_sweep(self, g, monkeypatch):
+    def test_a_constant_defect_passes_the_oracle_and_fails_the_check(self, g, monkeypatch):
         # element n ^ 1 at position n: rep(f x), at position n ^ image(x),
         # is still the member of f x's coset, so every word folds to 0,
         # but no element has its own image
@@ -1200,20 +1208,20 @@ class TestRsSweepAgainstOracle:
         total = construction_counts(g)["rs_generator_count"]
         expected = reference_rs_sweep(g)
         assert (expected.passed, expected.failed) == (total, 0)
-        assert verify_transversal(g).failed == len(walk)
-        rep = certified_sweep(g)
-        assert (rep.passed, rep.failed) == (0, total)
+        assert rs_verdict(g).failed == len(walk)
+        # the count does not move: only the transversal entry sees it
+        assert verify_rs_zero_images(g).ok
 
     def test_a_passing_run_costs_a_few_steps_per_element(self):
-        # one pass over the transversal: about 25 traced steps per element
+        # one pass over the transversal: about 7 traced steps per element
         # at g=6, where visiting each of the 71,680 (f, x) pairs would take
         # several steps apiece
         g = 6
         build_quotient_map(g)
         transversal(g)
         rep, steps = rschreier_steps(lambda: verify_rs_zero_images(g))
-        assert (rep.passed, rep.failed) == (construction_counts(g)["rs_generator_count"], 0)
-        assert steps < 50 * len(transversal(g)) == 102_400
+        assert (rep.passed, rep.failed) == (1, 0)
+        assert steps < 10 * len(transversal(g)) == 20_480
 
     def test_a_swapped_walk_at_genus7_stays_cheap(self):
         # two misplaced elements cost the transversal check's per-element
@@ -1225,12 +1233,12 @@ class TestRsSweepAgainstOracle:
         def steps_with_swap(a, b):
             with pytest.MonkeyPatch.context() as mp:
                 swapped_walk(g, a, b, mp)
-                return rschreier_steps(lambda: verify_rs_zero_images(g))
+                return rschreier_steps(lambda: verify_transversal(g))
 
         passing, base = steps_with_swap(2, 2)
         assert passing.failed == 0
         rep, steps = steps_with_swap(2, 5)
-        assert rep.failed > CheckReport.MAX_FAILURES
+        assert rep.failed == 2
         assert steps - base < 10_000
         assert steps < 50 * len(transversal(g))
 
@@ -1248,10 +1256,21 @@ class TestClosedFormCounts:
         rep = run_sweep(sweep, 4)
         if sweep == "rs":
             assert rep.failures == ("emitted 305 generators, closed form 306",)
-            assert rep.passed == 305
+            assert (rep.passed, rep.failed) == (0, 1)
         else:
             assert rep.failures == ("walked 784 words, closed form 785",)
             assert rep.passed == 784
+
+    def test_a_skip_rule_that_never_skips_fails_the_rs_count(self, capsys, monkeypatch):
+        # every f x^+1 emitted: 2 |T| |X| = 320 words at g=4, not 305
+        monkeypatch.setattr(rschreier, "_skipped", lambda *args: False)
+        code = main(["verify", "rs", "--g", "4"])
+        entries = {e["check"]: e for e in json.loads(capsys.readouterr().out)["checks"]}
+        assert code == 1
+        rs = entries["rs-zero-image"]
+        assert (rs["passed"], rs["failed"]) == (0, 1)
+        assert rs["failures"] == ["emitted 320 generators, closed form 305"]
+        assert entries["family-zero-image"]["failed"] == 0
 
     def test_a_transversal_that_lost_an_element_fails_the_family_count(
         self, monkeypatch

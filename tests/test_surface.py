@@ -13,9 +13,16 @@ it.  A name that only tests use is test code living in the package.  The
 scan matches names, not bindings, so it can only miss an unused
 definition that shares its name with a used one of the same kind, never
 flag a used one.
+
+No report restates another: no module-level function of the package
+annotated ``-> CheckReport`` calls another such function, and no
+``.tally(`` call reads ``.passed``, ``.failed`` or ``.failures`` off a
+report.  A check whose verdict follows from another check's says so in
+a caveat, and a runner yields both reports as they are.
 """
 
 import ast
+import itertools
 from collections import Counter
 from pathlib import Path
 
@@ -96,12 +103,19 @@ def _unreferenced(
     return unused
 
 
-def unreferenced_names(definitions=_public_definitions, caller_dirs=CALLER_DIRS) -> list[str]:
-    def parse(path: Path) -> ast.Module:
-        return ast.parse(path.read_text(encoding="utf-8"))
+def _parse_package() -> dict[str, ast.Module]:
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
 
-    modules = {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
-    callers = [parse(path) for base in caller_dirs for path in sorted(base.rglob("*.py"))]
+
+def unreferenced_names(definitions=_public_definitions, caller_dirs=CALLER_DIRS) -> list[str]:
+    callers = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for base in caller_dirs for path in sorted(base.rglob("*.py"))
+    ]
+    modules = _parse_package()
     return _unreferenced(modules, callers, definitions)
 
 
@@ -160,3 +174,61 @@ def test_the_private_scan_skips_dunders_methods_and_public_names():
 
 def test_every_private_name_has_a_caller_in_src():
     assert unreferenced_names(_private_definitions, PRIVATE_CALLER_DIRS) == []
+
+
+def _called_name(func: ast.expr) -> str | None:
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def restated_reports(modules: dict[str, ast.Module]) -> list[str]:
+    """``module.py:line`` of each place where a report restates another: a
+    call from one ``-> CheckReport`` function to another, or a ``.tally(``
+    reading a report's counts or failure labels."""
+    reporters = {
+        node.name: (stem, node)
+        for stem, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and isinstance(node.returns, ast.Name)
+        and node.returns.id == "CheckReport"
+    }
+    found = [
+        (stem, sub.lineno)
+        for name, (stem, node) in reporters.items()
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call) and _called_name(sub.func) in reporters.keys() - {name}
+    ]
+    for stem, tree in modules.items():
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Call) and _called_name(sub.func) == "tally":
+                read = itertools.chain.from_iterable(
+                    map(ast.walk, sub.args + [k.value for k in sub.keywords])
+                )
+                if any(isinstance(node, ast.Attribute)
+                       and node.attr in ("passed", "failed", "failures") for node in read):
+                    found.append((stem, sub.lineno))
+    return [f"{stem}.py:{line}" for stem, line in sorted(found)]
+
+
+def test_the_restatement_scan_sees_both_shapes():
+    tree = ast.parse(
+        "def base(g) -> CheckReport: return CheckReport(g)\n"
+        "def copy(g) -> CheckReport:\n"
+        "    return m.base(g)\n"
+        "def runner(g) -> Iterator[CheckReport]:\n"
+        "    rep = base(g)\n"
+        "    rb.tally(rep.passed, 0, ())\n"
+        "    rb.tally(1, 0, labels=rep.failures)\n"
+        "    rb.tally(1, 0, ())\n"
+        "    yield rep\n"
+    )
+    # a runner may call a check and yield its report; it may not copy it
+    assert restated_reports({"m": tree}) == ["m.py:3", "m.py:6", "m.py:7"]
+
+
+def test_no_report_restates_another():
+    assert restated_reports(_parse_package()) == []
